@@ -14,7 +14,6 @@ from .boundary import (
     beta_convolution,
     beta_sharp,
     beta_star_general,
-    beta_star_idj,
     boundary_closed_form,
     check_admissible,
     ess_sup_grid,
@@ -38,7 +37,6 @@ from .dists import (
     from_spec,
     log_likelihood_ratio,
     mu_from_r,
-    quantile,
     sample,
     to_spec,
 )
@@ -71,7 +69,6 @@ from .sim import (
     PhaseCell,
     PhaseTable,
     estimate_gamma,
-    estimate_gamma_family,
     family_mixture,
     phase_sweep,
     run_cell,

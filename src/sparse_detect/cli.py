@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import boundary as bnd
-from . import sim
+from . import families, sim
 from .dists import Distribution, Gaussian, GenGaussian, SparseMixture, from_spec
 from .errors import SparseDetectError, InvalidParameterError
 from .hctest import hc_test, lr_test, max_test
@@ -108,30 +108,14 @@ def _parse_distribution(text: str) -> Distribution:
     )
 
 
-def _family_kwargs(args) -> dict:
-    out = {}
-    for name in ("r", "sigma2", "tau", "linf", "beta"):
-        val = getattr(args, name, None)
-        if val is not None:
-            out[name] = val
-    return out
-
-
-def _closed_form_params(family: str, mode: str, args) -> dict:
-    params = {}
-    if family == "idj":
-        params["r" if mode == "beta-of-r" else "beta"] = _need(args, "r" if mode == "beta-of-r" else "beta")
-    elif family == "hetero":
-        params["sigma2"] = _need(args, "sigma2")
-        params["r" if mode == "beta-of-r" else "beta"] = _need(args, "r" if mode == "beta-of-r" else "beta")
-    elif family == "dilate":
-        params["linf"] = _need(args, "linf")
-    elif family in ("ggconv", "gglocation"):
-        params["tau"] = _need(args, "tau")
-        params["r"] = _need(args, "r")
-    else:
-        raise _Usage(f"unknown family {family!r}")
-    return params
+def _family(args) -> families.Family:
+    """The --family row of a subcommand that needs the family's boundary."""
+    if args.family is None:
+        raise _Usage(f"{args.command} requires --family")
+    family = families.FAMILIES[args.family]
+    if family.exponent is None:
+        raise InvalidParameterError(f"family {family.name!r} has no detection boundary")
+    return family
 
 
 def _need(args, name: str) -> float:
@@ -141,18 +125,18 @@ def _need(args, name: str) -> float:
     return val
 
 
-def _alpha_for(family: str, args) -> bnd.ExponentFunction:
-    if family == "idj":
-        return bnd.alpha_family("idj", r=_need(args, "r"))
-    if family == "hetero":
-        return bnd.alpha_family("hetero", r=_need(args, "r"), sigma2=_need(args, "sigma2"))
-    if family == "dilate":
-        return bnd.alpha_family("dilate", linf=_need(args, "linf"))
-    if family == "ggconv":
-        return bnd.alpha_family("gen_gaussian_conv", r=_need(args, "r"), tau=_need(args, "tau"))
-    if family == "gglocation":
-        return bnd.alpha_family("gen_gaussian_location", r=_need(args, "r"), tau=_need(args, "tau"))
-    raise _Usage(f"unknown family {family!r}")
+def _params(args, *names: str) -> dict:
+    return {name: _need(args, name) for name in names}
+
+
+def _shape_params(args) -> dict:
+    """The numeric shape flags given on the command line, as family_params."""
+    return {k: v for k, v in vars(args).items() if k in ("sigma2", "tau") and v is not None}
+
+
+def _alpha_for(args) -> bnd.ExponentFunction:
+    family = _family(args)
+    return family.alpha(_need(args, family.swept), _params(args, *family.shape))
 
 
 def _emit(args, text: str) -> None:
@@ -170,21 +154,14 @@ def _emit(args, text: str) -> None:
 
 def _cmd_boundary(args) -> int:
     mode = args.mode or "beta-of-r"
+    family = _family(args)
     if args.r_grid is not None:
+        shape = _params(args, *family.shape)
         rows = ["family,params,beta_star,maximizer,method"]
         for value in _parse_grid(args.r_grid):
-            ns = argparse.Namespace(**vars(args))
-            if args.family == "dilate":
-                ns.linf = value
-                label = f"linf={_fmt(value)}"
-            else:
-                ns.r = value
-                label = f"r={_fmt(value)}"
-            if args.family == "hetero":
-                label += f";sigma2={_fmt(_need(ns, 'sigma2'))}"
-            if args.family in ("ggconv", "gglocation"):
-                label += f";tau={_fmt(_need(ns, 'tau'))}"
-            alpha = _alpha_for(args.family, ns)
+            params = {family.swept: value, **shape}
+            label = ";".join(f"{k}={_fmt(v)}" for k, v in params.items())
+            alpha = family.alpha(value, shape)
             res = (
                 bnd.beta_star_general(alpha)
                 if alpha.axis == "s"
@@ -196,7 +173,8 @@ def _cmd_boundary(args) -> int:
         _emit(args, "\n".join(rows))
         return 0
 
-    params = _closed_form_params(args.family, mode, args)
+    swept = "beta" if mode == "r-of-beta" and family.inverse else family.swept
+    params = _params(args, *family.shape, swept)
     value = bnd.boundary_closed_form(args.family, mode=mode, **params)
     if args.format == "json":
         payload = {"family": args.family, "mode": mode, **params, "value": value}
@@ -213,7 +191,7 @@ def _cmd_boundary(args) -> int:
 def _cmd_exponent(args) -> int:
     if args.beta is None:
         raise _Usage("exponent requires --beta")
-    alpha = _alpha_for(args.family, args)
+    alpha = _alpha_for(args)
     value = bnd.hellinger_exponent(alpha, args.beta)
     if args.format == "json":
         _emit(args, json.dumps({"family": args.family, "beta": args.beta, "exponent": value}))
@@ -226,7 +204,7 @@ def _cmd_check_alpha(args) -> int:
     if args.input:
         alpha = bnd.exponent_from_csv(args.input)
     elif args.family:
-        alpha = _alpha_for(args.family, args)
+        alpha = _alpha_for(args)
     else:
         raise _Usage("check-alpha requires --family or --input")
     report = bnd.check_admissible(alpha)
@@ -268,7 +246,7 @@ def _cmd_lr(args) -> int:
         if args.beta is None or args.r is None:
             raise _Usage("lr with --family requires --r and --beta")
         mix = sim.family_mixture(
-            args.family, _family_kwargs(args), args.r, args.beta, sample.size
+            args.family, _shape_params(args), args.r, args.beta, sample.size
         )
     else:
         raise _Usage("lr requires either --family --r --beta or --null --alt --epsilon")
@@ -306,11 +284,7 @@ def _cmd_simulate(args) -> int:
         inline["seed"] = args.seed
     if args.delta is not None:
         inline["delta"] = args.delta
-    params = {}
-    if args.sigma2 is not None:
-        params["sigma2"] = args.sigma2
-    if args.tau is not None:
-        params["tau"] = args.tau
+    params = _shape_params(args)
     if params:
         inline["family_params"] = params
     overlap = set(inline) & set(cfg_data)
@@ -347,9 +321,8 @@ def _cmd_estimate_gamma(args) -> int:
     elif args.family:
         if args.r is None:
             raise _Usage("estimate-gamma with --family requires --r")
-        diag = sim.estimate_gamma_family(
-            args.family, _family_kwargs(args), args.r, n_list, s_grid
-        )
+        null, alt = families.build(args.family, _shape_params(args))
+        diag = sim.estimate_gamma(null, lambda n: alt(args.r, n), n_list, s_grid)
     else:
         raise _Usage("estimate-gamma requires --family or --null/--alt")
     for n_from, n_to, s, delta in diag.flags:
@@ -391,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, *, family=False, sample=False):
         if family:
-            p.add_argument("--family", choices=["idj", "hetero", "dilate", "ggconv", "gglocation"])
+            p.add_argument("--family", choices=list(families.FAMILIES))
             p.add_argument("--r", type=float)
             p.add_argument("--sigma2", type=float)
             p.add_argument("--tau", type=float)
@@ -439,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a phase sweep")
     add_common(p, family=False)
     p.add_argument("--config", help="JSON experiment configuration")
-    p.add_argument("--family", choices=list(sim.SIM_FAMILIES))
+    p.add_argument("--family", choices=list(families.FAMILIES))
     p.add_argument("--beta-grid")
     p.add_argument("--r-grid")
     p.add_argument("--n-list")

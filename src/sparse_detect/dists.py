@@ -39,7 +39,6 @@ __all__ = [
     "epsilon_from_beta",
     "mu_from_r",
     "log_likelihood_ratio",
-    "quantile",
     "sample",
     "to_spec",
     "from_spec",
@@ -491,11 +490,6 @@ def log_likelihood_ratio(g: Distribution, q: Distribution, y):
         raise UndefinedPointError("both densities vanish at the point")
     out = lg - lq
     return float(out) if scalar else out
-
-
-def quantile(d: Distribution, p: float) -> float:
-    """Generalized inverse CDF, inf{y : F(y) >= p}, for p in (0, 1)."""
-    return d.quantile(p)
 
 
 def sample(

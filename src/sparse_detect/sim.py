@@ -19,23 +19,12 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from . import rng
-from .boundary import boundary_closed_form
-from .dists import (
-    Distribution,
-    Gaussian,
-    GenGaussian,
-    Shifted,
-    SparseMixture,
-    epsilon_from_beta,
-    from_spec,
-    log_likelihood_ratio,
-    mu_from_r,
-)
+from . import families, rng
+from .dists import Distribution, SparseMixture, epsilon_from_beta, log_likelihood_ratio
 from .errors import ConfigError, InvalidParameterError
 from .hctest import hc_statistic, hc_threshold, lr_test, max_test
 
@@ -49,12 +38,10 @@ __all__ = [
     "run_cell",
     "phase_sweep",
     "estimate_gamma",
-    "estimate_gamma_family",
     "wilson_halfwidth",
 ]
 
 TESTS = ("hc", "lr", "max")
-SIM_FAMILIES = ("idj", "hetero", "gglocation", "custom")
 _Z95 = 1.959963984540054
 
 
@@ -77,10 +64,10 @@ class ExperimentConfig:
         object.__setattr__(self, "r_grid", tuple(float(r) for r in self.r_grid))
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "tests", tuple(self.tests))
-        if self.family not in SIM_FAMILIES:
-            raise ConfigError(
-                f"family {self.family!r} is not simulatable; choose from {SIM_FAMILIES}"
-            )
+        try:
+            families.build(self.family, self.family_params)
+        except InvalidParameterError as exc:
+            raise ConfigError(str(exc)) from None
         if not self.beta_grid or not self.r_grid or not self.n_list:
             raise ConfigError("beta_grid, r_grid and n_list must be non-empty")
         if self.replicates < 1:
@@ -169,46 +156,8 @@ def family_mixture(
 ) -> SparseMixture:
     """Concrete testing problem for a cell; the shift is recomputed per n."""
     eps = epsilon_from_beta(n, beta)
-    if family == "idj":
-        return SparseMixture(Gaussian(), Gaussian(mu_from_r(n, r), 1.0), eps)
-    if family == "hetero":
-        sigma2 = float(family_params.get("sigma2", 1.0))
-        if sigma2 <= 0:
-            raise InvalidParameterError(f"sigma2 must be > 0, got {sigma2}")
-        return SparseMixture(
-            Gaussian(), Gaussian(mu_from_r(n, r), math.sqrt(sigma2)), eps
-        )
-    if family == "gglocation":
-        tau = float(family_params.get("tau", 1.0))
-        if tau <= 0:
-            raise InvalidParameterError(f"tau must be > 0, got {tau}")
-        null = GenGaussian(tau)
-        shift = (r * math.log(n)) ** (1.0 / tau)
-        return SparseMixture(null, Shifted(null, shift), eps)
-    if family == "custom":
-        # fixed null/alternative pair given as JSON specs; r is unused and
-        # the alternative does not rescale with n
-        null = from_spec(family_params["null"])
-        alt = from_spec(family_params["alt"])
-        if not isinstance(null, Distribution) or not isinstance(alt, Distribution):
-            raise InvalidParameterError("custom null/alt must be plain distributions")
-        return SparseMixture(null, alt, eps)
-    raise InvalidParameterError(f"family {family!r} is not simulatable")
-
-
-def _overlay_beta_star(family: str, family_params: dict, r: float) -> float:
-    if family == "idj":
-        return boundary_closed_form("idj", r=r) if r > 0 else 0.5
-    if family == "hetero":
-        return boundary_closed_form(
-            "hetero", r=r, sigma2=float(family_params.get("sigma2", 1.0))
-        )
-    if family == "gglocation":
-        tau = float(family_params.get("tau", 1.0))
-        return boundary_closed_form("gglocation", tau=tau, r=r) if r > 0 else 0.5
-    if family == "custom":
-        return math.nan
-    raise InvalidParameterError(f"family {family!r} has no overlay")
+    null, alt = families.build(family, family_params)
+    return SparseMixture(null, alt(r, n), eps)
 
 
 def _rejects(test: str, ys: np.ndarray, mix: SparseMixture, threshold: float) -> bool:
@@ -345,9 +294,8 @@ def phase_sweep(cfg: ExperimentConfig, workers: int = 1) -> PhaseTable:
         with ProcessPoolExecutor(max_workers=used) as pool:
             results = list(pool.map(_run_cell_star, [(cfg, c) for c in cells]))
     wall = time.perf_counter() - start
-    overlay = tuple(
-        _overlay_beta_star(cfg.family, cfg.family_params, cell[2]) for cell in cells
-    )
+    family = families.FAMILIES[cfg.family]
+    overlay = tuple(family.beta_star(cell[2], cfg.family_params) for cell in cells)
     return PhaseTable(
         config=cfg,
         cells=tuple(results),
@@ -409,7 +357,22 @@ def _gamma_ratio_row(
     return row
 
 
-def _validate_gamma_grids(n_list, s_grid) -> tuple[tuple[int, ...], tuple[float, ...]]:
+def estimate_gamma(
+    q: Distribution,
+    g: Union[Distribution, Callable[[int], Distribution]],
+    n_list: Sequence[int],
+    s_grid: Iterable[float],
+    flag_threshold: float = 0.05,
+) -> GammaDiagnostic:
+    """Evaluate the normalized log-likelihood ratio at null tail quantiles.
+
+    For each n and s, the ratio is the larger of the log-likelihood
+    ratios at the null lower and upper n^-s quantiles, divided by ln n.
+    Its large-n limit is the s-axis exponent function of the pair (q, g).
+    ``g`` may also be a function of n, for an alternative whose signal
+    is rescaled with the sample size (triangular-array semantics), which
+    is the form in which family exponents converge.
+    """
     n_list = tuple(int(n) for n in n_list)
     s_grid = tuple(float(s) for s in s_grid)
     if not n_list or min(n_list) < 2:
@@ -421,71 +384,15 @@ def _validate_gamma_grids(n_list, s_grid) -> tuple[tuple[int, ...], tuple[float,
         raise InvalidParameterError(
             f"s_grid must start at or above 1/log2(min n) = {s_floor:.6g}"
         )
-    return n_list, s_grid
-
-
-def _flag_rows(
-    n_list: tuple[int, ...],
-    s_grid: tuple[float, ...],
-    ratios: np.ndarray,
-    threshold: float,
-) -> tuple:
+    ratios = np.empty((len(n_list), len(s_grid)))
+    for i, n in enumerate(n_list):
+        ratios[i] = _gamma_ratio_row(q, g(n) if callable(g) else g, n, s_grid)
     flags = []
     for i in range(1, len(n_list)):
         deltas = np.abs(ratios[i] - ratios[i - 1])
         for j, s in enumerate(s_grid):
-            if deltas[j] > threshold:
+            if deltas[j] > flag_threshold:
                 flags.append((n_list[i - 1], n_list[i], s, float(deltas[j])))
-    return tuple(flags)
-
-
-def estimate_gamma(
-    q: Distribution,
-    g: Distribution,
-    n_list: Sequence[int],
-    s_grid: Iterable[float],
-    flag_threshold: float = 0.05,
-) -> GammaDiagnostic:
-    """Evaluate the normalized log-likelihood ratio at null tail quantiles.
-
-    For each n and s, the ratio is the larger of the log-likelihood
-    ratios at the null lower and upper n^-s quantiles, divided by ln n.
-    Its large-n limit is the s-axis exponent function of the pair (q, g).
-    """
-    n_list, s_grid = _validate_gamma_grids(n_list, s_grid)
-    ratios = np.empty((len(n_list), len(s_grid)))
-    for i, n in enumerate(n_list):
-        ratios[i] = _gamma_ratio_row(q, g, n, s_grid)
     return GammaDiagnostic(
-        n_list=n_list,
-        s_grid=s_grid,
-        ratios=ratios,
-        flags=_flag_rows(n_list, s_grid, ratios, flag_threshold),
-    )
-
-
-def estimate_gamma_family(
-    family: str,
-    family_params: dict,
-    r: float,
-    n_list: Sequence[int],
-    s_grid: Iterable[float],
-    flag_threshold: float = 0.05,
-) -> GammaDiagnostic:
-    """Per-n diagnostic for a named family, rescaling the signal with n.
-
-    Unlike :func:`estimate_gamma`, the alternative is rebuilt for every
-    sample size (triangular-array semantics), which is the form in which
-    family exponents converge.
-    """
-    n_list, s_grid = _validate_gamma_grids(n_list, s_grid)
-    ratios = np.empty((len(n_list), len(s_grid)))
-    for i, n in enumerate(n_list):
-        mix = family_mixture(family, family_params, r, 0.5, n)
-        ratios[i] = _gamma_ratio_row(mix.null_dist, mix.alt_dist, n, s_grid)
-    return GammaDiagnostic(
-        n_list=n_list,
-        s_grid=s_grid,
-        ratios=ratios,
-        flags=_flag_rows(n_list, s_grid, ratios, flag_threshold),
+        n_list=n_list, s_grid=s_grid, ratios=ratios, flags=tuple(flags)
     )

@@ -11,7 +11,6 @@ from sparse_detect.boundary import (
     beta_convolution,
     beta_sharp,
     beta_star_general,
-    beta_star_idj,
     boundary_closed_form,
     check_admissible,
     ess_sup_grid,
@@ -39,6 +38,13 @@ class TestClosedForms:
         assert boundary_closed_form("idj", mode="r-of-beta", beta=0.75) == pytest.approx(
             0.25, abs=1e-12
         )
+
+    def test_idj_bit_identical_to_the_scalar_formula(self):
+        # the sweep overlay column prints this value with repr
+        for r in [0.05 * k for k in range(1, 41)] + [0.8, 0.3, 1e-9, 0.2500001]:
+            want = 0.5 + r if r <= 0.25 else 1.0 - max(0.0, 1.0 - math.sqrt(r)) ** 2
+            got = boundary_closed_form("idj", r=r)
+            assert type(got) is float and got == want, r
 
     def test_idj_branches(self):
         assert boundary_closed_form("idj", r=0.1) == pytest.approx(0.6, abs=1e-12)
@@ -95,12 +101,15 @@ class TestClosedForms:
 
     def test_ggconv_generic_tau_matches_bullets(self):
         # the generic 1-D supremum must agree with the exact bullets
+        def classical(x):
+            return 0.5 + x if x <= 0.25 else 1.0 - max(0.0, 1.0 - math.sqrt(x)) ** 2
+
         for tau, r in ((1.0, 4.0), (1.0, 8.0), (2.0, 2.0), (2.0, 5.0)):
             zs = np.linspace(0.0, 6.0, 200001)
             brute = np.max(
                 np.where(
                     zs > 0,
-                    np.array([beta_star_idj(r * z * z) for z in zs]) - zs**tau,
+                    np.array([classical(r * z * z) for z in zs]) - zs**tau,
                     0.5,
                 )
             )
@@ -204,6 +213,25 @@ class TestAdmissibility:
         with pytest.raises(WrongParametrizationError):
             check_admissible(gamma)
 
+    @pytest.mark.parametrize(
+        "alpha",
+        [alpha_family("hetero", r=r, sigma2=5.0) for r in (0.0, 0.05, 0.5, 1.0)]
+        + [alpha_family("gen_gaussian_conv", r=4.0, tau=2.0)],
+    )
+    def test_domain_width_term_does_not_reject(self, alpha):
+        # the ladder's first rungs are dominated by log(W)/t, so a ladder
+        # that ends near 0 is admissible wherever it started
+        report = check_admissible(alpha)
+        assert report.admissible, report.violations
+
+    @pytest.mark.parametrize("gap", [0.01, 0.03])
+    def test_ladder_moving_away_from_zero_rejected(self, gap):
+        # (1/t) log integral of exp(-t gap) = -gap + log(W)/t: within the
+        # final tolerance, but its magnitude grows over the last rungs
+        report = check_admissible(ExponentFunction.from_grid(U_GRID, U_GRID**2 - gap))
+        assert not report.admissible
+        assert any("does not decrease" in v for v in report.violations)
+
 
 class TestBetaSharp:
     def test_idj_quarter(self):
@@ -246,6 +274,21 @@ class TestBetaSharp:
         assert got == pytest.approx(2.0 / 3.0, abs=1e-5)
         got = beta_sharp(alpha_family("gen_gaussian_conv", r=4.0, tau=1.0)).beta
         assert got == pytest.approx(0.5625, abs=1e-5)
+
+    def test_grid_built_once_per_call(self, monkeypatch):
+        builds = []
+        grid = ExponentFunction.grid
+
+        def counting_grid(self, *args):
+            builds.append(self)
+            return grid(self, *args)
+
+        monkeypatch.setattr(ExponentFunction, "grid", counting_grid)
+        alpha = alpha_family("idj", r=0.25)
+        beta_sharp(alpha)
+        hellinger_exponent(alpha, 0.6)
+        hc_achievable_boundary(alpha)
+        assert len(builds) == 3
 
     def test_symmetrization_invariance(self):
         for r in (0.05, 0.25, 0.6, 1.0):

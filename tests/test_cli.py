@@ -76,6 +76,21 @@ class TestBoundaryCommand:
         assert first[0] == "idj" and first[1] == "r=0.1"
         assert float(first[2]) == pytest.approx(0.6, abs=1e-3)
 
+    def test_ggconv_sweep_admits_tau_2(self, capsys):
+        code, out, _ = run(
+            capsys, "boundary", "--family", "ggconv", "--tau", "2",
+            "--r-grid", "2,4", "--format", "csv",
+        )
+        assert code == 0
+        rows = [row.split(",") for row in out.strip().split("\n")[1:]]
+        assert [row[1] for row in rows] == ["r=2;tau=2", "r=4;tau=2"]
+        assert float(rows[1][2]) == pytest.approx(0.8, abs=1e-9)  # r / (1 + r)
+
+    def test_family_without_boundary_exit_3(self, capsys):
+        code, _, err = run(capsys, "boundary", "--family", "custom", "--r", "0.5")
+        assert code == 3
+        assert "no detection boundary" in err
+
     def test_gglocation_sweep_uses_s_axis(self, capsys):
         code, out, _ = run(
             capsys, "boundary", "--family", "gglocation", "--tau", "1",
@@ -150,6 +165,15 @@ class TestSampleCommands:
         payload = json.loads(out)
         assert payload["decision"] in ("null", "alternative")
 
+    def test_lr_unsimulatable_family_exit_3(self, capsys, sample_file):
+        path = sample_file([0.0, 1.0])
+        code, _, err = run(
+            capsys, "lr", "--input", path, "--family", "dilate", "--r", "0.5",
+            "--beta", "0.6",
+        )
+        assert code == 3
+        assert "not simulatable" in err
+
     def test_lr_explicit_mixture(self, capsys, sample_file):
         path = sample_file([1.0])
         null = '{"kind":"finite_discrete","atoms":[[0,0.5],[1,0.5]]}'
@@ -212,6 +236,15 @@ class TestSimulateCommand:
         row = out.strip().split("\n")[1].split(",")
         assert row[8] == "7"  # replicates column reflects the inline override
 
+    def test_missing_family_param_exit_3(self, capsys):
+        code, _, err = run(
+            capsys, "simulate", "--family", "hetero", "--beta-grid", "0.6",
+            "--r-grid", "0.5", "--n-list", "64", "--replicates", "5", "--tests", "lr",
+            "--seed", "1",
+        )
+        assert code == 3
+        assert "sigma2" in err
+
     def test_bad_config_exit_3(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -232,6 +265,14 @@ class TestEstimateGammaCommand:
         lines = out.strip().split("\n")
         assert lines[0] == "n,s,ratio"
         assert len(lines) == 1 + 2 * 5
+
+    def test_unsimulatable_family_exit_3(self, capsys):
+        code, _, err = run(
+            capsys, "estimate-gamma", "--family", "dilate", "--r", "0.5",
+            "--n-list", "1000", "--s-grid", "0.2",
+        )
+        assert code == 3
+        assert "not simulatable" in err
 
     def test_json_shape(self, capsys):
         code, out, _ = run(

@@ -22,7 +22,6 @@ from sparse_detect.dists import (
     loads,
     log_likelihood_ratio,
     mu_from_r,
-    quantile,
     sample,
     to_spec,
 )
@@ -102,23 +101,23 @@ class TestLogLikelihoodRatio:
 
 class TestQuantile:
     def test_gaussian_median(self):
-        assert quantile(Gaussian(0.0, 1.0), 0.5) == pytest.approx(0.0, abs=1e-15)
+        assert Gaussian(0.0, 1.0).quantile(0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_laplace_quartile(self):
         # Laplace CDF at y < 0 is exp(y)/2, so the lower quartile is ln(1/2)
-        assert quantile(GenGaussian(1.0), 0.25) == pytest.approx(
+        assert GenGaussian(1.0).quantile(0.25) == pytest.approx(
             math.log(0.5), rel=1e-12
         )
 
     def test_discrete_generalized_inverse(self):
         d = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))
-        assert quantile(d, 0.5) == 0.0
-        assert quantile(d, 0.51) == 1.0
+        assert d.quantile(0.5) == 0.0
+        assert d.quantile(0.51) == 1.0
 
     def test_invalid_probability(self):
         for p in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(InvalidProbabilityError):
-                quantile(Gaussian(), p)
+                Gaussian().quantile(p)
 
     @pytest.mark.parametrize(
         "dist",

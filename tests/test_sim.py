@@ -18,7 +18,6 @@ from sparse_detect.hctest import hc_statistic, hc_threshold
 from sparse_detect.sim import (
     ExperimentConfig,
     estimate_gamma,
-    estimate_gamma_family,
     family_mixture,
     phase_sweep,
     run_cell,
@@ -75,6 +74,20 @@ class TestConfig:
         keys = [(b, r, n, t) for _, b, r, n, t in cells]
         assert keys == sorted(keys, key=lambda k: (k[0], k[1], k[2], k[3]))
         assert [c[0] for c in cells] == list(range(len(cells)))
+
+    @pytest.mark.parametrize(
+        "family, missing",
+        [("hetero", "sigma2"), ("gglocation", "tau"), ("custom", "null, alt")],
+    )
+    def test_missing_family_params_rejected(self, family, missing):
+        with pytest.raises(ConfigError, match=f"requires parameter {missing}"):
+            small_config(family=family)
+        with pytest.raises(InvalidParameterError, match=missing):
+            family_mixture(family, {}, 0.5, 0.6, 100)
+
+    def test_unsimulatable_family_rejected(self):
+        with pytest.raises(ConfigError, match="not simulatable"):
+            small_config(family="dilate")
 
     def test_round_trip_dict(self):
         cfg = small_config()
@@ -295,17 +308,15 @@ class TestEstimateGamma:
 
     def test_family_diagnostic_and_convergence_flags(self):
         s_grid = np.arange(0.15, 2.0001, 0.05)
+        # the alternative is rebuilt for every n from a callable
+        alt = lambda n: family_mixture("gglocation", {"tau": 1.0}, 0.5, 0.5, n).alt_dist
         # the 1e3 -> 1e4 step is 2 ln 2 (1/ln 1e3 - 1/ln 1e4) = 0.0502 > 0.05,
         # deterministically flagged
-        early = estimate_gamma_family(
-            "gglocation", {"tau": 1.0}, 0.5, [10**3, 10**4], s_grid
-        )
+        early = estimate_gamma(GenGaussian(1.0), alt, [10**3, 10**4], s_grid)
         assert any(f[0] == 10**3 and f[1] == 10**4 for f in early.flags)
         assert not early.converged
         # by 1e5 -> 1e6 the step has shrunk to 0.0201, below threshold
-        late = estimate_gamma_family(
-            "gglocation", {"tau": 1.0}, 0.5, [10**5, 10**6], s_grid
-        )
+        late = estimate_gamma(GenGaussian(1.0), alt, [10**5, 10**6], s_grid)
         assert late.converged
 
     def test_s_grid_floor_enforced(self):
