@@ -99,6 +99,26 @@ def _null_tail_values(null_cdf: NullCdf, ys: np.ndarray) -> tuple[np.ndarray, np
     return lower, upper
 
 
+def _tail_deviation(rank: np.ndarray, f: np.ndarray, n: int, lower: bool) -> np.ndarray:
+    """|F_n - F| at the larger of the left and right limits at each row.
+
+    ``rank`` holds the rows' 0-based positions in the sorted sample and is
+    overwritten with the result; ``f`` is the null probability of the
+    rows' tail, the lower one (F) or the upper one (1 - F).
+    """
+    right = rank + 1.0
+    right /= n  # F_n at the row
+    rank /= n  # F_n just left of the row
+    for level in (right, rank):
+        if lower:
+            level -= f
+        else:  # (1 - F) - (1 - F_n)
+            np.subtract(1.0, level, out=level)
+            np.subtract(f, level, out=level)
+        np.abs(level, out=level)
+    return np.maximum(right, rank, out=rank)
+
+
 def hc_statistic(
     sample, null_cdf: NullCdf, restricted: bool = False
 ) -> tuple[float, float]:
@@ -123,21 +143,28 @@ def hc_statistic(
             "null CDF hit 0 or 1 at a sample point; deviation weight is infinite"
         )
     # with ties in the sample the intermediate i/n levels are not attained,
-    # but they only ever understate |F_n - F|, so the maximum is unaffected
-    idx_hi = np.arange(1, n + 1) / n
-    idx_lo = np.arange(0, n) / n
-    weight = np.sqrt(f_low * f_up)
+    # but they only ever understate |F_n - F|, so the maximum is unaffected.
+    # Each row is measured in the tail with the smaller probability; on a
+    # sorted sample the lower-tail rows are a prefix, so each tail's
+    # deviations are computed once, on its slice, in place.
+    dev = np.arange(n, dtype=float)  # 0-based ranks, overwritten by deviations
     use_lower = f_low <= f_up
-    dev_right = np.where(use_lower, idx_hi - f_low, f_up - (1.0 - idx_hi))
-    dev_left = np.where(use_lower, idx_lo - f_low, f_up - (1.0 - idx_lo))
-    dev = np.maximum(np.abs(dev_right), np.abs(dev_left)) / weight
+    k = int(np.count_nonzero(use_lower))
+    if use_lower[:k].all():
+        tails = ((slice(0, k), f_low, True), (slice(k, n), f_up, False))
+    else:  # a callable CDF need not be monotone
+        tails = ((use_lower, f_low, True), (~use_lower, f_up, False))
+    for rows, f, lower in tails:
+        dev[rows] = _tail_deviation(dev[rows], f[rows], n, lower)
+    weight = f_low * f_up
+    dev /= np.sqrt(weight, out=weight)
     if restricted:
         keep = (f_low >= 1.0 / n) & (f_low <= 0.5)
         if not np.any(keep):
             raise InvalidParameterError(
                 "restricted variant has no candidates with null CDF in [1/n, 1/2]"
             )
-        dev = np.where(keep, dev, -np.inf)
+        dev[~keep] = -np.inf
     idx = int(np.argmax(dev))
     return math.sqrt(n) * float(dev[idx]), float(ys[idx])
 
@@ -196,7 +223,7 @@ def max_test(sample, n: int | None = None, u: float = 1.0) -> str:
             stacklevel=2,
         )
     threshold = abs(u) * math.sqrt(2.0 * math.log(n))
-    return "alternative" if float(np.max(np.abs(ys))) > threshold else "null"
+    return "alternative" if float(max(ys.max(), -ys.min())) > threshold else "null"
 
 
 def lr_test(sample, mix: SparseMixture) -> tuple[float, str]:

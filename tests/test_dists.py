@@ -168,6 +168,39 @@ class TestQuantile:
         np.testing.assert_allclose(gg.log_density(ys), ref.log_density(ys), atol=1e-13)
 
 
+class TestGenGaussianTails:
+    @pytest.mark.parametrize("y", [-40.0, -30.0])
+    def test_laplace_lower_tail_is_exact(self, y):
+        # at tau = 1 the lower tail is exp(y)/2; 0.5 - 0.5 * P(1, 40) rounds to 0.0
+        got = float(GenGaussian(1.0).cdf(y))
+        assert got == pytest.approx(0.5 * math.exp(y), rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_lower_tail_matches_high_precision(self, tau):
+        # both sides of |y| = 1, where the tail switches from 1 - P to Q
+        mpmath = pytest.importorskip("mpmath")
+        ys = [y for y in (0.01, 0.3, 0.7, 0.999, 1.0, 1.001, 1.5, 4.0, 9.0, 30.0)
+              if y**tau < 700.0]
+        for y in ys:
+            with mpmath.workdps(40):
+                x = mpmath.mpf(y) ** tau
+                q = mpmath.gammainc(1 / mpmath.mpf(tau), x, mpmath.inf, regularized=True)
+                want = float(q / 2)
+            assert float(GenGaussian(tau).cdf(-y)) == pytest.approx(want, rel=1e-13), y
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_survival_mirrors_cdf(self, tau):
+        d = GenGaussian(tau)
+        ys = np.linspace(-50, 50, 2001)
+        np.testing.assert_array_equal(d.survival(ys), d.cdf(-ys))
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_cdf_monotone(self, tau):
+        cdf = GenGaussian(tau).cdf(np.linspace(-60, 60, 240001))
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert cdf[0] >= 0.0 and cdf[-1] <= 1.0
+
+
 class TestSampling:
     def test_determinism(self):
         d = Mixture(Gaussian(), GenGaussian(1.0), 0.25)
@@ -199,6 +232,27 @@ class TestSampling:
             pvalue = kstest(x, Gaussian().cdf).pvalue
             passes += pvalue > 0.01
         assert passes >= 95
+
+    @pytest.mark.parametrize(
+        "dist",
+        [GenGaussian(tau) for tau in (0.5, 1.0, 1.5, 2.0, 3.0)]
+        + [Shifted(GenGaussian(1.0), 3.0), Dilated(GenGaussian(1.5), 2.0)],
+    )
+    def test_gen_gaussian_sampler_law(self, dist):
+        # KS p-value above 0.01 in >= 95 of 100 seeded trials against d.cdf
+        passes = 0
+        for trial in range(100):
+            x = sample(dist, 10**4, rng.stream(2025, trial))
+            passes += kstest(x, dist.cdf).pvalue > 0.01
+        assert passes >= 95
+
+    def test_gen_gaussian_sampler_determinism(self):
+        d = GenGaussian(1.5)
+        a = sample(d, 1000, rng.stream(7, 4))
+        np.testing.assert_array_equal(a, sample(d, 1000, rng.stream(7, 4)))
+        assert not np.array_equal(a, sample(d, 1000, rng.stream(7, 5)))
+        assert d.sample(0, rng.stream(7, 4)).shape == (0,)
+        assert sample(d, 0, rng.stream(7, 4)).shape == (0,)
 
     def test_discrete_sampling_frequencies(self):
         d = FiniteDiscrete(((0.0, 0.25), (1.0, 0.75)))

@@ -2,13 +2,25 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from sparse_detect import rng
-from sparse_detect.dists import FiniteDiscrete, Gaussian, Mixture, SparseMixture
+from sparse_detect.dists import (
+    Dilated,
+    Distribution,
+    FiniteDiscrete,
+    Gaussian,
+    GenGaussian,
+    Mixture,
+    Shifted,
+    SparseMixture,
+)
 from sparse_detect.errors import (
     InfiniteWeightError,
     InvalidParameterError,
@@ -26,6 +38,59 @@ from sparse_detect.hctest import (
 )
 
 UNIFORM_CDF = lambda t: np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+# a callable CDF that is not monotone, so its lower-tail rows are no prefix
+WAVY_CDF = lambda t: 0.5 + 0.45 * np.sin(3.0 * np.asarray(t, dtype=float))
+
+# one null of every Distribution kind, plus two callable CDFs
+ORACLE_NULLS = [
+    Gaussian(),
+    Gaussian(-0.5, 2.0),
+    GenGaussian(1.0),
+    GenGaussian(2.5),
+    Dilated(GenGaussian(0.7), 1.3),
+    Shifted(Gaussian(), 0.5),
+    FiniteDiscrete(((-1.0, 0.25), (0.0, 0.25), (1.0, 0.5))),
+    Mixture(Gaussian(), GenGaussian(1.5), 0.3),
+    Mixture(Gaussian(), FiniteDiscrete(((0.0, 0.4), (2.0, 0.6))), 0.3),
+    UNIFORM_CDF,
+    WAVY_CDF,
+]
+
+
+def hc_statistic_oracle(sample, null_cdf, restricted=False):
+    """Reference form: both tails evaluated at every row, chosen by np.where."""
+    ys = np.sort(np.asarray(sample, dtype=float))
+    n = ys.size
+    if isinstance(null_cdf, Distribution):
+        f_low = np.asarray(null_cdf.cdf(ys), dtype=float)
+        f_up = np.asarray(null_cdf.survival(ys), dtype=float)
+    else:
+        f_low = np.asarray(null_cdf(ys), dtype=float)
+        f_up = 1.0 - f_low
+    if np.any(f_low <= 0.0) or np.any(f_up <= 0.0):
+        raise InfiniteWeightError("null CDF hit 0 or 1 at a sample point")
+    idx_hi = np.arange(1, n + 1) / n
+    idx_lo = np.arange(0, n) / n
+    weight = np.sqrt(f_low * f_up)
+    use_lower = f_low <= f_up
+    dev_right = np.where(use_lower, idx_hi - f_low, f_up - (1.0 - idx_hi))
+    dev_left = np.where(use_lower, idx_lo - f_low, f_up - (1.0 - idx_lo))
+    dev = np.maximum(np.abs(dev_right), np.abs(dev_left)) / weight
+    if restricted:
+        keep = (f_low >= 1.0 / n) & (f_low <= 0.5)
+        if not np.any(keep):
+            raise InvalidParameterError("no candidates with null CDF in [1/n, 1/2]")
+        dev = np.where(keep, dev, -np.inf)
+    idx = int(np.argmax(dev))
+    return math.sqrt(n) * float(dev[idx]), float(ys[idx])
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (InfiniteWeightError, InvalidParameterError) as exc:
+        return type(exc)
 
 
 class TestEmpiricalCdf:
@@ -96,6 +161,56 @@ class TestHCStatistic:
         full, _ = hc_statistic(ys, Gaussian())
         tamed, _ = hc_statistic(ys, Gaussian(), restricted=True)
         assert tamed <= full + 1e-12
+
+
+class TestHCStatisticMatchesOracle:
+    """hc_statistic computes each tail only on its own rows, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        null=st.sampled_from(ORACLE_NULLS),
+        sample=st.lists(
+            # small-grid values make ties; CDF values suit the uniform null
+            st.one_of(
+                st.floats(-8.0, 8.0),
+                st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0]),
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        restricted=st.booleans(),
+    )
+    def test_small_samples(self, null, sample, restricted):
+        got = outcome(hc_statistic, sample, null, restricted=restricted)
+        want = outcome(hc_statistic_oracle, sample, null, restricted=restricted)
+        assert got == want
+
+    @pytest.mark.parametrize("n", [16, 10**3, 10**5])
+    @pytest.mark.parametrize("null_index", range(len(ORACLE_NULLS)))
+    def test_seeded_samples(self, n, null_index):
+        null = ORACLE_NULLS[null_index]
+        ys = Mixture(Gaussian(), Gaussian(2.0, 1.0), 0.1).sample(n, rng.stream(31, n))
+        if null is UNIFORM_CDF:
+            ys = Gaussian().cdf(ys)
+        for data in (ys, np.round(ys, 2)):
+            for restricted in (False, True):
+                got = outcome(hc_statistic, data, null, restricted=restricted)
+                want = outcome(hc_statistic_oracle, data, null, restricted=restricted)
+                assert got == want
+
+    def test_peak_memory_at_n_1e5(self):
+        # the two-branch formula peaked at 8.9 MB here
+        ys = Gaussian().sample(10**5, rng.stream(0, 1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            hc_statistic(ys, Gaussian())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_000_000, peak
 
 
 class TestHCDecision:
