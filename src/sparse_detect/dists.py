@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaincinv, gammaln, ndtr, ndtri
+from scipy.special import gammaincc, gammaincinv, gammaln, ndtr, ndtri
 
 from .errors import (
     IncompatibleLawsError,
@@ -170,17 +170,10 @@ class GenGaussian(Distribution):
         return self._log_norm - np.abs(y) ** self.tau
 
     def cdf(self, y):
-        # The tail beyond |y| is half of Q(1/tau, |y|^tau).  For |y| >= 1 it is
-        # taken from gammaincc, exact down to underflow.  For |y| < 1 the tail
-        # is at least Q(1/tau, 1) / 2, so 1 - gammainc does not cancel there,
-        # and it is several times faster than gammaincc when tau > 1.
+        # each tail is Q(1/tau, |y|^tau) / 2, from gammaincc so it stays exact
+        # down to underflow instead of cancelling in 1 - gammainc
         y = np.asarray(y, dtype=float)
-        a, x = 1.0 / self.tau, np.abs(y) ** self.tau
-        near = x < 1.0
-        far = ~near
-        half = np.empty_like(x)
-        half[near] = 0.5 - 0.5 * gammainc(a, x[near])
-        half[far] = 0.5 * gammaincc(a, x[far])
+        half = 0.5 * gammaincc(1.0 / self.tau, np.abs(y) ** self.tau)
         out = np.where(y < 0, half, 1.0 - half)
         return out if out.shape else float(out)
 

@@ -144,17 +144,11 @@ def hc_statistic(
         )
     # with ties in the sample the intermediate i/n levels are not attained,
     # but they only ever understate |F_n - F|, so the maximum is unaffected.
-    # Each row is measured in the tail with the smaller probability; on a
-    # sorted sample the lower-tail rows are a prefix, so each tail's
-    # deviations are computed once, on its slice, in place.
+    # Each row is measured in the tail with the smaller probability, and
+    # each tail's deviations are computed once, on its own rows, in place.
     dev = np.arange(n, dtype=float)  # 0-based ranks, overwritten by deviations
     use_lower = f_low <= f_up
-    k = int(np.count_nonzero(use_lower))
-    if use_lower[:k].all():
-        tails = ((slice(0, k), f_low, True), (slice(k, n), f_up, False))
-    else:  # a callable CDF need not be monotone
-        tails = ((use_lower, f_low, True), (~use_lower, f_up, False))
-    for rows, f, lower in tails:
+    for rows, f, lower in ((use_lower, f_low, True), (~use_lower, f_up, False)):
         dev[rows] = _tail_deviation(dev[rows], f[rows], n, lower)
     weight = f_low * f_up
     dev /= np.sqrt(weight, out=weight)

@@ -177,7 +177,7 @@ class TestGenGaussianTails:
 
     @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5, 2.0, 3.0])
     def test_lower_tail_matches_high_precision(self, tau):
-        # both sides of |y| = 1, where the tail switches from 1 - P to Q
+        # from near the center out to the far tail
         mpmath = pytest.importorskip("mpmath")
         ys = [y for y in (0.01, 0.3, 0.7, 0.999, 1.0, 1.001, 1.5, 4.0, 9.0, 30.0)
               if y**tau < 700.0]

@@ -38,7 +38,7 @@ from sparse_detect.hctest import (
 )
 
 UNIFORM_CDF = lambda t: np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-# a callable CDF that is not monotone, so its lower-tail rows are no prefix
+# a callable CDF that is not monotone, so its lower-tail rows are not contiguous
 WAVY_CDF = lambda t: 0.5 + 0.45 * np.sin(3.0 * np.asarray(t, dtype=float))
 
 # one null of every Distribution kind, plus two callable CDFs
