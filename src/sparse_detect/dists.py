@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaincc, gammaincinv, gammaln, ndtr, ndtri
+from scipy.special import gammaincc, gammainccinv, gammaln, ndtr, ndtri
 
 from .errors import (
     IncompatibleLawsError,
@@ -74,6 +74,10 @@ class Distribution:
     def survival(self, y):
         """Upper-tail probability; override where 1 - cdf would cancel."""
         return 1.0 - np.asarray(self.cdf(y), dtype=float)
+
+    def tails(self, y):
+        """(cdf(y), survival(y)); override where one pass yields both."""
+        return self.cdf(y), self.survival(y)
 
     def mass(self, y: float) -> float:
         """Point mass at y (zero for atomless laws)."""
@@ -169,22 +173,30 @@ class GenGaussian(Distribution):
         y = np.asarray(y, dtype=float)
         return self._log_norm - np.abs(y) ** self.tau
 
-    def cdf(self, y):
+    def tails(self, y):
         # each tail is Q(1/tau, |y|^tau) / 2, from gammaincc so it stays exact
-        # down to underflow instead of cancelling in 1 - gammainc
+        # down to underflow instead of cancelling in 1 - gammainc; the law is
+        # symmetric, so one pass gives both tails
         y = np.asarray(y, dtype=float)
         half = 0.5 * gammaincc(1.0 / self.tau, np.abs(y) ** self.tau)
-        out = np.where(y < 0, half, 1.0 - half)
-        return out if out.shape else float(out)
+        rest = 1.0 - half
+        below = y < 0
+        lower, upper = np.where(below, half, rest), np.where(below, rest, half)
+        return (lower, upper) if lower.shape else (float(lower), float(upper))
+
+    def cdf(self, y):
+        return self.tails(y)[0]
 
     def survival(self, y):
-        return self.cdf(-np.asarray(y, dtype=float))
+        return self.tails(y)[1]
 
     def quantile(self, p: float) -> float:
+        # invert the smaller tail, Q(1/tau, |y|^tau) = 2 min(p, 1 - p), so
+        # that p far below or above 1/2 keeps its resolution
         _check_probability(p)
-        q = 2.0 * p - 1.0
-        mag = float(gammaincinv(1.0 / self.tau, abs(q))) ** (1.0 / self.tau)
-        return math.copysign(mag, q) if q != 0 else 0.0
+        tail = 2.0 * min(p, 1.0 - p)
+        mag = float(gammainccinv(1.0 / self.tau, tail)) ** (1.0 / self.tau)
+        return -mag if p < 0.5 else mag
 
     def support_bounds(self, log_floor: float = -700.0) -> tuple[float, float]:
         half = (max(1.0, -log_floor + self._log_norm + 1.0)) ** (1.0 / self.tau)
@@ -222,6 +234,9 @@ class Dilated(Distribution):
     def survival(self, y):
         return self.base.survival(np.asarray(y, dtype=float) / self.scale)
 
+    def tails(self, y):
+        return self.base.tails(np.asarray(y, dtype=float) / self.scale)
+
     def mass(self, y):
         return self.base.mass(y / self.scale)
 
@@ -256,6 +271,9 @@ class Shifted(Distribution):
 
     def survival(self, y):
         return self.base.survival(np.asarray(y, dtype=float) - self.shift)
+
+    def tails(self, y):
+        return self.base.tails(np.asarray(y, dtype=float) - self.shift)
 
     def mass(self, y):
         return self.base.mass(y - self.shift)
@@ -390,13 +408,13 @@ class Mixture(Distribution):
         return min(lo1, lo2), max(hi1, hi2)
 
     def sample(self, n, stream):
-        # Bernoulli(weight) component label first, then one draw per label.
-        # Stream consumption order is fixed, so output is reproducible.
-        labels = stream.random(n) < self.weight
-        n_second = int(labels.sum())
-        out = np.empty(n, dtype=float)
-        out[~labels] = self.first.sample(n - n_second, stream)
-        out[labels] = self.second.sample(n_second, stream)
+        # K ~ Binomial(n, weight) second-component draws overwrite a
+        # first-component sample at K uniformly chosen positions.  Stream
+        # consumption order is fixed, so output is reproducible.
+        k = int(stream.binomial(n, self.weight))
+        at = stream.choice(n, k, replace=False, shuffle=False)
+        out = self.first.sample(n, stream)
+        out[at] = self.second.sample(k, stream)
         return out
 
 

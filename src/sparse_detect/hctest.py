@@ -91,8 +91,9 @@ class HCResult:
 def _null_tail_values(null_cdf: NullCdf, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper tail probabilities, each exact in its own tail."""
     if isinstance(null_cdf, Distribution):
-        lower = np.asarray(null_cdf.cdf(ys), dtype=float)
-        upper = np.asarray(null_cdf.survival(ys), dtype=float)
+        lower, upper = null_cdf.tails(ys)
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
     else:
         lower = np.asarray(null_cdf(ys), dtype=float)
         upper = 1.0 - lower

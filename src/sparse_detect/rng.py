@@ -1,8 +1,8 @@
 """Counter-based random streams for reproducible parallel simulation.
 
 Every stream is a Philox generator keyed by a 64-bit seed and a 64-bit
-mix of integer path components (cell index, replicate index, hypothesis
-bit, ...).  Streams with distinct (seed, path) are statistically
+mix of integer path components (sample size, grid indices, replicate
+index, ...).  Streams with distinct (seed, path) are statistically
 independent, and a given (seed, path) always yields the same sequence
 regardless of scheduling or worker count.
 """

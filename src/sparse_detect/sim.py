@@ -4,14 +4,19 @@ Estimates Type-I plus Type-II error rates over (beta, r, n, test) grids,
 attaches Wilson confidence half-widths and the theoretical boundary
 overlay, and provides the finite-n exponent-estimation diagnostic.
 
-Reproducibility: every replicate draws from a counter-based stream keyed
-by (seed, cell index, replicate index, hypothesis bit), so results are
-independent of scheduling and worker count, and CSV output is
-byte-identical for a fixed seed.
+Reproducibility: every sample is drawn from a counter-based stream.  The
+null sample of replicate k at sample size n is keyed by (seed, n, k)
+and is shared by every (beta, r) cell and every test at that n.  The
+alternative sample is keyed by (seed, beta index, r index, n, k),
+with the indices taken in the sorted grids, so the tests of one
+(beta, r, n) see the same alternative draws.  Results are independent of
+scheduling and worker count, and CSV output is byte-identical for a
+fixed seed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -172,30 +177,67 @@ def _rejects(test: str, ys: np.ndarray, mix: SparseMixture, threshold: float) ->
     raise InvalidParameterError(f"unknown test {test!r}")
 
 
-def run_cell(cfg: ExperimentConfig, cell: tuple[int, float, float, int, str]) -> PhaseCell:
+# tests whose decision on a null sample does not depend on (beta, r)
+_SHARED_NULL_TESTS = ("hc", "max")
+
+
+def _null_rejections(
+    cfg: ExperimentConfig, cells: Sequence[tuple], reps: Iterable[int]
+) -> list[int]:
+    """Null rejections of each cell over replicates ``reps``.
+
+    Every cell has the same n.  Replicate k draws the null sample keyed
+    by (seed, n, k) once; hc and max decide on it once for all cells,
+    lr once per cell mixture.
+    """
+    n = cells[0][3]
+    mixes = [
+        family_mixture(cfg.family, cfg.family_params, r, beta, n)
+        for _, beta, r, _, _ in cells
+    ]
+    tests = [cell[4] for cell in cells]
+    shared_tests = [test for test in _SHARED_NULL_TESTS if test in tests]
+    threshold = hc_threshold(n, cfg.delta) if "hc" in tests else math.nan
+    counts = [0] * len(cells)
+    for rep in reps:
+        ys = mixes[0].null_dist.sample(n, rng.stream(cfg.seed, n, rep))
+        shared = {test: _rejects(test, ys, mixes[0], threshold) for test in shared_tests}
+        for i, (test, mix) in enumerate(zip(tests, mixes)):
+            rejected = shared[test] if test in shared else _rejects(test, ys, mix, threshold)
+            counts[i] += rejected
+    return counts
+
+
+def run_cell(
+    cfg: ExperimentConfig,
+    cell: tuple[int, float, float, int, str],
+    null_rejects: int | None = None,
+) -> PhaseCell:
     """Estimate both error rates for a single grid cell.
 
-    Replicate k under hypothesis h draws from the stream keyed by
-    (seed, cell index, k, h); the result is a pure function of the
+    Replicate k of the alternative draws from the stream keyed by
+    (seed, beta index, r index, n, k).  ``null_rejects`` is the cell's
+    count of null rejections over all replicates, as the null stage of
+    :func:`phase_sweep` computes it; when omitted, the cell computes it
+    from the same null streams.  The result is a pure function of the
     configuration and the cell.
     """
-    index, beta, r, n, test = cell
+    _, beta, r, n, test = cell
+    m = cfg.replicates
+    if null_rejects is None:
+        (null_rejects,) = _null_rejections(cfg, [cell], range(m))
     mix = family_mixture(cfg.family, cfg.family_params, r, beta, n)
     mixed = mix.mixed()
     threshold = hc_threshold(n, cfg.delta) if test == "hc" else math.nan
-    false_alarms = 0
+    key = (sorted(cfg.beta_grid).index(beta), sorted(cfg.r_grid).index(r), n)
     misses = 0
-    for rep in range(cfg.replicates):
-        null_sample = mix.null_dist.sample(n, rng.stream(cfg.seed, index, rep, 0))
-        if _rejects(test, null_sample, mix, threshold):
-            false_alarms += 1
-        alt_sample = mixed.sample(n, rng.stream(cfg.seed, index, rep, 1))
+    for rep in range(m):
+        alt_sample = mixed.sample(n, rng.stream(cfg.seed, *key, rep))
         if not _rejects(test, alt_sample, mix, threshold):
             misses += 1
-    m = cfg.replicates
-    type1 = false_alarms / m
+    type1 = null_rejects / m
     type2 = misses / m
-    halfwidth = wilson_halfwidth(false_alarms, m) + wilson_halfwidth(misses, m)
+    halfwidth = wilson_halfwidth(null_rejects, m) + wilson_halfwidth(misses, m)
     return PhaseCell(
         beta=beta,
         r=r,
@@ -212,6 +254,11 @@ def run_cell(cfg: ExperimentConfig, cell: tuple[int, float, float, int, str]) ->
 
 def _run_cell_star(args) -> PhaseCell:
     return run_cell(*args)
+
+
+def _null_rejections_star(args) -> list[int]:
+    return _null_rejections(*args)
+
 
 
 @dataclass(frozen=True)
@@ -283,16 +330,27 @@ class PhaseTable:
 
 
 def phase_sweep(cfg: ExperimentConfig, workers: int = 1) -> PhaseTable:
-    """Run every grid cell; aggregation is a deterministic fold in cell order."""
+    """Run every grid cell; aggregation is a deterministic fold in cell order.
+
+    A null stage runs first, one task per (n, replicate block), which
+    draws each null sample once and records every cell's null rejection
+    on it.  Then ``run_cell`` draws each cell's alternative half.
+    """
     cells = cfg.cells()
+    used = 1 if workers <= 1 or len(cells) <= 1 else min(workers, len(cells))
+    m = cfg.replicates
+    blocks = [range(m * b // used, m * (b + 1) // used) for b in range(used)]
+    groups = [[cell for cell in cells if cell[3] == n] for n in sorted(set(cfg.n_list))]
+    null_tasks = [(cfg, group, block) for group in groups for block in blocks]
     start = time.perf_counter()
-    if workers <= 1 or len(cells) <= 1:
-        results = [run_cell(cfg, cell) for cell in cells]
-        used = 1
-    else:
-        used = min(workers, len(cells))
-        with ProcessPoolExecutor(max_workers=used) as pool:
-            results = list(pool.map(_run_cell_star, [(cfg, c) for c in cells]))
+    with ProcessPoolExecutor(used) if used > 1 else contextlib.nullcontext() as pool:
+        mapper = pool.map if pool else map
+        null_rejects = [0] * len(cells)  # by cell index, summed over the blocks
+        for (_, group, _), counts in zip(null_tasks, mapper(_null_rejections_star, null_tasks)):
+            for cell, count in zip(group, counts):
+                null_rejects[cell[0]] += count
+        cell_tasks = [(cfg, cell, null_rejects[cell[0]]) for cell in cells]
+        results = list(mapper(_run_cell_star, cell_tasks))
     wall = time.perf_counter() - start
     family = families.FAMILIES[cfg.family]
     overlay = tuple(family.beta_star(cell[2], cfg.family_params) for cell in cells)

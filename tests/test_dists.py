@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import binom, chisquare, kstest
 
 from sparse_detect import rng
 from sparse_detect.dists import (
@@ -201,6 +201,29 @@ class TestGenGaussianTails:
         assert cdf[0] >= 0.0 and cdf[-1] <= 1.0
 
 
+class TestGenGaussianQuantile:
+    def test_far_lower_tail_is_finite(self):
+        # inverting |2p - 1| rounded p = 1e-20 to the median's other end: -inf
+        assert GenGaussian(1.0).quantile(1e-20) == pytest.approx(
+            math.log(2e-20), rel=1e-14
+        )
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_cdf_round_trip_down_to_1e_300(self, tau):
+        d = GenGaussian(tau)
+        for p in np.logspace(-300.0, math.log10(0.5), 601):
+            assert float(d.cdf(d.quantile(float(p)))) == pytest.approx(p, rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_symmetric(self, tau):
+        d = GenGaussian(tau)
+        # 1 - q is exact for q in [1/2, 1), so both calls invert the same tail
+        qs = np.concatenate([np.linspace(0.5, 1.0, 201)[:-1], 1.0 - np.logspace(-16, -2, 29)])
+        for q in qs:
+            assert d.quantile(float(q)) == -d.quantile(1.0 - float(q))
+        assert d.quantile(0.5) == 0.0
+
+
 class TestSampling:
     def test_determinism(self):
         d = Mixture(Gaussian(), GenGaussian(1.0), 0.25)
@@ -253,6 +276,43 @@ class TestSampling:
         assert not np.array_equal(a, sample(d, 1000, rng.stream(7, 5)))
         assert d.sample(0, rng.stream(7, 4)).shape == (0,)
         assert sample(d, 0, rng.stream(7, 4)).shape == (0,)
+
+    # one-atom components make each value its component label
+    LABELS = (FiniteDiscrete(((0.0, 1.0),)), FiniteDiscrete(((1.0, 1.0),)))
+
+    def test_mixture_second_component_count_is_binomial(self):
+        n, w, trials = 50, 0.3, 4000
+        mix = Mixture(*self.LABELS, w)
+        counts = np.array(
+            [int(mix.sample(n, rng.stream(41, trial)).sum()) for trial in range(trials)]
+        )
+        observed = np.bincount(counts, minlength=n + 1)
+        expected = trials * binom.pmf(np.arange(n + 1), n, w)
+        # pool the sparse outer bins so every expected count is at least 5
+        keep = expected >= 5
+        obs = np.append(observed[keep], observed[~keep].sum())
+        exp = np.append(expected[keep], expected[~keep].sum())
+        assert chisquare(obs, exp, ddof=0).pvalue > 1e-3
+        assert counts.mean() == pytest.approx(n * w, abs=4 * math.sqrt(n * w * (1 - w) / trials))
+
+    def test_mixture_positions_are_exchangeable(self):
+        n, w, trials = 20, 0.25, 8000
+        mix = Mixture(*self.LABELS, w)
+        draws = np.array([mix.sample(n, rng.stream(43, trial)) for trial in range(trials)])
+        band = 4 * math.sqrt(w * (1 - w) / trials)
+        # the label at position 0, and at every position, is Bernoulli(w)
+        assert abs(draws[:, 0].mean() - w) < band
+        assert np.all(np.abs(draws.mean(axis=0) - w) < band)
+
+    def test_mixture_edge_cases(self):
+        first, second = self.LABELS
+        stream = lambda: rng.stream(47, 1)
+        np.testing.assert_array_equal(Mixture(first, second, 0.0).sample(100, stream()), 0.0)
+        np.testing.assert_array_equal(Mixture(first, second, 1.0).sample(100, stream()), 1.0)
+        for w in (0.0, 0.5, 1.0):
+            assert Mixture(first, second, w).sample(0, stream()).shape == (0,)
+        mix = Mixture(Gaussian(), GenGaussian(1.0), 0.1)
+        np.testing.assert_array_equal(mix.sample(1000, stream()), mix.sample(1000, stream()))
 
     def test_discrete_sampling_frequencies(self):
         d = FiniteDiscrete(((0.0, 0.25), (1.0, 0.75)))

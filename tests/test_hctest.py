@@ -199,6 +199,20 @@ class TestHCStatisticMatchesOracle:
                 want = outcome(hc_statistic_oracle, data, null, restricted=restricted)
                 assert got == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        null=st.sampled_from([d for d in ORACLE_NULLS if isinstance(d, Distribution)]),
+        ys=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=50),
+    )
+    def test_tails_are_cdf_and_survival(self, null, ys):
+        # hc_statistic reads both tails from one tails() call
+        ys = np.array(ys)
+        lower, upper = null.tails(ys)
+        np.testing.assert_array_equal(lower, null.cdf(ys))
+        np.testing.assert_array_equal(upper, null.survival(ys))
+        y = float(ys[0])
+        assert null.tails(y) == (null.cdf(y), null.survival(y))
+
     def test_peak_memory_at_n_1e5(self):
         # the two-branch formula peaked at 8.9 MB here
         ys = Gaussian().sample(10**5, rng.stream(0, 1))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sparse_detect import rng
+from sparse_detect import rng, sim
 from sparse_detect.dists import (
     FiniteDiscrete,
     Gaussian,
@@ -249,6 +249,52 @@ class TestPhaseSweep:
         inside = table.select(beta=0.52)[0]
         outside = table.select(beta=0.95)[0]
         assert inside.total_error < outside.total_error
+
+
+class TestSharedNull:
+    """The null stage shares each null draw across the cells of one n."""
+
+    def grid(self, **overrides):
+        base = dict(
+            beta_grid=(0.6, 0.75, 0.9), r_grid=(0.2, 0.5), n_list=(64, 256), replicates=12
+        )
+        base.update(overrides)
+        return small_config(**base)
+
+    def test_run_cell_alone_equals_sweep_row(self):
+        cfg = self.grid()
+        table = phase_sweep(cfg, workers=2)
+        for cell, row in zip(cfg.cells(), table.cells):
+            assert run_cell(cfg, cell) == row
+
+    def test_hc_and_max_type1_equal_across_beta_r(self):
+        cfg = self.grid(replicates=30)
+        table = phase_sweep(cfg)
+        for n in cfg.n_list:
+            for test in ("hc", "max"):
+                rates = {c.type1_rate for c in table.select(n=n, test=test)}
+                assert len(rates) == 1, (n, test, rates)
+
+    @pytest.mark.parametrize("replicates", [2, 5, 13])
+    def test_csv_identical_across_worker_counts(self, replicates):
+        # 2 and 5 replicates leave some of the 3 or 7 replicate blocks empty
+        cfg = self.grid(replicates=replicates)
+        csvs = {w: phase_sweep(cfg, workers=w).to_csv() for w in (1, 2, 3, 7)}
+        assert csvs[1] == csvs[2] == csvs[3] == csvs[7]
+
+    def test_one_run_cell_call_per_cell(self, monkeypatch):
+        # per-cell run_cell spans are what the benchmark's traced run reads
+        calls = []
+        real = sim.run_cell
+
+        def counting(cfg, cell, *args):
+            calls.append(cell)
+            return real(cfg, cell, *args)
+
+        monkeypatch.setattr(sim, "run_cell", counting)
+        cfg = self.grid(replicates=3)
+        phase_sweep(cfg, workers=1)
+        assert calls == cfg.cells()
 
 
 class TestHCTypeOneTrend:
