@@ -37,7 +37,6 @@ from .dists import (
     from_spec,
     log_likelihood_ratio,
     mu_from_r,
-    sample,
     to_spec,
 )
 from .divergence import (
@@ -51,9 +50,7 @@ from .divergence import (
     tv_hellinger_bounds,
 )
 from .hctest import (
-    EmpiricalCdf,
     HCResult,
-    empirical_cdf,
     hc_decision,
     hc_statistic,
     hc_test,

@@ -132,11 +132,12 @@ class ExponentFunction:
             return np.interp(x, self.xs, self.values)
         return _FAMILY_EVAL[self.family](x, self.params)
 
-    def grid(self, points: int = GRID_POINTS) -> tuple[np.ndarray, np.ndarray]:
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sampled grids as given; closed forms on GRID_POINTS points of the domain."""
         if self.family == "grid":
             return self.xs, self.values
         lo, hi = self.domain()
-        xs = np.linspace(lo, hi, points)
+        xs = np.linspace(lo, hi, GRID_POINTS)
         return xs, np.asarray(self.evaluate(xs), dtype=float)
 
 
@@ -364,7 +365,7 @@ def exponent_from_csv(path) -> ExponentFunction:
 
 
 def ess_sup_grid(
-    xs, values, refine: Optional[Callable] = None, tol: float = _REFINE_TOL
+    xs, values, refine: Optional[Callable] = None
 ) -> tuple[float, float]:
     """(max value, argmax) over a grid; -inf entries are skipped.
 
@@ -383,18 +384,18 @@ def ess_sup_grid(
     if refine is not None and np.isfinite(best_v):
         lo = float(xs[max(idx - 1, 0)])
         hi = float(xs[min(idx + 1, xs.size - 1)])
-        x_ref, v_ref = _golden_max_scalar(refine, lo, hi, tol)
+        x_ref, v_ref = _golden_max_scalar(refine, lo, hi)
         if v_ref > best_v:
             best_x, best_v = x_ref, v_ref
     return best_v, best_x
 
 
-def _golden_max_scalar(fn, lo: float, hi: float, tol: float = _REFINE_TOL):
+def _golden_max_scalar(fn, lo: float, hi: float):
     a, b = float(lo), float(hi)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = float(fn(c)), float(fn(d))
-    while b - a > tol:
+    while b - a > _REFINE_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -451,9 +452,7 @@ def laplace_log_integral(xs, values, big_m: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_admissible(
-    alpha: ExponentFunction, grid_points: int = GRID_POINTS
-) -> AdmissibilityReport:
+def check_admissible(alpha: ExponentFunction) -> AdmissibilityReport:
     """Verify that an exponent function can arise from a mixture sequence.
 
     Three conditions: pointwise alpha(u) <= u^2; the normalized
@@ -462,7 +461,7 @@ def check_admissible(
     convexity when the function is flagged convolutional.
     """
     _require_axis(alpha, "u")
-    return _admissibility(alpha, *alpha.grid(grid_points))
+    return _admissibility(alpha, *alpha.grid())
 
 
 def _admissibility(alpha: ExponentFunction, xs, vals) -> AdmissibilityReport:
@@ -521,12 +520,10 @@ def _require_admissible(alpha: ExponentFunction, xs, vals) -> None:
 # ---------------------------------------------------------------------------
 
 
-def beta_sharp(
-    alpha: ExponentFunction, grid_points: int = GRID_POINTS
-) -> BoundaryResult:
+def beta_sharp(alpha: ExponentFunction) -> BoundaryResult:
     """Detection boundary 1/2 + 0 v sup_u {alpha(u) - u^2 + (u^2 ^ 1)/2}."""
     _require_axis(alpha, "u")
-    xs, vals = alpha.grid(grid_points)
+    xs, vals = alpha.grid()
     _require_admissible(alpha, xs, vals)
     objective = vals - xs * xs + 0.5 * np.minimum(xs * xs, 1.0)
     refine = None
@@ -542,12 +539,10 @@ def beta_sharp(
     )
 
 
-def beta_star_general(
-    gamma: ExponentFunction, grid_points: int = GRID_POINTS
-) -> BoundaryResult:
+def beta_star_general(gamma: ExponentFunction) -> BoundaryResult:
     """Boundary 1/2 + 0 v sup_{s>=0} {gamma(s) - s + (s ^ 1)/2} on the s-axis."""
     _require_axis(gamma, "s")
-    xs, vals = gamma.grid(grid_points)
+    xs, vals = gamma.grid()
     margin = vals - xs
     if np.any(margin > _ADMISSIBLE_SLACK):
         worst = int(np.argmax(margin))
@@ -568,9 +563,7 @@ def beta_star_general(
     )
 
 
-def hellinger_exponent(
-    alpha: ExponentFunction, beta: float, grid_points: int = GRID_POINTS
-) -> float:
+def hellinger_exponent(alpha: ExponentFunction, beta: float) -> float:
     """Polynomial rate of the squared Hellinger distance at sparsity beta.
 
     sup_u { min(2(alpha - beta), alpha - beta) - u^2 }: the squared
@@ -580,7 +573,7 @@ def hellinger_exponent(
     _require_axis(alpha, "u")
     if beta < 0.5:
         raise OutOfRegimeError(f"beta must be >= 1/2, got {beta}")
-    xs, vals = alpha.grid(grid_points)
+    xs, vals = alpha.grid()
     _require_admissible(alpha, xs, vals)
     gap = vals - beta
     objective = np.minimum(2.0 * gap, gap) - xs * xs
@@ -595,14 +588,12 @@ def hellinger_exponent(
     return sup
 
 
-def tail_exponent(
-    alpha: ExponentFunction, u: float, grid_points: int = GRID_POINTS
-) -> float:
+def tail_exponent(alpha: ExponentFunction, u: float) -> float:
     """sup over q >= u of alpha(q) - q^2; nonincreasing in u."""
     _require_axis(alpha, "u")
     if u < 0:
         raise InvalidParameterError(f"u must be >= 0, got {u}")
-    xs, vals = alpha.grid(grid_points)
+    xs, vals = alpha.grid()
     mask = xs >= u
     candidates = []
     if np.any(mask):
@@ -620,9 +611,7 @@ def tail_exponent(
 
 
 def hc_achievable_boundary(
-    alpha: ExponentFunction,
-    grid_points: int = GRID_POINTS,
-    via_sweep: bool = False,
+    alpha: ExponentFunction, via_sweep: bool = False
 ) -> BoundaryResult:
     """Boundary achieved by the higher-criticism test.
 
@@ -633,7 +622,7 @@ def hc_achievable_boundary(
     which each threshold's normalized exceedance count is analyzed.
     """
     _require_axis(alpha, "u")
-    xs, vals = alpha.grid(grid_points)
+    xs, vals = alpha.grid()
     if not np.any(vals > 0):
         raise HCBoundaryUndefinedError("exponent function is nowhere positive")
     _require_admissible(alpha, xs, vals)
@@ -765,7 +754,7 @@ def boundary_closed_form(family: str, mode: str = "beta-of-r", **params) -> floa
     raise InvalidParameterError(f"unknown boundary family {family!r}")
 
 
-def beta_convolution(ts, fs, grid_points: int = GRID_POINTS) -> BoundaryResult:
+def beta_convolution(ts, fs) -> BoundaryResult:
     """Boundary of a convolution model from the signal-density exponent f.
 
     sup_t { beta_idj(t^2) - f(t) } over the declared grid, +inf entries

@@ -6,6 +6,11 @@ finite discrete laws, and two-component mixtures.  All values are
 immutable; sampling is driven by externally supplied generator streams
 (see :mod:`sparse_detect.rng`) so identical (seed, path) inputs give
 bit-identical output.
+
+A null law is always a :class:`Distribution`.  Tail probabilities are
+computed one way: each kind implements ``tails(y) -> (lower, upper)``,
+each tail exact in its own range, and ``cdf`` and ``survival`` read it.
+A new kind implements ``tails``.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ __all__ = [
     "epsilon_from_beta",
     "mu_from_r",
     "log_likelihood_ratio",
-    "sample",
     "to_spec",
     "from_spec",
     "dumps",
@@ -51,7 +55,7 @@ _QUANTILE_CDF_TOL = 1e-12
 
 
 class Distribution:
-    """Base class; concrete kinds implement densities, CDFs and sampling."""
+    """Base class; concrete kinds implement densities, tails and sampling."""
 
     kind: str = "abstract"
 
@@ -68,16 +72,15 @@ class Distribution:
     def log_density(self, y):
         raise NotImplementedError
 
-    def cdf(self, y):
+    def tails(self, y):
+        """(P(Y <= y), P(Y > y)), each exact in its own tail."""
         raise NotImplementedError
 
-    def survival(self, y):
-        """Upper-tail probability; override where 1 - cdf would cancel."""
-        return 1.0 - np.asarray(self.cdf(y), dtype=float)
+    def cdf(self, y):
+        return self.tails(y)[0]
 
-    def tails(self, y):
-        """(cdf(y), survival(y)); override where one pass yields both."""
-        return self.cdf(y), self.survival(y)
+    def survival(self, y):
+        return self.tails(y)[1]
 
     def mass(self, y: float) -> float:
         """Point mass at y (zero for atomless laws)."""
@@ -133,11 +136,9 @@ class Gaussian(Distribution):
         z = (np.asarray(y, dtype=float) - self.mean) / self.sd
         return -0.5 * z * z - math.log(self.sd) - 0.5 * math.log(2 * math.pi)
 
-    def cdf(self, y):
-        return ndtr((np.asarray(y, dtype=float) - self.mean) / self.sd)
-
-    def survival(self, y):
-        return ndtr(-(np.asarray(y, dtype=float) - self.mean) / self.sd)
+    def tails(self, y):
+        z = (np.asarray(y, dtype=float) - self.mean) / self.sd
+        return ndtr(z), ndtr(-z)
 
     def quantile(self, p: float) -> float:
         _check_probability(p)
@@ -184,12 +185,6 @@ class GenGaussian(Distribution):
         lower, upper = np.where(below, half, rest), np.where(below, rest, half)
         return (lower, upper) if lower.shape else (float(lower), float(upper))
 
-    def cdf(self, y):
-        return self.tails(y)[0]
-
-    def survival(self, y):
-        return self.tails(y)[1]
-
     def quantile(self, p: float) -> float:
         # invert the smaller tail, Q(1/tau, |y|^tau) = 2 min(p, 1 - p), so
         # that p far below or above 1/2 keeps its resolution
@@ -228,12 +223,6 @@ class Dilated(Distribution):
         y = np.asarray(y, dtype=float)
         return self.base.log_density(y / self.scale) - math.log(self.scale)
 
-    def cdf(self, y):
-        return self.base.cdf(np.asarray(y, dtype=float) / self.scale)
-
-    def survival(self, y):
-        return self.base.survival(np.asarray(y, dtype=float) / self.scale)
-
     def tails(self, y):
         return self.base.tails(np.asarray(y, dtype=float) / self.scale)
 
@@ -265,12 +254,6 @@ class Shifted(Distribution):
 
     def log_density(self, y):
         return self.base.log_density(np.asarray(y, dtype=float) - self.shift)
-
-    def cdf(self, y):
-        return self.base.cdf(np.asarray(y, dtype=float) - self.shift)
-
-    def survival(self, y):
-        return self.base.survival(np.asarray(y, dtype=float) - self.shift)
 
     def tails(self, y):
         return self.base.tails(np.asarray(y, dtype=float) - self.shift)
@@ -333,12 +316,15 @@ class FiniteDiscrete(Distribution):
     def log_density(self, y):
         raise IncompatibleLawsError("discrete law has no Lebesgue density")
 
-    def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        cum = np.cumsum(self.masses)
-        idx = np.searchsorted(self.points, y, side="right")
-        out = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-        return out if out.shape else float(out)
+    def tails(self, y):
+        # the upper tail sums the masses above y, so it keeps atoms far
+        # below the rounding of 1 - cdf
+        masses = self.masses
+        below = np.concatenate(([0.0], np.cumsum(masses)))
+        above = np.concatenate((np.cumsum(masses[::-1])[::-1], [0.0]))
+        idx = np.searchsorted(self.points, np.asarray(y, dtype=float), side="right")
+        lower, upper = below[idx], above[idx]
+        return (lower, upper) if lower.shape else (float(lower), float(upper))
 
     def quantile(self, p: float) -> float:
         _check_probability(p)
@@ -390,13 +376,10 @@ class Mixture(Distribution):
         b = math.log(w) + self.second.log_density(y)
         return np.logaddexp(a, b)
 
-    def cdf(self, y):
+    def tails(self, y):
         w = self.weight
-        return (1.0 - w) * self.first.cdf(y) + w * self.second.cdf(y)
-
-    def survival(self, y):
-        w = self.weight
-        return (1.0 - w) * self.first.survival(y) + w * self.second.survival(y)
+        (lower1, upper1), (lower2, upper2) = self.first.tails(y), self.second.tails(y)
+        return (1.0 - w) * lower1 + w * lower2, (1.0 - w) * upper1 + w * upper2
 
     def mass(self, y):
         w = self.weight
@@ -435,9 +418,6 @@ class SparseMixture:
     def mixed(self) -> Mixture:
         """The mixed law as a first-class distribution."""
         return Mixture(self.null_dist, self.alt_dist, self.epsilon)
-
-    def sample(self, n: int, stream: np.random.Generator) -> np.ndarray:
-        return self.mixed().sample(n, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -509,17 +489,6 @@ def log_likelihood_ratio(g: Distribution, q: Distribution, y):
         raise UndefinedPointError("both densities vanish at the point")
     out = lg - lq
     return float(out) if scalar else out
-
-
-def sample(
-    d: Union[Distribution, SparseMixture], n: int, stream: np.random.Generator
-) -> np.ndarray:
-    """Draw n i.i.d. values using the supplied stream."""
-    if n < 0:
-        raise InvalidParameterError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return np.empty(0, dtype=float)
-    return d.sample(n, stream)
 
 
 def _check_probability(p: float) -> None:

@@ -6,6 +6,10 @@ CDF.  Because the empirical CDF is a step function and the deviation is
 monotone between jumps, the supremum is attained on the finite candidate
 set of sample points approached from the left and from the right, which
 is what the implementation evaluates exactly.
+
+The declared null is always a :class:`~sparse_detect.dists.Distribution`;
+its ``tails`` method gives both tail probabilities, each exact in its own
+tail.  A new null kind implements ``tails``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
@@ -26,8 +29,6 @@ from .errors import (
 )
 
 __all__ = [
-    "EmpiricalCdf",
-    "empirical_cdf",
     "HCResult",
     "hc_statistic",
     "hc_threshold",
@@ -37,35 +38,6 @@ __all__ = [
     "lr_test",
     "vn_statistic",
 ]
-
-NullCdf = Union[Distribution, Callable[[np.ndarray], np.ndarray]]
-
-
-class EmpiricalCdf:
-    """Step CDF backed by a sorted copy of the sample; O(log n) queries."""
-
-    def __init__(self, sample):
-        data = np.sort(np.asarray(sample, dtype=float))
-        if data.size == 0:
-            raise InvalidSampleSizeError("empirical CDF needs a non-empty sample")
-        self._data = data
-        self.n = data.size
-
-    def __call__(self, t: float) -> float:
-        """Fraction of sample points <= t."""
-        return float(np.searchsorted(self._data, t, side="right")) / self.n
-
-    def eval_left(self, t: float) -> float:
-        """Left limit at t: fraction of sample points strictly below t."""
-        return float(np.searchsorted(self._data, t, side="left")) / self.n
-
-    @property
-    def sorted_sample(self) -> np.ndarray:
-        return self._data
-
-
-def empirical_cdf(sample) -> EmpiricalCdf:
-    return EmpiricalCdf(sample)
 
 
 @dataclass(frozen=True)
@@ -88,16 +60,12 @@ class HCResult:
         }
 
 
-def _null_tail_values(null_cdf: NullCdf, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _null_tail_values(null: Distribution, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper tail probabilities, each exact in its own tail."""
-    if isinstance(null_cdf, Distribution):
-        lower, upper = null_cdf.tails(ys)
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-    else:
-        lower = np.asarray(null_cdf(ys), dtype=float)
-        upper = 1.0 - lower
-    return lower, upper
+    if not isinstance(null, Distribution):
+        raise InvalidParameterError(f"the null must be a Distribution, got {null!r}")
+    lower, upper = null.tails(ys)
+    return np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
 
 
 def _tail_deviation(rank: np.ndarray, f: np.ndarray, n: int, lower: bool) -> np.ndarray:
@@ -121,15 +89,15 @@ def _tail_deviation(rank: np.ndarray, f: np.ndarray, n: int, lower: bool) -> np.
 
 
 def hc_statistic(
-    sample, null_cdf: NullCdf, restricted: bool = False
+    sample, null: Distribution, restricted: bool = False
 ) -> tuple[float, float]:
     """Higher-criticism statistic and its maximizing threshold.
 
     sqrt(n) times the largest |empirical - null| CDF deviation weighted
     by 1/sqrt(F(1-F)), maximized exactly over sample points from both
     sides.  F(1-F) and the deviations are evaluated through the CDF in
-    the lower tail and the survival function in the upper tail, so
-    neither saturates before a genuine float underflow.
+    the lower tail and the survival function in the upper tail, both from
+    ``null.tails``, so neither saturates before a genuine float underflow.
     ``restricted=True`` keeps only candidates whose null CDF lies in
     [1/n, 1/2], the conventional tamed variant.  Ties resolve to the
     smallest threshold.
@@ -138,7 +106,7 @@ def hc_statistic(
     n = ys.size
     if n < 1:
         raise InvalidSampleSizeError("higher criticism needs a non-empty sample")
-    f_low, f_up = _null_tail_values(null_cdf, ys)
+    f_low, f_up = _null_tail_values(null, ys)
     if np.any(f_low <= 0.0) or np.any(f_up <= 0.0):
         raise InfiniteWeightError(
             "null CDF hit 0 or 1 at a sample point; deviation weight is infinite"
@@ -181,11 +149,11 @@ def hc_decision(statistic: float, n: int, delta: float = 0.1) -> str:
 
 
 def hc_test(
-    sample, null_cdf: NullCdf, delta: float = 0.1, restricted: bool = False
+    sample, null: Distribution, delta: float = 0.1, restricted: bool = False
 ) -> HCResult:
     """Full higher-criticism test on a sample against a declared null."""
     ys = np.asarray(sample, dtype=float)
-    statistic, arg_t = hc_statistic(ys, null_cdf, restricted=restricted)
+    statistic, arg_t = hc_statistic(ys, null, restricted=restricted)
     threshold = hc_threshold(ys.size, delta)
     return HCResult(
         statistic=statistic,
@@ -197,21 +165,16 @@ def hc_test(
     )
 
 
-def max_test(sample, n: int | None = None, u: float = 1.0) -> str:
+def max_test(sample, u: float = 1.0) -> str:
     """Declare the alternative iff max |Y_i| exceeds u * sqrt(2 ln n).
 
-    u >= 1 is the regime with vanishing null rejection probability;
-    smaller u is allowed but flagged with a warning.
+    n is the sample size.  u >= 1 is the regime with vanishing null
+    rejection probability; smaller u is allowed but flagged with a warning.
     """
     ys = np.asarray(sample, dtype=float)
-    if n is None:
-        n = ys.size
+    n = ys.size
     if n < 2:
         raise InvalidSampleSizeError(f"n must be >= 2, got {n}")
-    if n != ys.size:
-        raise InvalidParameterError(
-            f"declared n={n} does not match sample size {ys.size}"
-        )
     if u < 1.0:
         warnings.warn(
             "max test with u < 1 does not control the null rejection rate",
@@ -250,23 +213,21 @@ def lr_test(sample, mix: SparseMixture) -> tuple[float, str]:
     return log_lr, "alternative" if log_lr >= 0.0 else "null"
 
 
-def vn_statistic(sample, s: float, n: int, null_cdf: NullCdf) -> float:
+def vn_statistic(sample, s: float, null: Distribution) -> float:
     """Normalized exceedance count at the threshold sqrt(2 s ln n).
 
-    sqrt(n) (F_n(t) - F(t)) / sqrt(F(t)(1 - F(t))) with t = sqrt(2 s ln n);
-    its absolute value never exceeds the higher-criticism statistic.
+    sqrt(n) (F_n(t) - F(t)) / sqrt(F(t)(1 - F(t))) with t = sqrt(2 s ln n)
+    and n the sample size; its absolute value never exceeds the
+    higher-criticism statistic.
     """
     if not (0.0 < s < 1.0):
         raise InvalidParameterError(f"s must lie in (0, 1), got {s}")
+    ys = np.asarray(sample, dtype=float)
+    n = ys.size
     if n < 16:
         raise InvalidSampleSizeError(f"n must be >= 16, got {n}")
-    ys = np.asarray(sample, dtype=float)
-    if n != ys.size:
-        raise InvalidParameterError(
-            f"declared n={n} does not match sample size {ys.size}"
-        )
     t = math.sqrt(2.0 * s * math.log(n))
-    f_low, f_up = _null_tail_values(null_cdf, np.array([t]))
+    f_low, f_up = _null_tail_values(null, np.array([t]))
     f_low, f_up = float(f_low[0]), float(f_up[0])
     if f_low <= 0.0 or f_up <= 0.0:
         raise InfiniteWeightError("null CDF hit 0 or 1 at the exceedance threshold")

@@ -24,6 +24,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -48,6 +49,8 @@ __all__ = [
 
 TESTS = ("hc", "lr", "max")
 _Z95 = 1.959963984540054
+# estimate_gamma flags a move larger than this between consecutive n
+_GAMMA_FLAG_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
@@ -252,15 +255,6 @@ def run_cell(
     )
 
 
-def _run_cell_star(args) -> PhaseCell:
-    return run_cell(*args)
-
-
-def _null_rejections_star(args) -> list[int]:
-    return _null_rejections(*args)
-
-
-
 @dataclass(frozen=True)
 class PhaseTable:
     """Sweep result: one PhaseCell per grid cell plus the overlay column."""
@@ -341,16 +335,17 @@ def phase_sweep(cfg: ExperimentConfig, workers: int = 1) -> PhaseTable:
     m = cfg.replicates
     blocks = [range(m * b // used, m * (b + 1) // used) for b in range(used)]
     groups = [[cell for cell in cells if cell[3] == n] for n in sorted(set(cfg.n_list))]
-    null_tasks = [(cfg, group, block) for group in groups for block in blocks]
+    task_groups = [group for group in groups for _ in blocks]
+    task_blocks = blocks * len(groups)
     start = time.perf_counter()
     with ProcessPoolExecutor(used) if used > 1 else contextlib.nullcontext() as pool:
         mapper = pool.map if pool else map
         null_rejects = [0] * len(cells)  # by cell index, summed over the blocks
-        for (_, group, _), counts in zip(null_tasks, mapper(_null_rejections_star, null_tasks)):
+        task_counts = mapper(_null_rejections, repeat(cfg), task_groups, task_blocks)
+        for group, counts in zip(task_groups, task_counts):
             for cell, count in zip(group, counts):
                 null_rejects[cell[0]] += count
-        cell_tasks = [(cfg, cell, null_rejects[cell[0]]) for cell in cells]
-        results = list(mapper(_run_cell_star, cell_tasks))
+        results = list(mapper(run_cell, repeat(cfg), cells, null_rejects))
     wall = time.perf_counter() - start
     family = families.FAMILIES[cfg.family]
     overlay = tuple(family.beta_star(cell[2], cfg.family_params) for cell in cells)
@@ -420,7 +415,6 @@ def estimate_gamma(
     g: Union[Distribution, Callable[[int], Distribution]],
     n_list: Sequence[int],
     s_grid: Iterable[float],
-    flag_threshold: float = 0.05,
 ) -> GammaDiagnostic:
     """Evaluate the normalized log-likelihood ratio at null tail quantiles.
 
@@ -449,7 +443,7 @@ def estimate_gamma(
     for i in range(1, len(n_list)):
         deltas = np.abs(ratios[i] - ratios[i - 1])
         for j, s in enumerate(s_grid):
-            if deltas[j] > flag_threshold:
+            if deltas[j] > _GAMMA_FLAG_THRESHOLD:
                 flags.append((n_list[i - 1], n_list[i], s, float(deltas[j])))
     return GammaDiagnostic(
         n_list=n_list, s_grid=s_grid, ratios=ratios, flags=tuple(flags)

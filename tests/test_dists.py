@@ -22,7 +22,6 @@ from sparse_detect.dists import (
     loads,
     log_likelihood_ratio,
     mu_from_r,
-    sample,
     to_spec,
 )
 from sparse_detect.errors import (
@@ -97,6 +96,16 @@ class TestLogLikelihoodRatio:
             log_likelihood_ratio(g, q, 2.0)
         with pytest.raises(UndefinedPointError):
             log_likelihood_ratio(q, q, 3.0)
+
+
+class TestDiscreteTails:
+    def test_upper_tail_sums_the_atoms_above(self):
+        # 1 - cdf rounds the 1e-17 atom away
+        d = FiniteDiscrete(((0.0, 1.0 - 1e-17), (1.0, 1e-17)))
+        assert d.survival(0.5) == 1e-17
+        lower, upper = d.tails(np.array([-1.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(lower, [0.0, 1.0, 1.0])
+        np.testing.assert_array_equal(upper, [1.0, 1e-17, 0.0])
 
 
 class TestQuantile:
@@ -227,22 +236,22 @@ class TestGenGaussianQuantile:
 class TestSampling:
     def test_determinism(self):
         d = Mixture(Gaussian(), GenGaussian(1.0), 0.25)
-        a = sample(d, 1000, rng.stream(7, 1, 2))
-        b = sample(d, 1000, rng.stream(7, 1, 2))
+        a = d.sample(1000, rng.stream(7, 1, 2))
+        b = d.sample(1000, rng.stream(7, 1, 2))
         np.testing.assert_array_equal(a, b)
-        c = sample(d, 1000, rng.stream(7, 1, 3))
+        c = d.sample(1000, rng.stream(7, 1, 3))
         assert not np.array_equal(a, c)
 
     def test_empty(self):
-        assert sample(Gaussian(), 0, rng.stream(1)).size == 0
+        assert Gaussian().sample(0, rng.stream(1)).size == 0
 
     def test_gaussian_mean(self):
-        x = sample(Gaussian(), 10**6, rng.stream(11, 0))
+        x = Gaussian().sample(10**6, rng.stream(11, 0))
         assert abs(x.mean()) < 0.005  # 3 sigma / sqrt(n) band
 
     def test_sparse_mixture_sample(self):
         mix = SparseMixture(Gaussian(), Gaussian(5.0, 1.0), 0.5)
-        x = sample(mix, 20000, rng.stream(3, 0, 0))
+        x = mix.mixed().sample(20000, rng.stream(3, 0, 0))
         frac_high = (x > 2.5).mean()
         assert 0.45 < frac_high < 0.55
 
@@ -251,7 +260,7 @@ class TestSampling:
         mix = SparseMixture(Gaussian(), Gaussian(3.0, 1.0), 0.0)
         passes = 0
         for trial in range(100):
-            x = sample(mix, 10**5, rng.stream(2024, trial))
+            x = mix.mixed().sample(10**5, rng.stream(2024, trial))
             pvalue = kstest(x, Gaussian().cdf).pvalue
             passes += pvalue > 0.01
         assert passes >= 95
@@ -265,17 +274,16 @@ class TestSampling:
         # KS p-value above 0.01 in >= 95 of 100 seeded trials against d.cdf
         passes = 0
         for trial in range(100):
-            x = sample(dist, 10**4, rng.stream(2025, trial))
+            x = dist.sample(10**4, rng.stream(2025, trial))
             passes += kstest(x, dist.cdf).pvalue > 0.01
         assert passes >= 95
 
     def test_gen_gaussian_sampler_determinism(self):
         d = GenGaussian(1.5)
-        a = sample(d, 1000, rng.stream(7, 4))
-        np.testing.assert_array_equal(a, sample(d, 1000, rng.stream(7, 4)))
-        assert not np.array_equal(a, sample(d, 1000, rng.stream(7, 5)))
+        a = d.sample(1000, rng.stream(7, 4))
+        np.testing.assert_array_equal(a, d.sample(1000, rng.stream(7, 4)))
+        assert not np.array_equal(a, d.sample(1000, rng.stream(7, 5)))
         assert d.sample(0, rng.stream(7, 4)).shape == (0,)
-        assert sample(d, 0, rng.stream(7, 4)).shape == (0,)
 
     # one-atom components make each value its component label
     LABELS = (FiniteDiscrete(((0.0, 1.0),)), FiniteDiscrete(((1.0, 1.0),)))
@@ -316,7 +324,7 @@ class TestSampling:
 
     def test_discrete_sampling_frequencies(self):
         d = FiniteDiscrete(((0.0, 0.25), (1.0, 0.75)))
-        x = sample(d, 10**5, rng.stream(5))
+        x = d.sample(10**5, rng.stream(5))
         assert abs((x == 1.0).mean() - 0.75) < 0.01
 
 

@@ -13,7 +13,6 @@ from scipy.stats import norm
 from sparse_detect import rng
 from sparse_detect.dists import (
     Dilated,
-    Distribution,
     FiniteDiscrete,
     Gaussian,
     GenGaussian,
@@ -27,7 +26,6 @@ from sparse_detect.errors import (
     InvalidSampleSizeError,
 )
 from sparse_detect.hctest import (
-    empirical_cdf,
     hc_decision,
     hc_statistic,
     hc_test,
@@ -37,11 +35,10 @@ from sparse_detect.hctest import (
     vn_statistic,
 )
 
-UNIFORM_CDF = lambda t: np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-# a callable CDF that is not monotone, so its lower-tail rows are not contiguous
-WAVY_CDF = lambda t: 0.5 + 0.45 * np.sin(3.0 * np.asarray(t, dtype=float))
+# an atom far below the rounding of 1 - cdf: its upper tail must not cancel
+TINY_ATOM = FiniteDiscrete(((0.0, 1.0 - 1e-17), (1.0, 1e-17)))
 
-# one null of every Distribution kind, plus two callable CDFs
+# one null of every Distribution kind, a nested one and a near-degenerate one
 ORACLE_NULLS = [
     Gaussian(),
     Gaussian(-0.5, 2.0),
@@ -52,21 +49,20 @@ ORACLE_NULLS = [
     FiniteDiscrete(((-1.0, 0.25), (0.0, 0.25), (1.0, 0.5))),
     Mixture(Gaussian(), GenGaussian(1.5), 0.3),
     Mixture(Gaussian(), FiniteDiscrete(((0.0, 0.4), (2.0, 0.6))), 0.3),
-    UNIFORM_CDF,
-    WAVY_CDF,
+    Shifted(
+        Dilated(Mixture(GenGaussian(0.5), FiniteDiscrete(((-2.0, 0.5), (3.0, 0.5))), 0.2), 2.0),
+        -1.0,
+    ),
+    TINY_ATOM,
 ]
 
 
-def hc_statistic_oracle(sample, null_cdf, restricted=False):
+def hc_statistic_oracle(sample, null, restricted=False):
     """Reference form: both tails evaluated at every row, chosen by np.where."""
     ys = np.sort(np.asarray(sample, dtype=float))
     n = ys.size
-    if isinstance(null_cdf, Distribution):
-        f_low = np.asarray(null_cdf.cdf(ys), dtype=float)
-        f_up = np.asarray(null_cdf.survival(ys), dtype=float)
-    else:
-        f_low = np.asarray(null_cdf(ys), dtype=float)
-        f_up = 1.0 - f_low
+    f_low = np.asarray(null.cdf(ys), dtype=float)
+    f_up = np.asarray(null.survival(ys), dtype=float)
     if np.any(f_low <= 0.0) or np.any(f_up <= 0.0):
         raise InfiniteWeightError("null CDF hit 0 or 1 at a sample point")
     idx_hi = np.arange(1, n + 1) / n
@@ -91,26 +87,6 @@ def outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except (InfiniteWeightError, InvalidParameterError) as exc:
         return type(exc)
-
-
-class TestEmpiricalCdf:
-    def test_between_points(self):
-        F = empirical_cdf([1.0, 2.0])
-        assert F(1.5) == 0.5
-
-    def test_left_limit_semantics(self):
-        F = empirical_cdf([1.0, 2.0, 2.0, 5.0])
-        assert F.eval_left(2.0) == F(2.0 - 1e-9)
-        assert F(2.0) == 0.75
-
-    def test_single_point(self):
-        F = empirical_cdf([3.0])
-        assert F(3.0) == 1.0
-        assert F.eval_left(3.0) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidSampleSizeError):
-            empirical_cdf([])
 
 
 class TestHCStatistic:
@@ -140,20 +116,38 @@ class TestHCStatistic:
         assert stat == pytest.approx(math.sqrt(n) * best, rel=1e-14)
 
     def test_ties_resolve_to_smallest_threshold(self):
-        # exact float tie: both points give deviation 0.25/sqrt(0.1875)
-        stat, arg = hc_statistic([0.25, 0.75], UNIFORM_CDF)
-        assert arg == 0.25
+        # exact float tie: -a in the lower tail and a in the upper tail both
+        # give deviation |1/2 - p| v p over sqrt(p (1 - p)), p = Phi(-a)
+        stat, arg = hc_statistic([-0.7, 0.7], Gaussian())
+        assert arg == -0.7
 
     def test_infinite_weight_reported(self):
         with pytest.raises(InfiniteWeightError):
             hc_statistic([-50.0, 0.0], Gaussian())
 
     def test_probability_integral_transform_invariance(self):
+        # the statistic depends on the sample only through F(Y_i), so an
+        # affine map of the sample and of the null leaves it unchanged
         stream = rng.stream(77, 1)
         ys = stream.normal(size=500) + 0.3
         stat_raw, _ = hc_statistic(ys, Gaussian())
-        stat_pit, _ = hc_statistic(Gaussian().cdf(ys), UNIFORM_CDF)
-        assert stat_pit == pytest.approx(stat_raw, abs=1e-12)
+        stat_affine, _ = hc_statistic(2.0 * ys + 1.0, Gaussian(1.0, 2.0))
+        assert stat_affine == pytest.approx(stat_raw, abs=1e-12)
+
+    def test_tiny_upper_tail_atom(self):
+        # 1 - cdf cancels the 1e-17 atom to 0, an infinite weight
+        stat, arg = hc_statistic([0.0, 0.0, 0.0], TINY_ATOM)
+        assert math.isfinite(stat) and arg == 0.0
+
+    def test_callable_null_rejected(self):
+        cdf = Gaussian().cdf
+        ys = np.linspace(-2.0, 2.0, 100)
+        with pytest.raises(InvalidParameterError):
+            hc_statistic(ys, cdf)
+        with pytest.raises(InvalidParameterError):
+            hc_test(ys, cdf)
+        with pytest.raises(InvalidParameterError):
+            vn_statistic(ys, 0.5, cdf)
 
     def test_restricted_variant_never_exceeds_full(self):
         stream = rng.stream(5, 2)
@@ -170,7 +164,7 @@ class TestHCStatisticMatchesOracle:
     @given(
         null=st.sampled_from(ORACLE_NULLS),
         sample=st.lists(
-            # small-grid values make ties; CDF values suit the uniform null
+            # small-grid values make ties and hit the atoms
             st.one_of(
                 st.floats(-8.0, 8.0),
                 st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0]),
@@ -191,8 +185,6 @@ class TestHCStatisticMatchesOracle:
     def test_seeded_samples(self, n, null_index):
         null = ORACLE_NULLS[null_index]
         ys = Mixture(Gaussian(), Gaussian(2.0, 1.0), 0.1).sample(n, rng.stream(31, n))
-        if null is UNIFORM_CDF:
-            ys = Gaussian().cdf(ys)
         for data in (ys, np.round(ys, 2)):
             for restricted in (False, True):
                 got = outcome(hc_statistic, data, null, restricted=restricted)
@@ -201,7 +193,7 @@ class TestHCStatisticMatchesOracle:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        null=st.sampled_from([d for d in ORACLE_NULLS if isinstance(d, Distribution)]),
+        null=st.sampled_from(ORACLE_NULLS),
         ys=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=50),
     )
     def test_tails_are_cdf_and_survival(self, null, ys):
@@ -324,28 +316,28 @@ class TestLRTest:
 class TestVnStatistic:
     def test_exact_match_gives_zero(self):
         n = 16
-        flat_quarter = lambda t: np.full_like(np.asarray(t, dtype=float), 0.25)
+        flat_quarter = FiniteDiscrete(((-5.0, 0.25), (10.0, 0.75)))  # F(t) = 0.25
         t = math.sqrt(2 * 0.5 * math.log(n))
         ys = np.concatenate([np.full(4, t - 1.0), np.full(12, t + 1.0)])
-        assert vn_statistic(ys, 0.5, n, flat_quarter) == pytest.approx(0.0, abs=1e-14)
+        assert vn_statistic(ys, 0.5, flat_quarter) == pytest.approx(0.0, abs=1e-14)
 
     def test_extreme_samples_match_direct_formula(self):
         n, s = 100, 0.5
         t = math.sqrt(2 * s * math.log(n))
         phi = norm.cdf(t)
         # the whole sample below the threshold: F_n(t) = 1
-        got_below = vn_statistic(np.full(n, t - 1.0), s, n, Gaussian())
+        got_below = vn_statistic(np.full(n, t - 1.0), s, Gaussian())
         want_below = math.sqrt(n) * (1.0 - phi) / math.sqrt(phi * (1.0 - phi))
         assert got_below == pytest.approx(want_below, rel=1e-12)
         # the whole sample planted above the threshold: F_n(t) = 0
-        got_above = vn_statistic(np.full(n, t + 1.0), s, n, Gaussian())
+        got_above = vn_statistic(np.full(n, t + 1.0), s, Gaussian())
         want_above = -math.sqrt(n) * phi / math.sqrt(phi * (1.0 - phi))
         assert got_above == pytest.approx(want_above, rel=1e-12)
 
     def test_null_sample_is_order_one(self):
         stream = rng.stream(123, 0)
         ys = stream.normal(size=10**4)
-        v = vn_statistic(ys, 0.3, 10**4, Gaussian())
+        v = vn_statistic(ys, 0.3, Gaussian())
         assert abs(v) < 5.0
 
     def test_dominated_by_hc(self):
@@ -354,14 +346,14 @@ class TestVnStatistic:
             ys = stream.normal(size=200) * 1.1
             stat, _ = hc_statistic(ys, Gaussian())
             for s in (0.1, 0.3, 0.5, 0.7, 0.9):
-                assert stat >= abs(vn_statistic(ys, s, 200, Gaussian())) - 1e-12
+                assert stat >= abs(vn_statistic(ys, s, Gaussian())) - 1e-12
 
     def test_range_validation(self):
         ys = np.zeros(100)
         with pytest.raises(InvalidParameterError):
-            vn_statistic(ys, 1.5, 100, Gaussian())
+            vn_statistic(ys, 1.5, Gaussian())
         with pytest.raises(InvalidSampleSizeError):
-            vn_statistic(np.zeros(8), 0.5, 8, Gaussian())
+            vn_statistic(np.zeros(8), 0.5, Gaussian())
 
 
 class TestNullCalibration:
