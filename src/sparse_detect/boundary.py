@@ -7,8 +7,11 @@ Two dual routes are kept deliberately independent:
   heteroscedastic normal model, dilated signal supports, generalized
   Gaussian convolutions, and generalized Gaussian location mixtures;
 * numeric boundaries (:func:`beta_sharp`, :func:`beta_star_general`,
-  :func:`beta_convolution`) compute essential suprema of exponent
-  functions on dense grids with golden-section refinement.
+  :func:`hc_achievable_boundary`, :func:`hellinger_exponent`,
+  :func:`tail_exponent`, :func:`beta_convolution`) are each one
+  :func:`ess_sup_grid` supremum of an objective written once: the
+  argmax over a dense grid, refined by golden section only inside the
+  support.
 
 Both must agree; the test suite enforces that on full parameter grids.
 
@@ -110,7 +113,6 @@ class ExponentFunction:
             xs=np.asarray(xs, dtype=float),
             values=np.asarray(values, dtype=float),
             convolutional=convolutional,
-            scale=float(np.max(np.abs(xs))) or 1.0,
         )
 
     @property
@@ -328,8 +330,7 @@ def gamma_from_alpha(alpha: ExponentFunction) -> ExponentFunction:
     s = np.linspace(0.0, smax, GRID_POINTS)
     root = np.sqrt(s)
     vals = np.maximum(alpha.evaluate(root), alpha.evaluate(-root))
-    out = ExponentFunction.from_grid(s, vals, axis="s")
-    return out
+    return ExponentFunction.from_grid(s, vals, axis="s")
 
 
 def exponent_from_csv(path) -> ExponentFunction:
@@ -347,13 +348,18 @@ def exponent_from_csv(path) -> ExponentFunction:
             raise InvalidParameterError(
                 f"{path}: header must declare the axis as 'u,value' or 's,value'"
             )
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            x_str, v_str = line.split(",")[:2]
-            xs.append(float(x_str))
-            vals.append(float(v_str))
+            try:
+                x_str, v_str = line.split(",")[:2]
+                xs.append(float(x_str))
+                vals.append(float(v_str))
+            except ValueError:
+                raise InvalidParameterError(
+                    f"{path}:{lineno}: cannot parse {line!r} as 'x,value'"
+                ) from None
     if not xs:
         raise InvalidParameterError(f"{path}: no grid rows found")
     return ExponentFunction.from_grid(xs, vals, axis=axis)
@@ -370,8 +376,10 @@ def ess_sup_grid(
     """(max value, argmax) over a grid; -inf entries are skipped.
 
     Ties break to the smallest abscissa.  When ``refine`` is given (a
-    vectorized callable agreeing with ``values`` on the grid), a
-    golden-section pass inside the winning cell sharpens the maximum.
+    callable agreeing with ``values`` on the grid), a golden-section
+    pass between the neighbours of the winning point sharpens the
+    maximum; it is skipped unless both neighbours are finite, so the
+    refinement never leaves the support.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -381,13 +389,32 @@ def ess_sup_grid(
         raise EmptySupportError("all grid values are -inf")
     idx = int(np.argmax(values))  # first occurrence wins ties
     best_x, best_v = float(xs[idx]), float(values[idx])
-    if refine is not None and np.isfinite(best_v):
-        lo = float(xs[max(idx - 1, 0)])
-        hi = float(xs[min(idx + 1, xs.size - 1)])
-        x_ref, v_ref = _golden_max_scalar(refine, lo, hi)
+    lo, hi = max(idx - 1, 0), min(idx + 1, xs.size - 1)
+    if refine is not None and np.all(np.isfinite(values[lo : hi + 1])):
+        x_ref, v_ref = _golden_max_scalar(refine, float(xs[lo]), float(xs[hi]))
         if v_ref > best_v:
             best_x, best_v = x_ref, v_ref
     return best_v, best_x
+
+
+def _sup(fn: ExponentFunction, xs, vals, objective: Callable, lo: float = -np.inf):
+    """ess_sup_grid of the vectorized objective(x, fn(x)) over grid points x >= lo.
+
+    Closed forms refine through ``fn.evaluate``; sampled grids keep the grid maximum.
+    """
+    keep = xs >= lo
+    refine = (lambda x: objective(x, fn.evaluate(x))) if fn.has_closed_form else None
+    return ess_sup_grid(xs[keep], objective(xs, vals)[keep], refine)
+
+
+def _boundary(excess: float, arg: float, xs) -> BoundaryResult:
+    """1/2 + 0 v excess clamped to 1, with the grid's step as resolution.
+
+    A supremum that already holds the 1/2 passes sup - 1/2: that is exact
+    for sup in [1/4, 1] (Sterbenz), so the clamp keeps every bit.
+    """
+    step = float(xs[1] - xs[0]) if len(xs) > 1 else 0.0
+    return BoundaryResult(min(1.0, 0.5 + max(0.0, excess)), arg, "grid", step)
 
 
 def _golden_max_scalar(fn, lo: float, hi: float):
@@ -525,18 +552,11 @@ def beta_sharp(alpha: ExponentFunction) -> BoundaryResult:
     _require_axis(alpha, "u")
     xs, vals = alpha.grid()
     _require_admissible(alpha, xs, vals)
-    objective = vals - xs * xs + 0.5 * np.minimum(xs * xs, 1.0)
-    refine = None
-    if alpha.has_closed_form:
-        refine = lambda u: alpha.evaluate(u) - u * u + 0.5 * min(u * u, 1.0)
-    sup, arg = ess_sup_grid(xs, objective, refine)
-    du = float(xs[1] - xs[0]) if xs.size > 1 else 0.0
-    return BoundaryResult(
-        beta=min(1.0, 0.5 + max(0.0, sup)),
-        maximizer=arg,
-        method="grid",
-        grid_resolution=du,
-    )
+    return _boundary(*_sup(alpha, xs, vals, _sharp_objective), xs)
+
+
+def _sharp_objective(u, value):
+    return value - u * u + 0.5 * np.minimum(u * u, 1.0)
 
 
 def beta_star_general(gamma: ExponentFunction) -> BoundaryResult:
@@ -549,18 +569,8 @@ def beta_star_general(gamma: ExponentFunction) -> BoundaryResult:
         raise AdmissibilityError(
             f"gamma(s) exceeds s at s={xs[worst]:.6g} by {margin[worst]:.3g}"
         )
-    objective = vals - xs + 0.5 * np.minimum(xs, 1.0)
-    refine = None
-    if gamma.has_closed_form:
-        refine = lambda s: gamma.evaluate(s) - s + 0.5 * min(s, 1.0)
-    sup, arg = ess_sup_grid(xs, objective, refine)
-    ds = float(xs[1] - xs[0]) if xs.size > 1 else 0.0
-    return BoundaryResult(
-        beta=min(1.0, 0.5 + max(0.0, sup)),
-        maximizer=arg,
-        method="grid",
-        grid_resolution=ds,
-    )
+    objective = lambda s, value: value - s + 0.5 * np.minimum(s, 1.0)
+    return _boundary(*_sup(gamma, xs, vals, objective), xs)
 
 
 def hellinger_exponent(alpha: ExponentFunction, beta: float) -> float:
@@ -575,17 +585,8 @@ def hellinger_exponent(alpha: ExponentFunction, beta: float) -> float:
         raise OutOfRegimeError(f"beta must be >= 1/2, got {beta}")
     xs, vals = alpha.grid()
     _require_admissible(alpha, xs, vals)
-    gap = vals - beta
-    objective = np.minimum(2.0 * gap, gap) - xs * xs
-    refine = None
-    if alpha.has_closed_form:
-
-        def refine(u):
-            g = alpha.evaluate(u) - beta
-            return min(2.0 * g, g) - u * u
-
-    sup, _ = ess_sup_grid(xs, objective, refine)
-    return sup
+    objective = lambda u, value: np.minimum(2.0 * (value - beta), value - beta) - u * u
+    return _sup(alpha, xs, vals, objective)[0]
 
 
 def tail_exponent(alpha: ExponentFunction, u: float) -> float:
@@ -594,15 +595,10 @@ def tail_exponent(alpha: ExponentFunction, u: float) -> float:
     if u < 0:
         raise InvalidParameterError(f"u must be >= 0, got {u}")
     xs, vals = alpha.grid()
-    mask = xs >= u
     candidates = []
-    if np.any(mask):
-        sub_xs, sub_vals = xs[mask], (vals - xs * xs)[mask]
-        refine = None
-        if alpha.has_closed_form:
-            refine = lambda q: alpha.evaluate(max(q, u)) - max(q, u) ** 2
-        sup, _ = ess_sup_grid(sub_xs, sub_vals, refine)
-        candidates.append(sup)
+    if np.any(xs >= u):
+        objective = lambda q, value: value - q * q
+        candidates.append(_sup(alpha, xs, vals, objective, lo=u)[0])
     if alpha.has_closed_form:
         candidates.append(float(alpha.evaluate(u)) - u * u)
     if not candidates:
@@ -615,49 +611,30 @@ def hc_achievable_boundary(
 ) -> BoundaryResult:
     """Boundary achieved by the higher-criticism test.
 
-    Direct form: 1/2 + (1/2) sup_{q>=0} {2 alpha(q) - 2 q^2 + (q^2 ^ 1)},
-    which must coincide with :func:`beta_sharp` (adaptivity).  The
-    ``via_sweep`` flag instead sweeps exceedance levels s in (0, 1] and
-    maximizes (1+s)/2 + sup_{q >= sqrt s} {alpha(q) - q^2}, the form in
-    which each threshold's normalized exceedance count is analyzed.
+    Direct form: 1/2 + 0 v sup_{q>=0} {alpha(q) - q^2 + (q^2 ^ 1)/2},
+    the objective of :func:`beta_sharp` restricted to q >= 0, with which
+    it must coincide (adaptivity).  The ``via_sweep`` flag instead sweeps
+    exceedance levels s in (0, 1] and maximizes (1+s)/2 + sup_{q >= sqrt s}
+    {alpha(q) - q^2}, the form in which each threshold's normalized
+    exceedance count is analyzed.
     """
     _require_axis(alpha, "u")
     xs, vals = alpha.grid()
     if not np.any(vals > 0):
         raise HCBoundaryUndefinedError("exponent function is nowhere positive")
     _require_admissible(alpha, xs, vals)
+    if not via_sweep:
+        return _boundary(*_sup(alpha, xs, vals, _sharp_objective, lo=0.0), xs)
 
-    if via_sweep:
-        mask = xs >= 0.0
-        qs = xs[mask]
-        tail = vals[mask] - qs * qs
-        suffix = np.maximum.accumulate(tail[::-1])[::-1]  # sup over q >= qs[i]
-        s_grid = np.linspace(1e-9, 1.0, 4001)
-        pos = np.searchsorted(qs, np.sqrt(s_grid), side="left")
-        pos = np.minimum(pos, qs.size - 1)
-        objective = 0.5 * (1.0 + s_grid) + suffix[pos]
-        sup, arg = ess_sup_grid(s_grid, objective)
-        beta = sup
-        maximizer = math.sqrt(arg)
-    else:
-        mask = xs >= 0.0
-        qs = xs[mask]
-        objective = 2.0 * vals[mask] - 2.0 * qs * qs + np.minimum(qs * qs, 1.0)
-        refine = None
-        if alpha.has_closed_form:
-            refine = lambda q: (
-                2.0 * alpha.evaluate(q) - 2.0 * q * q + min(q * q, 1.0)
-            )
-        sup, maximizer = ess_sup_grid(qs, objective, refine)
-        beta = 0.5 + 0.5 * max(0.0, sup)
-
-    du = float(xs[1] - xs[0]) if xs.size > 1 else 0.0
-    return BoundaryResult(
-        beta=min(1.0, max(0.5, beta)),
-        maximizer=maximizer,
-        method="grid",
-        grid_resolution=du,
-    )
+    mask = xs >= 0.0
+    qs = xs[mask]
+    tail = vals[mask] - qs * qs
+    suffix = np.maximum.accumulate(tail[::-1])[::-1]  # sup over q >= qs[i]
+    s_grid = np.linspace(1e-9, 1.0, 4001)
+    pos = np.searchsorted(qs, np.sqrt(s_grid), side="left")
+    pos = np.minimum(pos, qs.size - 1)
+    sup, arg = ess_sup_grid(s_grid, 0.5 * (1.0 + s_grid) + suffix[pos])
+    return _boundary(sup - 0.5, math.sqrt(arg), xs)
 
 
 # ---------------------------------------------------------------------------
@@ -731,10 +708,8 @@ def boundary_closed_form(family: str, mode: str = "beta-of-r", **params) -> floa
         # polynomial tail cost: sup_{z >= 0} { beta_idj(r z^2) - z^tau }
         zmax = max(2.0, 2.0 / math.sqrt(r), 1.2 * 0.5 ** (1.0 / tau))
         zs = np.linspace(0.0, zmax, GRID_POINTS)
-        obj = _beta_star_idj(r * zs * zs) - zs**tau
-        sup, _ = ess_sup_grid(
-            zs, obj, refine=lambda z: _beta_star_idj(r * z * z) - z**tau
-        )
+        objective = lambda z: _beta_star_idj(r * z * z) - z**tau
+        sup, _ = ess_sup_grid(zs, objective(zs), objective)
         return min(1.0, max(0.5, sup))
 
     if family == "gglocation":
@@ -758,9 +733,8 @@ def beta_convolution(ts, fs) -> BoundaryResult:
     """Boundary of a convolution model from the signal-density exponent f.
 
     sup_t { beta_idj(t^2) - f(t) } over the declared grid, +inf entries
-    marking off-support regions; golden refinement with linearly
-    interpolated f when the winning cell has finite neighbors.  The
-    result is clamped to [1/2, 1].
+    marking off-support regions, refined with linearly interpolated f
+    inside the support.  The result is clamped to [1/2, 1].
     """
     ts = np.asarray(ts, dtype=float)
     fs = np.asarray(fs, dtype=float)
@@ -770,23 +744,9 @@ def beta_convolution(ts, fs) -> BoundaryResult:
     if not np.any(finite):
         raise EmptySupportError("f is infinite everywhere")
     objective = np.where(finite, _beta_star_idj(ts * ts) - fs, -np.inf)
-    idx = int(np.argmax(objective))
-    best_v, best_t = float(objective[idx]), float(ts[idx])
-    lo_i, hi_i = max(idx - 1, 0), min(idx + 1, ts.size - 1)
-    if finite[lo_i] and finite[hi_i] and hi_i > lo_i:
-        f_lin = lambda t: float(np.interp(t, ts[finite], fs[finite]))
-        t_ref, v_ref = _golden_max_scalar(
-            lambda t: _beta_star_idj(t * t) - f_lin(t), float(ts[lo_i]), float(ts[hi_i])
-        )
-        if v_ref > best_v:
-            best_t, best_v = t_ref, v_ref
-    dt = float(ts[1] - ts[0]) if ts.size > 1 else 0.0
-    return BoundaryResult(
-        beta=min(1.0, max(0.5, best_v)),
-        maximizer=best_t,
-        method="grid",
-        grid_resolution=dt,
-    )
+    f_lin = lambda t: float(np.interp(t, ts[finite], fs[finite]))
+    sup, arg = ess_sup_grid(ts, objective, lambda t: _beta_star_idj(t * t) - f_lin(t))
+    return _boundary(sup - 0.5, arg, ts)
 
 
 # ---------------------------------------------------------------------------

@@ -58,17 +58,25 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) != 3:
             raise _Usage(f"grid {text!r} must be lo:hi:step or a comma list")
-        lo, hi, step = (float(p) for p in parts)
+        lo, hi, step = _numbers(text, parts)
         if step <= 0 or hi < lo:
             raise _Usage(f"grid {text!r} must have step > 0 and hi >= lo")
         count = int(round((hi - lo) / step))
         vals = [lo + k * step for k in range(count + 1) if lo + k * step <= hi + 1e-12]
         return tuple(vals)
-    return tuple(float(p) for p in text.split(","))
+    return _numbers(text, text.split(","))
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(float(p)) for p in text.split(","))
+    return _numbers(text, text.split(","), int)
+
+
+def _numbers(text: str, parts, kind=float) -> tuple:
+    """kind(float(part)) for each part; a non-numeric part is a usage error."""
+    try:
+        return tuple(kind(float(p)) for p in parts)
+    except (ValueError, OverflowError):
+        raise _Usage(f"{text!r} holds a non-numeric entry") from None
 
 
 def _read_sample(path: str) -> np.ndarray:

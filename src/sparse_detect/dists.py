@@ -83,7 +83,7 @@ class Distribution:
         return self.tails(y)[1]
 
     def mass(self, y: float) -> float:
-        """Point mass at y (zero for atomless laws)."""
+        """Point mass at y (zero for atomless laws); discrete kinds map arrays."""
         return 0.0
 
     def support_bounds(self, log_floor: float = -700.0) -> tuple[float, float]:
@@ -307,11 +307,12 @@ class FiniteDiscrete(Distribution):
     def masses(self) -> np.ndarray:
         return np.array([m for _, m in self.atoms])
 
-    def mass(self, y: float) -> float:
-        for p, m in self.atoms:
-            if p == y:
-                return m
-        return 0.0
+    def mass(self, y):
+        points = self.points
+        y = np.asarray(y, dtype=float)
+        idx = np.minimum(np.searchsorted(points, y), points.size - 1)
+        out = np.where(points[idx] == y, self.masses[idx], 0.0)
+        return out if out.shape else float(out)
 
     def log_density(self, y):
         raise IncompatibleLawsError("discrete law has no Lebesgue density")
@@ -466,8 +467,7 @@ def log_likelihood_ratio(g: Distribution, q: Distribution, y):
         return float(out) if scalar else out
     if g.is_discrete and q.is_discrete:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
-        mg = np.array([g.mass(v) for v in ys])
-        mq = np.array([q.mass(v) for v in ys])
+        mg, mq = g.mass(ys), q.mass(ys)
         if np.any((mq == 0) & (mg > 0)):
             raise SingularPointError("alternative has an atom off the null support")
         if np.any((mq == 0) & (mg == 0)):

@@ -418,6 +418,23 @@ class TestHCAchievableBoundary:
             assert direct == pytest.approx(reference, abs=1e-3)
             assert swept == pytest.approx(reference, abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "alpha",
+        [alpha_family("idj", r=r) for r in (0.05, 0.25, 0.6, 1.5)]
+        + [
+            alpha_family("hetero", r=0.25, sigma2=1.0),
+            alpha_family("hetero", r=0.3, sigma2=2.5),
+            alpha_family("hetero", r=0.1, sigma2=0.5),
+        ],
+    )
+    def test_direct_form_is_beta_sharp_on_q_nonnegative(self, alpha):
+        # the direct form is beta_sharp's objective restricted to q >= 0;
+        # with a nonnegative maximizer the restriction changes no bit
+        sharp = beta_sharp(alpha)
+        assert sharp.maximizer >= 0.0
+        hc = hc_achievable_boundary(alpha)
+        assert (hc.beta, hc.maximizer) == (sharp.beta, sharp.maximizer)
+
     def test_nowhere_positive_rejected(self):
         alpha = ExponentFunction.from_grid(U_GRID, -(U_GRID**2))
         with pytest.raises(HCBoundaryUndefinedError):
@@ -475,6 +492,15 @@ class TestEssSupGrid:
         assert ess_sup_grid(xs, vals) == (1.0, 0.25)
         with pytest.raises(EmptySupportError):
             ess_sup_grid(xs, np.full_like(xs, -np.inf))
+
+    def test_refine_skipped_next_to_neg_inf(self):
+        # the winner's left neighbour is off the support, so refining
+        # between the neighbours would leave it
+        xs = np.linspace(0, 1, 5)
+        vals = np.array([-np.inf, 1.0, 0.5, 0.25, 0.0])
+        assert ess_sup_grid(xs, vals, refine=lambda x: 5.0) == (1.0, 0.25)
+        vals[0] = 0.5
+        assert ess_sup_grid(xs, vals, refine=lambda x: 5.0)[0] == 5.0
 
 
 class TestLaplaceLogIntegral:

@@ -127,6 +127,14 @@ class TestCheckAlphaCommand:
         assert payload["admissible"] is False
         assert payload["violations"]
 
+    @pytest.mark.parametrize("row", ["abc,1", "0.5"])
+    def test_malformed_row_exit_3(self, capsys, tmp_path, row):
+        path = tmp_path / "alpha.csv"
+        path.write_text(f"u,value\n0.0,0.0\n{row}\n")
+        code, _, err = run(capsys, "check-alpha", "--input", str(path))
+        assert code == 3
+        assert f"{path}:3:" in err
+
 
 class TestSampleCommands:
     def test_hc_json_fields(self, capsys, sample_file):
@@ -291,3 +299,16 @@ class TestUsageErrors:
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["boundary", "--family", "idj", "--r-grid", "0.1,x"],
+            ["boundary", "--family", "idj", "--r-grid", "0:1:a"],
+            ["simulate", "--family", "idj", "--seed", "1", "--n-list", "1e3,x"],
+        ],
+    )
+    def test_non_numeric_grid_exit_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "non-numeric" in err

@@ -97,6 +97,24 @@ class TestLogLikelihoodRatio:
         with pytest.raises(UndefinedPointError):
             log_likelihood_ratio(q, q, 3.0)
 
+    def test_discrete_pair_matches_the_pointwise_loop(self):
+        a = FiniteDiscrete(tuple((0.5 * k, 1.0 / 20) for k in range(20)))
+        b = FiniteDiscrete(((-1.0, 0.25), (0.0, 0.25), (2.5, 0.5)))
+        q = Shifted(Mixture(a, b, 0.3), 0.25)
+        g = Shifted(Mixture(b, a, 0.6), 0.25)
+        ys = 0.25 + np.concatenate([0.5 * np.arange(20), [-1.0, 0.0, 2.5]])
+        atoms = dict(a.atoms)
+        assert a.mass(ys - 0.25).tolist() == [atoms.get(v, 0.0) for v in ys - 0.25]
+        loop = lambda d: np.array([d.mass(v) for v in ys])
+        want = np.log(loop(g)) - np.log(loop(q))
+        np.testing.assert_array_equal(log_likelihood_ratio(g, q, ys), want)
+        assert g.mass(float(ys[0])) == pytest.approx(0.6 * 0.05 + 0.4 * 0.25)
+        assert isinstance(g.mass(float(ys[0])), float)
+        with pytest.raises(SingularPointError):
+            log_likelihood_ratio(Shifted(b, 0.25), Shifted(a, 0.25), ys)
+        with pytest.raises(UndefinedPointError):
+            log_likelihood_ratio(g, q, np.append(ys, 0.3))
+
 
 class TestDiscreteTails:
     def test_upper_tail_sums_the_atoms_above(self):
