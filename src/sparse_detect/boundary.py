@@ -16,13 +16,15 @@ Two dual routes are kept deliberately independent:
 Both must agree; the test suite enforces that on full parameter grids.
 
 Exponent functions live on the u-axis (location scaled by sqrt(2 ln n))
-or the s-axis (tail exponents of null quantiles, s = u^2).
+or the s-axis (tail exponents of null quantiles, s = u^2).  Each
+:func:`alpha_family` kind is one builder, and an :class:`ExponentFunction`
+holds either that builder's vectorized evaluator or a sampled grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,6 +65,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ADMISSIBLE_SLACK = 1e-9
 _LADDER = tuple(2.0**k for k in range(4, 13))
 _LADDER_FINAL_TOL = 0.05
+_BLOCK = 4096  # rows per evaluator block: bounds the memory of row-by-support arrays
 
 
 # ---------------------------------------------------------------------------
@@ -74,24 +77,28 @@ _LADDER_FINAL_TOL = 0.05
 class ExponentFunction:
     """Limit exponent of a normalized log-likelihood ratio.
 
-    Closed-form families carry an evaluator; sampled grids carry only
-    abscissae and values (strictly increasing xs; -inf values encode
-    regions without support).  ``convolutional`` asserts convexity,
-    which :func:`check_admissible` verifies on the grid.
+    Holds either a closed form, a vectorized evaluator ``fn`` on the
+    domain [-width, width] (u-axis) or [0, width] (s-axis), or a sampled
+    grid, strictly increasing ``xs`` with their ``values`` (-inf values
+    encode regions without support).  ``convolutional`` asserts
+    convexity, which :func:`check_admissible` verifies on the grid.
     """
 
     axis: str
-    family: str
-    params: dict = field(default_factory=dict)
+    fn: Optional[Callable] = None
+    width: Optional[float] = None
     xs: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
     convolutional: bool = False
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.axis not in ("u", "s"):
             raise InvalidParameterError(f"axis must be 'u' or 's', got {self.axis!r}")
-        if self.xs is not None:
+        if (self.fn is None or self.width is None) == (self.xs is None or self.values is None):
+            raise InvalidParameterError(
+                "an exponent function holds either fn and width or xs and values"
+            )
+        if self.fn is None:
             xs = np.asarray(self.xs, dtype=float)
             values = np.asarray(self.values, dtype=float)
             if xs.ndim != 1 or xs.size == 0 or xs.shape != values.shape:
@@ -107,36 +114,27 @@ class ExponentFunction:
 
     @classmethod
     def from_grid(cls, xs, values, axis: str = "u", convolutional: bool = False):
-        return cls(
-            axis=axis,
-            family="grid",
-            xs=np.asarray(xs, dtype=float),
-            values=np.asarray(values, dtype=float),
-            convolutional=convolutional,
-        )
+        return cls(axis=axis, xs=xs, values=values, convolutional=convolutional)
 
     @property
     def has_closed_form(self) -> bool:
-        return self.family != "grid"
+        return self.fn is not None
 
     def domain(self) -> tuple[float, float]:
-        if self.family == "grid":
+        if self.fn is None:
             return float(self.xs[0]), float(self.xs[-1])
-        width = max(5.0, 2.0 * self.scale)
-        if self.axis == "u":
-            return -width, width
-        return 0.0, width
+        return (-self.width if self.axis == "u" else 0.0), self.width
 
     def evaluate(self, x):
         """Evaluate the closed form (vectorized); grids interpolate linearly."""
         x = np.asarray(x, dtype=float)
-        if self.family == "grid":
+        if self.fn is None:
             return np.interp(x, self.xs, self.values)
-        return _FAMILY_EVAL[self.family](x, self.params)
+        return self.fn(x)
 
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Sampled grids as given; closed forms on GRID_POINTS points of the domain."""
-        if self.family == "grid":
+        if self.fn is None:
             return self.xs, self.values
         lo, hi = self.domain()
         xs = np.linspace(lo, hi, GRID_POINTS)
@@ -164,88 +162,123 @@ class AdmissibilityReport:
 
 
 # ---------------------------------------------------------------------------
-# closed-form family evaluators
+# closed-form exponent families, one builder each
 # ---------------------------------------------------------------------------
 
 
-def _eval_idj(u, params):
-    r = params["r"]
-    return 2.0 * u * math.sqrt(r) - r
+def _closed(fn, scale: float, axis: str = "u", convolutional: bool = True):
+    """Closed form ``fn`` on the domain half-width max(5, 2 scale)."""
+    return ExponentFunction(
+        axis=axis, fn=fn, width=max(5.0, 2.0 * scale), convolutional=convolutional
+    )
 
 
-def _eval_symmetric_idj(u, params):
-    r = params["r"]
-    return 2.0 * np.abs(u) * math.sqrt(r) - r
+def _blockwise(kernel):
+    """Evaluator applying ``kernel`` to 1-D blocks; a one-element input gives a scalar."""
+
+    def fn(u):
+        u = np.atleast_1d(u)
+        out = np.empty(u.shape)
+        for start in range(0, u.size, _BLOCK):
+            out[start : start + _BLOCK] = kernel(u[start : start + _BLOCK])
+        return out if out.shape != (1,) else out[0]
+
+    return fn
 
 
-def _eval_hetero(u, params):
-    r, sigma2 = params["r"], params["sigma2"]
-    return u * u - (u - math.sqrt(r)) ** 2 / sigma2
+def _idj(params):
+    r = _require_positive(params, "r")
+    return _closed(lambda u: 2.0 * u * math.sqrt(r) - r, math.sqrt(r) + 1.0)
 
 
-def _eval_dilate(u, params):
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if "points" in params:
-        pts = np.asarray(params["points"], dtype=float)
-        vals = 2.0 * u[:, None] * pts[None, :] - pts[None, :] ** 2
-        out = vals.max(axis=1)
+def _symmetric_idj(params):
+    r = _require_positive(params, "r")
+    return _closed(lambda u: 2.0 * np.abs(u) * math.sqrt(r) - r, math.sqrt(r) + 1.0)
+
+
+def _hetero(params):
+    r = _require_nonnegative(params, "r")
+    sigma2 = _require_positive(params, "sigma2")
+    return _closed(
+        lambda u: u * u - (u - math.sqrt(r)) ** 2 / sigma2,
+        math.sqrt(r) + math.sqrt(sigma2),
+        convolutional=sigma2 >= 1.0,
+    )
+
+
+def _dilate(params):
+    if "linf" in params:
+        linf = _require_nonnegative(params, "linf")
+        pts = (-linf, linf)
+    elif "points" in params:
+        pts = tuple(float(p) for p in params["points"])
+        if not pts:
+            raise InvalidParameterError("dilate needs a non-empty support")
+    elif "interval" in params:
+        a, b = (float(v) for v in params["interval"])
+        if not a < b:
+            raise InvalidParameterError("dilate interval must satisfy a < b")
+
+        def kernel(u):
+            x = np.clip(u, a, b)  # unconstrained maximizer of 2ux - x^2 is x = u
+            return 2.0 * u * x - x * x
+
+        return _closed(_blockwise(kernel), max(abs(a), abs(b)) + 1.0)
     else:
-        a, b = params["interval"]
-        x = np.clip(u, a, b)  # unconstrained maximizer of 2ux - x^2 is x = u
-        out = 2.0 * u * x - x * x
-    return out if out.shape != (1,) else out[0]
+        raise InvalidParameterError("dilate needs points=, interval= or linf=")
+    support = np.asarray(pts)
+    kernel = lambda u: (2.0 * u[:, None] * support - support**2).max(axis=1)
+    return _closed(_blockwise(kernel), max(abs(p) for p in pts) + 1.0)
 
 
-def _eval_conv_from_f(u, params):
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+def _conv_from_f(params):
     ts = np.asarray(params["ts"], dtype=float)
     fs = np.asarray(params["fs"], dtype=float)
     finite = np.isfinite(fs)
+    if not np.any(finite):
+        raise EmptySupportError("f is infinite everywhere")
     ts, fs = ts[finite], fs[finite]
-    out = np.empty(u.shape)
-    for start in range(0, u.size, 4096):
-        blk = u[start : start + 4096]
-        penalty = (blk[:, None] - ts[None, :]) ** 2 + fs[None, :]
-        out[start : start + 4096] = blk * blk - penalty.min(axis=1)
-    return out if out.shape != (1,) else out[0]
+    kernel = lambda u: u * u - ((u[:, None] - ts[None, :]) ** 2 + fs[None, :]).min(axis=1)
+    return _closed(_blockwise(kernel), float(np.max(np.abs(ts))) + 1.0)
 
 
-def _eval_gen_gaussian_conv(u, params):
-    r, tau = params["r"], params["tau"]
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    uu = np.abs(u)  # the exponent is even in u
+def _gen_gaussian_conv(params):
+    r = _require_positive(params, "r")
+    tau = _require_positive(params, "tau")
     sqrt_r = math.sqrt(r)
-    out = np.empty(u.shape)
-    for start in range(0, u.size, 4096):
-        blk = uu[start : start + 4096]
-        zhi = blk / sqrt_r + 1.0
-        zgrid = np.linspace(0.0, 1.0, 513)[None, :] * zhi[:, None]
-        pen = (blk[:, None] - sqrt_r * zgrid) ** 2 + zgrid**tau
-        k = np.argmin(pen, axis=1)
-        lo = zgrid[np.arange(blk.size), np.maximum(k - 1, 0)]
-        hi = zgrid[np.arange(blk.size), np.minimum(k + 1, 512)]
+    unit = np.linspace(0.0, 1.0, 513)[None, :]
+
+    def kernel(u):
+        u = np.abs(u)  # the exponent is even in u
+        zgrid = unit * (u / sqrt_r + 1.0)[:, None]
+        k = np.argmin((u[:, None] - sqrt_r * zgrid) ** 2 + zgrid**tau, axis=1)
+        rows = np.arange(u.size)
+        cost = lambda z: (u - sqrt_r * z) ** 2 + z**tau
         z = _golden_min_arrays(
-            lambda z: (blk - sqrt_r * z) ** 2 + z**tau, lo, hi
+            cost, zgrid[rows, np.maximum(k - 1, 0)], zgrid[rows, np.minimum(k + 1, 512)]
         )
-        out[start : start + 4096] = blk * blk - ((blk - sqrt_r * z) ** 2 + z**tau)
-    return out if out.shape != (1,) else out[0]
+        return u * u - cost(z)
+
+    return _closed(_blockwise(kernel), sqrt_r * 2.0 ** (1.0 / tau) + 1.0)
 
 
-def _eval_gen_gaussian_location(s, params):
-    r, tau = params["r"], params["tau"]
-    s = np.asarray(s, dtype=float)
-    s_clipped = np.maximum(s, 0.0)
-    return s - np.abs(s_clipped ** (1.0 / tau) - r ** (1.0 / tau)) ** tau
+def _gen_gaussian_location(params):
+    r = _require_positive(params, "r")
+    tau = _require_positive(params, "tau")
+    return _closed(
+        lambda s: s - np.abs(np.maximum(s, 0.0) ** (1.0 / tau) - r ** (1.0 / tau)) ** tau,
+        r + 1.0, axis="s", convolutional=False,
+    )
 
 
-_FAMILY_EVAL: dict[str, Callable] = {
-    "idj": _eval_idj,
-    "symmetric_idj": _eval_symmetric_idj,
-    "hetero": _eval_hetero,
-    "dilate": _eval_dilate,
-    "conv_from_f": _eval_conv_from_f,
-    "gen_gaussian_conv": _eval_gen_gaussian_conv,
-    "gen_gaussian_location": _eval_gen_gaussian_location,
+_ALPHA_FAMILIES: dict[str, Callable] = {
+    "idj": _idj,
+    "symmetric_idj": _symmetric_idj,
+    "hetero": _hetero,
+    "dilate": _dilate,
+    "conv_from_f": _conv_from_f,
+    "gen_gaussian_conv": _gen_gaussian_conv,
+    "gen_gaussian_location": _gen_gaussian_location,
 }
 
 
@@ -257,69 +290,10 @@ def alpha_family(family: str, **params) -> ExponentFunction:
     ``gen_gaussian_conv(r, tau)``.  The s-axis family
     ``gen_gaussian_location(r, tau)`` describes a non-Gaussian null.
     """
-    if family in ("idj", "symmetric_idj"):
-        r = _require_positive(params, "r")
-        return ExponentFunction(
-            axis="u", family=family, params={"r": r},
-            convolutional=True, scale=math.sqrt(r) + 1.0,
-        )
-    if family == "hetero":
-        r = _require_nonnegative(params, "r")
-        sigma2 = _require_positive(params, "sigma2")
-        return ExponentFunction(
-            axis="u", family=family, params={"r": r, "sigma2": sigma2},
-            convolutional=sigma2 >= 1.0, scale=math.sqrt(r) + math.sqrt(sigma2),
-        )
-    if family == "dilate":
-        if "linf" in params:
-            linf = params["linf"]
-            if linf < 0:
-                raise InvalidParameterError(f"linf must be >= 0, got {linf}")
-            fam_params = {"points": (-float(linf), float(linf))}
-            scale = float(linf) + 1.0
-        elif "points" in params:
-            pts = tuple(float(p) for p in params["points"])
-            if not pts:
-                raise InvalidParameterError("dilate needs a non-empty support")
-            fam_params = {"points": pts}
-            scale = max(abs(p) for p in pts) + 1.0
-        elif "interval" in params:
-            a, b = (float(v) for v in params["interval"])
-            if not a < b:
-                raise InvalidParameterError("dilate interval must satisfy a < b")
-            fam_params = {"interval": (a, b)}
-            scale = max(abs(a), abs(b)) + 1.0
-        else:
-            raise InvalidParameterError("dilate needs points=, interval= or linf=")
-        return ExponentFunction(
-            axis="u", family=family, params=fam_params,
-            convolutional=True, scale=scale,
-        )
-    if family == "conv_from_f":
-        ts = np.asarray(params["ts"], dtype=float)
-        fs = np.asarray(params["fs"], dtype=float)
-        if not np.any(np.isfinite(fs)):
-            raise EmptySupportError("f is infinite everywhere")
-        finite_ts = ts[np.isfinite(fs)]
-        return ExponentFunction(
-            axis="u", family=family, params={"ts": ts, "fs": fs},
-            convolutional=True, scale=float(np.max(np.abs(finite_ts))) + 1.0,
-        )
-    if family == "gen_gaussian_conv":
-        r = _require_positive(params, "r")
-        tau = _require_positive(params, "tau")
-        return ExponentFunction(
-            axis="u", family=family, params={"r": r, "tau": tau},
-            convolutional=True, scale=math.sqrt(r) * 2.0 ** (1.0 / tau) + 1.0,
-        )
-    if family == "gen_gaussian_location":
-        r = _require_positive(params, "r")
-        tau = _require_positive(params, "tau")
-        return ExponentFunction(
-            axis="s", family=family, params={"r": r, "tau": tau},
-            convolutional=False, scale=r + 1.0,
-        )
-    raise InvalidParameterError(f"unknown exponent family {family!r}")
+    builder = _ALPHA_FAMILIES.get(family)
+    if builder is None:
+        raise InvalidParameterError(f"unknown exponent family {family!r}")
+    return builder(params)
 
 
 def gamma_from_alpha(alpha: ExponentFunction) -> ExponentFunction:

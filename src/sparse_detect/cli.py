@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -59,6 +60,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise _Usage(f"grid {text!r} must be lo:hi:step or a comma list")
         lo, hi, step = _numbers(text, parts)
+        if not all(math.isfinite(v) for v in (lo, hi, step)):
+            raise _Usage(f"grid {text!r} must have finite lo, hi and step")
         if step <= 0 or hi < lo:
             raise _Usage(f"grid {text!r} must have step > 0 and hi >= lo")
         count = int(round((hi - lo) / step))
@@ -68,14 +71,18 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return _numbers(text, text.split(","), int)
+    """A comma list of integers, '1e3' included; a non-integral entry is a usage error."""
+    values = _numbers(text, text.split(","))
+    if not all(v.is_integer() for v in values):
+        raise _Usage(f"{text!r} holds a non-integral entry")
+    return tuple(int(v) for v in values)
 
 
-def _numbers(text: str, parts, kind=float) -> tuple:
-    """kind(float(part)) for each part; a non-numeric part is a usage error."""
+def _numbers(text: str, parts) -> tuple[float, ...]:
+    """float(part) for each part; a non-numeric part is a usage error."""
     try:
-        return tuple(kind(float(p)) for p in parts)
-    except (ValueError, OverflowError):
+        return tuple(float(p) for p in parts)
+    except ValueError:
         raise _Usage(f"{text!r} holds a non-numeric entry") from None
 
 
@@ -181,7 +188,7 @@ def _cmd_boundary(args) -> int:
         _emit(args, "\n".join(rows))
         return 0
 
-    swept = "beta" if mode == "r-of-beta" and family.inverse else family.swept
+    swept = "beta" if mode == "r-of-beta" else family.swept
     params = _params(args, *family.shape, swept)
     value = bnd.boundary_closed_form(args.family, mode=mode, **params)
     if args.format == "json":

@@ -29,7 +29,6 @@ class Family:
     swept: str = "r"
     shape: tuple[str, ...] = ()
     exponent: Optional[str] = None  # None: no exponent function, no boundary
-    inverse: bool = False  # the closed form also has mode="r-of-beta"
     no_signal: Optional[float] = None  # boundary at swept <= 0, outside the closed form
     builder: Optional[Callable] = None
 
@@ -68,7 +67,13 @@ def _hetero(params):
 def _gglocation(params):
     tau = _positive(params, "tau")
     null = GenGaussian(tau)
-    return null, lambda r, n: Shifted(null, (r * math.log(n)) ** (1.0 / tau))
+
+    def alt(r, n):
+        if r < 0:
+            raise InvalidParameterError(f"r must be >= 0, got {r}")
+        return Shifted(null, (r * math.log(n)) ** (1.0 / tau))
+
+    return null, alt
 
 
 def _custom(params):
@@ -83,11 +88,8 @@ def _custom(params):
 FAMILIES: dict[str, Family] = {
     family.name: family
     for family in (
-        Family("idj", exponent="idj", inverse=True, no_signal=0.5, builder=_idj),
-        Family(
-            "hetero", shape=("sigma2",), exponent="hetero", inverse=True,
-            builder=_hetero,
-        ),
+        Family("idj", exponent="idj", no_signal=0.5, builder=_idj),
+        Family("hetero", shape=("sigma2",), exponent="hetero", builder=_hetero),
         Family("dilate", swept="linf", exponent="dilate"),
         Family("ggconv", shape=("tau",), exponent="gen_gaussian_conv"),
         Family(

@@ -72,6 +72,8 @@ class ExperimentConfig:
         object.__setattr__(self, "r_grid", tuple(float(r) for r in self.r_grid))
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "tests", tuple(self.tests))
+        if any(not r >= 0 for r in self.r_grid):
+            raise ConfigError(f"every r must be >= 0, got r_grid {self.r_grid}")
         try:
             families.build(self.family, self.family_params)
         except InvalidParameterError as exc:

@@ -31,6 +31,17 @@ from sparse_detect.errors import (
 
 U_GRID = np.linspace(-5.0, 5.0, 20001)
 
+# one valid parameter set per alpha_family kind
+ALPHA_KINDS = [
+    ("idj", dict(r=0.3)),
+    ("symmetric_idj", dict(r=0.3)),
+    ("hetero", dict(r=0.3, sigma2=0.5)),
+    ("dilate", dict(points=(-0.4, 0.9))),
+    ("conv_from_f", dict(ts=[-1.0, 0.5, 2.0], fs=[0.2, 0.0, np.inf])),
+    ("gen_gaussian_conv", dict(r=1.0, tau=1.5)),
+    ("gen_gaussian_location", dict(r=0.5, tau=2.0)),
+]
+
 
 class TestClosedForms:
     def test_classical_golden_values(self):
@@ -188,6 +199,32 @@ class TestAlphaFamilies:
         ref = alpha_family("hetero", r=0.0, sigma2=3.0)
         us = np.linspace(-3, 3, 13)
         np.testing.assert_allclose(alpha.evaluate(us), ref.evaluate(us), atol=1e-9)
+
+
+class TestExponentFunction:
+    @pytest.mark.parametrize("kind, params", ALPHA_KINDS, ids=[k for k, _ in ALPHA_KINDS])
+    def test_scalar_matches_one_element_array(self, kind, params):
+        alpha = alpha_family(kind, **params)
+        for x in (0.0, 0.37, 1.9):
+            scalar = np.asarray(alpha.evaluate(x)).item()
+            assert scalar == np.asarray(alpha.evaluate(np.array([x]))).item()
+
+    @pytest.mark.parametrize("kind, params", ALPHA_KINDS, ids=[k for k, _ in ALPHA_KINDS])
+    def test_domain_by_axis(self, kind, params):
+        alpha = alpha_family(kind, **params)
+        lo, hi = alpha.domain()
+        assert alpha.has_closed_form and hi >= 5.0
+        assert lo == (-hi if alpha.axis == "u" else 0.0)
+
+    def test_neither_evaluator_nor_grid_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            ExponentFunction(axis="u")
+
+    def test_evaluator_and_grid_together_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            ExponentFunction(
+                axis="u", fn=np.abs, width=5.0, xs=[0.0, 1.0], values=[0.0, 1.0]
+            )
 
 
 class TestAdmissibility:

@@ -1,13 +1,16 @@
 """CLI tests: exit codes, formats, determinism, round trips."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparse_detect import rng
 from sparse_detect.boundary import boundary_closed_form
-from sparse_detect.cli import main
+from sparse_detect.cli import _parse_int_list, main
 from sparse_detect.dists import Gaussian
 
 
@@ -45,6 +48,20 @@ class TestBoundaryCommand:
         code, _, err = run(capsys, "boundary", "--family", "idj", "--r", "-1")
         assert code == 3
         assert "r must be > 0" in err
+
+    def test_r_of_beta_without_an_inverse_exit_3(self, capsys):
+        code, _, err = run(
+            capsys, "boundary", "--family", "dilate", "--mode", "r-of-beta", "--beta", "0.7"
+        )
+        assert code == 3
+        assert "r-of-beta" in err
+
+    def test_r_of_beta_requires_beta(self, capsys):
+        code, _, err = run(
+            capsys, "boundary", "--family", "dilate", "--mode", "r-of-beta", "--linf", "0.5"
+        )
+        assert code == 2
+        assert "--beta" in err
 
     def test_missing_parameter_exit_2(self, capsys):
         code, _, err = run(capsys, "boundary", "--family", "hetero", "--r", "0.1")
@@ -253,6 +270,15 @@ class TestSimulateCommand:
         assert code == 3
         assert "sigma2" in err
 
+    def test_negative_r_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--family", "gglocation", "--tau", "2",
+            "--beta-grid", "0.6", "--r-grid", "-0.5", "--n-list", "1000",
+            "--replicates", "2", "--tests", "lr", "--seed", "1",
+        )
+        assert code == 3
+        assert "r must be >= 0" in err and out == ""
+
     def test_bad_config_exit_3(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -281,6 +307,14 @@ class TestEstimateGammaCommand:
         )
         assert code == 3
         assert "not simulatable" in err
+
+    def test_negative_r_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "estimate-gamma", "--family", "gglocation", "--tau", "2",
+            "--r", "-0.5", "--n-list", "1000", "--s-grid", "0.2,0.5",
+        )
+        assert code == 3
+        assert "r must be >= 0" in err and out == ""
 
     def test_json_shape(self, capsys):
         code, out, _ = run(
@@ -312,3 +346,55 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "non-numeric" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["boundary", "--family", "idj", "--r-grid", "0.1:inf:0.1"],
+            [
+                "estimate-gamma", "--family", "idj", "--r", "0.25",
+                "--n-list", "1000", "--s-grid", "0.2:0.4:nan",
+            ],
+            ["simulate", "--family", "idj", "--seed", "1", "--beta-grid", "0.6:inf:0.1"],
+        ],
+    )
+    def test_non_finite_grid_bounds_exit_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "finite" in err
+
+    def test_non_integral_n_list_exit_2(self, capsys):
+        assert _parse_int_list("1e3,1e4") == (1000, 10000)
+        code, _, err = run(
+            capsys, "simulate", "--family", "idj", "--seed", "1", "--n-list", "1000.7"
+        )
+        assert code == 2
+        assert "non-integral" in err
+
+
+def _readme_commands():
+    """README command-line lines that run a family through boundary, exponent or check-alpha."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    pattern = re.compile(r"^sparse-detect (boundary|exponent|check-alpha) --family ")
+    commands = []
+    for line in readme.read_text().splitlines():
+        if pattern.match(line):
+            command, _, value = line.partition("#")
+            commands.append((command.strip(), value.strip()))
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_lists_family_commands():
+    assert len(README_COMMANDS) >= 6
+    assert sum(1 for _, value in README_COMMANDS if value) >= 2
+
+
+@pytest.mark.parametrize("command, value", README_COMMANDS, ids=[c for c, _ in README_COMMANDS])
+def test_readme_command_runs(capsys, command, value):
+    code, out, err = run(capsys, *shlex.split(command)[1:])
+    assert code == 0, err
+    if value:
+        assert out.strip() == value

@@ -85,6 +85,11 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match=missing):
             family_mixture(family, {}, 0.5, 0.6, 100)
 
+    @pytest.mark.parametrize("family, params", [("idj", {}), ("gglocation", {"tau": 2.0})])
+    def test_negative_r_rejected(self, family, params):
+        with pytest.raises(ConfigError, match="r must be >= 0"):
+            small_config(family=family, family_params=params, r_grid=(0.5, -0.5))
+
     def test_unsimulatable_family_rejected(self):
         with pytest.raises(ConfigError, match="not simulatable"):
             small_config(family="dilate")
@@ -111,6 +116,10 @@ class TestFamilyMixture:
         assert mix.null_dist == GenGaussian(2.0)
         assert isinstance(mix.alt_dist, Shifted)
         assert mix.alt_dist.shift == pytest.approx(math.sqrt(0.5 * math.log(1000)))
+
+    def test_gglocation_negative_r_rejected(self):
+        with pytest.raises(InvalidParameterError, match="r must be >= 0"):
+            family_mixture("gglocation", {"tau": 2.0}, -0.5, 0.6, 1000)
 
     def test_signal_rescaled_per_n(self):
         small = family_mixture("idj", {}, 0.5, 0.6, 100)
