@@ -729,17 +729,23 @@ def beta_convolution(ts, fs) -> BoundaryResult:
 
 
 def _require_positive(params: dict, name: str) -> float:
-    val = params.get(name)
-    if val is None or not (val > 0):
-        raise InvalidParameterError(f"{name} must be > 0, got {val!r}")
-    return float(val)
+    return _require_finite(params, name, "> 0", lambda v: v > 0)
 
 
 def _require_nonnegative(params: dict, name: str) -> float:
+    return _require_finite(params, name, ">= 0", lambda v: v >= 0)
+
+
+def _require_finite(params: dict, name: str, rule: str, holds) -> float:
+    """params[name] as a float that is finite and satisfies ``rule``."""
     val = params.get(name)
-    if val is None or not (val >= 0):
-        raise InvalidParameterError(f"{name} must be >= 0, got {val!r}")
-    return float(val)
+    try:
+        num = float(val)
+    except (TypeError, ValueError):
+        num = math.nan
+    if not (math.isfinite(num) and holds(num)):
+        raise InvalidParameterError(f"{name} must be {rule} and finite, got {val!r}")
+    return num
 
 
 def _require_open_interval(params: dict, name: str, lo: float, hi: float) -> float:

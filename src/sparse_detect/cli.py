@@ -8,7 +8,8 @@ evaluation), ``check-alpha`` (admissibility), ``hc``/``lr``/``maxtest``
 
 Exit codes: 0 success, 2 usage error, 3 domain error (invalid
 parameter), 4 I/O error.  All numeric output uses 12 significant
-digits; machine-readable output is selected with --format {csv|json}.
+digits; --format {text,csv,json} selects the encoding of boundary,
+exponent, check-alpha and estimate-gamma.
 The environment variable SPARSE_DETECT_LOG in {error,warn,info,debug}
 sets the log level.
 """
@@ -111,12 +112,13 @@ def _parse_distribution(text: str) -> Distribution:
     if text == "gaussian":
         return Gaussian()
     if text.startswith("gen_gaussian:"):
-        return GenGaussian(float(text.split(":", 1)[1]))
+        return GenGaussian(*_numbers(text, [text.split(":", 1)[1]]))
     if text.startswith("{"):
-        dist = from_spec(json.loads(text))
-        if not isinstance(dist, Distribution):
-            raise InvalidParameterError("expected a plain distribution spec")
-        return dist
+        try:
+            spec = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise _Usage(f"distribution {text!r} is not valid JSON: {exc}") from None
+        return from_spec(spec)
     raise _Usage(
         f"cannot parse distribution {text!r}; use 'gaussian', 'gen_gaussian:TAU' "
         "or a JSON spec"
@@ -377,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, family=False, sample=False):
+    def add_common(p, *, family=False, sample=False, formats=False):
         if family:
             p.add_argument("--family", choices=list(families.FAMILIES))
             p.add_argument("--r", type=float)
@@ -387,21 +389,22 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--beta", type=float)
         if sample:
             p.add_argument("--input", required=True, help="single-column CSV or newline-delimited sample")
-        p.add_argument("--format", choices=["text", "csv", "json"], default="text")
+        if formats:
+            p.add_argument("--format", choices=["text", "csv", "json"], default="text")
         p.add_argument("--output", help="write to this file instead of stdout")
 
     p = sub.add_parser("boundary", help="evaluate a detection boundary")
-    add_common(p, family=True)
+    add_common(p, family=True, formats=True)
     p.add_argument("--mode", choices=["beta-of-r", "r-of-beta"])
     p.add_argument("--r-grid", help="sweep the family parameter: lo:hi:step or comma list")
     p.set_defaults(func=_cmd_boundary)
 
     p = sub.add_parser("exponent", help="Hellinger-distance exponent at a sparsity level")
-    add_common(p, family=True)
+    add_common(p, family=True, formats=True)
     p.set_defaults(func=_cmd_exponent)
 
     p = sub.add_parser("check-alpha", help="admissibility check of an exponent function")
-    add_common(p, family=True)
+    add_common(p, family=True, formats=True)
     p.add_argument("--input", help="two-column CSV grid with a 'u,value' header")
     p.set_defaults(func=_cmd_check_alpha)
 
@@ -425,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_maxtest)
 
     p = sub.add_parser("simulate", help="run a phase sweep")
-    add_common(p, family=False)
+    add_common(p)
     p.add_argument("--config", help="JSON experiment configuration")
     p.add_argument("--family", choices=list(families.FAMILIES))
     p.add_argument("--beta-grid")
@@ -441,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate-gamma", help="finite-n exponent-function diagnostic")
-    add_common(p, family=True)
+    add_common(p, family=True, formats=True)
     p.add_argument("--null")
     p.add_argument("--alt")
     p.add_argument("--n-list")

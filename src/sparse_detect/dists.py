@@ -10,15 +10,13 @@ bit-identical output.
 A null law is always a :class:`Distribution`.  Tail probabilities are
 computed one way: each kind implements ``tails(y) -> (lower, upper)``,
 each tail exact in its own range, and ``cdf`` and ``survival`` read it.
-A new kind implements ``tails``.
+A new kind implements ``tails`` and joins ``_KINDS``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 from scipy.special import gammaincc, gammainccinv, gammaln, ndtr, ndtri
@@ -46,8 +44,6 @@ __all__ = [
     "log_likelihood_ratio",
     "to_spec",
     "from_spec",
-    "dumps",
-    "loads",
 ]
 
 _ATOM_MASS_TOL = 1e-12
@@ -497,66 +493,49 @@ def _check_probability(p: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSON specifications
+# JSON specifications: a kind plus its dataclass fields
 # ---------------------------------------------------------------------------
 
+_KINDS = {k.kind: k for k in (Gaussian, GenGaussian, Dilated, Shifted, FiniteDiscrete, Mixture)}
 
-def to_spec(d: Union[Distribution, SparseMixture]) -> dict:
+
+def to_spec(d: Distribution) -> dict:
     """Plain-dict form of a distribution, suitable for JSON transport."""
-    if isinstance(d, SparseMixture):
-        return {
-            "kind": "sparse_mixture",
-            "null": to_spec(d.null_dist),
-            "alt": to_spec(d.alt_dist),
-            "epsilon": d.epsilon,
-        }
-    if isinstance(d, Gaussian):
-        return {"kind": "gaussian", "mean": d.mean, "sd": d.sd}
-    if isinstance(d, GenGaussian):
-        return {"kind": "gen_gaussian", "tau": d.tau}
-    if isinstance(d, Dilated):
-        return {"kind": "dilated", "scale": d.scale, "base": to_spec(d.base)}
-    if isinstance(d, Shifted):
-        return {"kind": "shifted", "shift": d.shift, "base": to_spec(d.base)}
-    if isinstance(d, FiniteDiscrete):
-        return {"kind": "finite_discrete", "atoms": [[p, m] for p, m in d.atoms]}
-    if isinstance(d, Mixture):
-        return {
-            "kind": "mixture",
-            "first": to_spec(d.first),
-            "second": to_spec(d.second),
-            "weight": d.weight,
-        }
-    raise InvalidParameterError(f"unknown distribution {d!r}")
+    if _KINDS.get(getattr(d, "kind", None)) is not type(d):
+        raise InvalidParameterError(f"unknown distribution {d!r}")
+    values = {f.name: _CODECS[f.type][0](getattr(d, f.name)) for f in fields(d)}
+    return {"kind": d.kind, **values}
 
 
-def from_spec(spec: dict) -> Union[Distribution, SparseMixture]:
-    """Inverse of :func:`to_spec`."""
-    kind = spec.get("kind")
-    if kind == "gaussian":
-        return Gaussian(float(spec.get("mean", 0.0)), float(spec.get("sd", 1.0)))
-    if kind == "gen_gaussian":
-        return GenGaussian(float(spec["tau"]))
-    if kind == "dilated":
-        return Dilated(from_spec(spec["base"]), float(spec["scale"]))
-    if kind == "shifted":
-        return Shifted(from_spec(spec["base"]), float(spec["shift"]))
-    if kind == "finite_discrete":
-        return FiniteDiscrete(tuple((float(p), float(m)) for p, m in spec["atoms"]))
-    if kind == "mixture":
-        return Mixture(
-            from_spec(spec["first"]), from_spec(spec["second"]), float(spec["weight"])
-        )
-    if kind == "sparse_mixture":
-        return SparseMixture(
-            from_spec(spec["null"]), from_spec(spec["alt"]), float(spec["epsilon"])
-        )
-    raise InvalidParameterError(f"unknown distribution kind {kind!r}")
+def from_spec(spec: dict) -> Distribution:
+    """Inverse of :func:`to_spec`; a malformed spec raises InvalidParameterError."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InvalidParameterError(f"{spec!r} is not a spec of kind {' or '.join(_KINDS)}")
+    declared = {f.name: f for f in fields(_KINDS[kind])}
+    unknown = sorted(set(spec) - set(declared) - {"kind"})
+    if unknown:
+        raise InvalidParameterError(f"{kind} spec has unknown field {', '.join(unknown)}")
+    args = {}
+    for name, f in declared.items():
+        if name in spec:
+            try:
+                args[name] = _CODECS[f.type][1](spec[name])
+            except (TypeError, ValueError, InvalidParameterError) as exc:
+                raise InvalidParameterError(
+                    f"{kind} field {name!r} cannot be read from {spec[name]!r}: {exc}"
+                ) from None
+        elif f.default is MISSING:
+            raise InvalidParameterError(f"{kind} spec needs field {name!r}")
+    return _KINDS[kind](**args)
 
 
-def dumps(d: Union[Distribution, SparseMixture]) -> str:
-    return json.dumps(to_spec(d))
-
-
-def loads(text: str) -> Union[Distribution, SparseMixture]:
-    return from_spec(json.loads(text))
+# per field annotation, as written: (to JSON, from JSON)
+_CODECS = {
+    "float": (lambda x: x, float),
+    "Distribution": (to_spec, from_spec),
+    "tuple[tuple[float, float], ...]": (
+        lambda atoms: [list(atom) for atom in atoms],
+        lambda atoms: tuple((float(p), float(m)) for p, m in atoms),
+    ),
+}

@@ -89,17 +89,10 @@ def _common_atoms(a1: dict, a2: dict) -> list:
     return sorted(set(a1) | set(a2))
 
 
-def _domain(
-    p: Distribution, q: Distribution, bounds: tuple[float, float] | None
-) -> tuple[float, float, list]:
+def _domain(p: Distribution, q: Distribution) -> tuple[float, float, list]:
     lo1, hi1 = p.support_bounds(_DENSITY_LOG_FLOOR)
     lo2, hi2 = q.support_bounds(_DENSITY_LOG_FLOOR)
-    if bounds is not None:
-        lo, hi = (float(b) for b in bounds)
-        if not lo < hi:
-            raise InvalidParameterError(f"bounds must satisfy lo < hi, got {bounds}")
-    else:
-        lo, hi = min(lo1, lo2), max(hi1, hi2)
+    lo, hi = min(lo1, lo2), max(hi1, hi2)
     interior = [x for x in (lo1, hi1, lo2, hi2) if lo < x < hi]
     return lo, hi, sorted(set(interior))
 
@@ -120,37 +113,27 @@ def _check_comparable(p: Distribution, q: Distribution) -> None:
         )
 
 
-def total_variation(
-    p: Distribution, q: Distribution, bounds: tuple[float, float] | None = None
-) -> float:
-    """sup_A |P(A) - Q(A)| as half the L1 distance between the laws.
-
-    ``bounds`` overrides the automatic quadrature domain (which truncates
-    where both densities drop below 1e-300).
-    """
+def total_variation(p: Distribution, q: Distribution) -> float:
+    """sup_A |P(A) - Q(A)| as half the L1 distance between the laws."""
     _check_comparable(p, q)
     wp, fp, ap = _split(p)
     wq, fq, aq = _split(q)
     atom_part = sum(abs(ap.get(x, 0.0) - aq.get(x, 0.0)) for x in _common_atoms(ap, aq))
     density_part = 0.0
     if fp is not None or fq is not None:
-        lo, hi, pts = _domain(p, q, bounds)
+        lo, hi, pts = _domain(p, q)
         gp = fp or (lambda y: 0.0)
         gq = fq or (lambda y: 0.0)
         density_part = _quad(lambda y: abs(gp(y) - gq(y)), lo, hi, pts)
     return min(1.0, 0.5 * (atom_part + density_part))
 
 
-def error_sum(
-    p: Distribution, q: Distribution, bounds: tuple[float, float] | None = None
-) -> float:
+def error_sum(p: Distribution, q: Distribution) -> float:
     """Optimal sum of Type-I and Type-II errors, 1 - TV(P, Q)."""
-    return 1.0 - total_variation(p, q, bounds)
+    return 1.0 - total_variation(p, q)
 
 
-def hellinger_sq(
-    p: Distribution, q: Distribution, bounds: tuple[float, float] | None = None
-) -> float:
+def hellinger_sq(p: Distribution, q: Distribution) -> float:
     """Squared Hellinger distance, the integral of (sqrt dP - sqrt dQ)^2."""
     _check_comparable(p, q)
     wp, fp, ap = _split(p)
@@ -160,7 +143,7 @@ def hellinger_sq(
         math.sqrt(ap.get(x, 0.0) * aq.get(x, 0.0)) for x in _common_atoms(ap, aq)
     )
     if fp is not None and fq is not None:
-        lo, hi, pts = _domain(p, q, bounds)
+        lo, hi, pts = _domain(p, q)
         affinity += _quad(lambda y: math.sqrt(fp(y) * fq(y)), lo, hi, pts)
     return min(2.0, max(0.0, 2.0 - 2.0 * affinity))
 

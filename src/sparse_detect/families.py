@@ -48,29 +48,21 @@ class Family:
         return {self.swept: value, **{name: params[name] for name in self.shape}}
 
 
-def _positive(params: dict, name: str) -> float:
-    value = float(params[name])
-    if value <= 0:
-        raise InvalidParameterError(f"{name} must be > 0, got {value}")
-    return value
-
-
 def _idj(params):
     return Gaussian(), lambda r, n: Gaussian(mu_from_r(n, r), 1.0)
 
 
 def _hetero(params):
-    sd = math.sqrt(_positive(params, "sigma2"))
+    sd = math.sqrt(boundary._require_positive(params, "sigma2"))
     return Gaussian(), lambda r, n: Gaussian(mu_from_r(n, r), sd)
 
 
 def _gglocation(params):
-    tau = _positive(params, "tau")
+    tau = boundary._require_positive(params, "tau")
     null = GenGaussian(tau)
 
     def alt(r, n):
-        if r < 0:
-            raise InvalidParameterError(f"r must be >= 0, got {r}")
+        r = boundary._require_nonnegative({"r": r}, "r")
         return Shifted(null, (r * math.log(n)) ** (1.0 / tau))
 
     return null, alt
@@ -80,8 +72,6 @@ def _custom(params):
     # a fixed pair given as JSON specs; r is unused and the alternative
     # does not rescale with n
     null, alt = from_spec(params["null"]), from_spec(params["alt"])
-    if not isinstance(null, Distribution) or not isinstance(alt, Distribution):
-        raise InvalidParameterError("custom null/alt must be plain distributions")
     return null, lambda r, n: alt
 
 

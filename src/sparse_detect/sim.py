@@ -70,10 +70,12 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "beta_grid", tuple(float(b) for b in self.beta_grid))
         object.__setattr__(self, "r_grid", tuple(float(r) for r in self.r_grid))
+        if not all(float(n).is_integer() for n in self.n_list):
+            raise ConfigError(f"every n must be an integer, got n_list {tuple(self.n_list)}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "tests", tuple(self.tests))
-        if any(not r >= 0 for r in self.r_grid):
-            raise ConfigError(f"every r must be >= 0, got r_grid {self.r_grid}")
+        if not all(0 <= r < math.inf for r in self.r_grid):
+            raise ConfigError(f"every r must be >= 0 and finite, got r_grid {self.r_grid}")
         try:
             families.build(self.family, self.family_params)
         except InvalidParameterError as exc:

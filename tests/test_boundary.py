@@ -157,6 +157,15 @@ class TestClosedForms:
         with pytest.raises(InvalidParameterError):
             boundary_closed_form("nope", r=0.5)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, "abc", None])
+    def test_non_finite_parameters_rejected(self, value):
+        with pytest.raises(InvalidParameterError, match="r must be > 0 and finite"):
+            boundary_closed_form("idj", r=value)
+        with pytest.raises(InvalidParameterError, match="r must be > 0 and finite"):
+            alpha_family("idj", r=value)
+        with pytest.raises(InvalidParameterError, match="linf must be >= 0 and finite"):
+            boundary_closed_form("dilate", linf=value)
+
 
 class TestAlphaFamilies:
     def test_idj_value(self):

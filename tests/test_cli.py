@@ -219,6 +219,76 @@ class TestSampleCommands:
         assert json.loads(out)["decision"] == "alternative"
 
 
+class TestDistributionSpecs:
+    @pytest.mark.parametrize(
+        "null, code, words",
+        [
+            ('{"kind":"gen_gaussian"}', 3, "needs field 'tau'"),
+            ('{"kind":"gaussian","sd":"abc"}', 3, "gaussian field 'sd'"),
+            ('{"kind":"gaussian","sdd":2}', 3, "unknown field sdd"),
+            ('{"kind":"sparse_mixture"}', 3, "not a spec"),
+            ("{bad", 2, "not valid JSON"),
+            ("gen_gaussian:abc", 2, "non-numeric"),
+        ],
+    )
+    def test_malformed_null_exit_code(self, capsys, sample_file, null, code, words):
+        path = sample_file(Gaussian().sample(50, rng.stream(3, 3)))
+        got, out, err = run(capsys, "hc", "--input", path, "--null", null)
+        assert (got, out) == (code, "")
+        assert words in err
+
+    def test_malformed_custom_config_exit_3(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "family": "custom", "beta_grid": [0.7], "r_grid": [0.4], "n_list": [100],
+            "replicates": 5, "tests": ["lr"], "seed": 5,
+            "family_params": {"null": {"kind": "gen_gaussian"}, "alt": {"kind": "gaussian"}},
+        }))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_path))
+        assert (code, out) == (3, "")
+        assert "needs field 'tau'" in err
+
+
+class TestFormatOption:
+    @pytest.mark.parametrize(
+        "command",
+        [["hc"], ["lr", "--family", "idj", "--r", "0.5", "--beta", "0.6"], ["maxtest"]],
+    )
+    def test_sample_commands_reject_format(self, capsys, sample_file, command):
+        path = sample_file(Gaussian().sample(50, rng.stream(3, 4)))
+        code, out, err = run(capsys, *command, "--input", path, "--format", "json")
+        assert (code, out) == (2, "")
+        assert "--format" in err
+
+    def test_simulate_rejects_format(self, capsys):
+        code, out, _ = run(
+            capsys, "simulate", "--family", "idj", "--beta-grid", "0.6", "--r-grid", "0.5",
+            "--n-list", "64", "--replicates", "2", "--tests", "lr", "--seed", "1",
+            "--format", "csv",
+        )
+        assert (code, out) == (2, "")
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["boundary", "--family", "idj", "--r-grid", "inf"],
+            ["boundary", "--family", "idj", "--r", "inf"],
+            ["exponent", "--family", "idj", "--r", "inf", "--beta", "0.6"],
+            ["check-alpha", "--family", "hetero", "--r", "0.5", "--sigma2", "nan"],
+            [
+                "simulate", "--family", "idj", "--beta-grid", "0.6", "--r-grid", "inf",
+                "--n-list", "64", "--replicates", "2", "--tests", "lr", "--seed", "1",
+            ],
+        ],
+    )
+    def test_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "finite" in err
+
+
 class TestSimulateCommand:
     def test_requires_seed(self, capsys):
         code, _, err = run(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,10 +17,8 @@ from sparse_detect.dists import (
     Mixture,
     Shifted,
     SparseMixture,
-    dumps,
     epsilon_from_beta,
     from_spec,
-    loads,
     log_likelihood_ratio,
     mu_from_r,
     to_spec,
@@ -356,21 +355,69 @@ class TestMillsRatio:
         assert np.all(ratio <= 1.0 / z)
 
 
+_SPEC_LAWS = [
+    Gaussian(0.0, 1.0),
+    GenGaussian(1.0),
+    Dilated(GenGaussian(2.0), 2.0),
+    Shifted(GenGaussian(1.0), 1.5),
+    FiniteDiscrete(((0.0, 0.5), (1.0, 0.5))),
+    Mixture(Gaussian(), Gaussian(2.0, 1.0), 0.1),
+    Mixture(
+        Gaussian(),
+        Mixture(Shifted(GenGaussian(1.5), -1.0), FiniteDiscrete(((2.0, 0.25), (3.0, 0.75))), 0.3),
+        0.05,
+    ),
+]
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("dist", _SPEC_LAWS)
+    def test_roundtrip(self, dist):
+        assert from_spec(json.loads(json.dumps(to_spec(dist)))) == dist
+
+    def test_nested_spec_form(self):
+        assert to_spec(_SPEC_LAWS[-1]) == {
+            "kind": "mixture",
+            "first": {"kind": "gaussian", "mean": 0.0, "sd": 1.0},
+            "second": {
+                "kind": "mixture",
+                "first": {
+                    "kind": "shifted",
+                    "base": {"kind": "gen_gaussian", "tau": 1.5},
+                    "shift": -1.0,
+                },
+                "second": {"kind": "finite_discrete", "atoms": [[2.0, 0.25], [3.0, 0.75]]},
+                "weight": 0.3,
+            },
+            "weight": 0.05,
+        }
+
+    def test_missing_field_takes_default(self):
+        assert from_spec({"kind": "gaussian", "sd": 2}) == Gaussian(0.0, 2.0)
+
     @pytest.mark.parametrize(
-        "dist",
+        "spec, words",
         [
-            Gaussian(0.0, 1.0),
-            GenGaussian(1.0),
-            Dilated(GenGaussian(2.0), 2.0),
-            Shifted(GenGaussian(1.0), 1.5),
-            FiniteDiscrete(((0.0, 0.5), (1.0, 0.5))),
-            Mixture(Gaussian(), Gaussian(2.0, 1.0), 0.1),
-            SparseMixture(Gaussian(), Gaussian(2.0, 1.0), 0.01),
+            ([1, 2], "not a spec"),
+            ({"mean": 0.0}, "not a spec"),
+            ({"kind": "sparse_mixture"}, "not a spec"),
+            ({"kind": ["gaussian"]}, "not a spec"),
+            ({"kind": "gen_gaussian"}, "gen_gaussian spec needs field 'tau'"),
+            ({"kind": "dilated", "base": {"kind": "gaussian"}}, "needs field 'scale'"),
+            ({"kind": "gaussian", "sd": "abc"}, "gaussian field 'sd'"),
+            ({"kind": "mixture", "first": {"kind": "gaussian"}, "second": 3, "weight": 0.1},
+             "not a spec"),
+            ({"kind": "dilated", "base": {"kind": "gen_gaussian"}, "scale": 2}, "'tau'"),
+            ({"kind": "finite_discrete", "atoms": [[0.0, 0.5, 1.0]]}, "field 'atoms'"),
+            ({"kind": "finite_discrete", "atoms": [1.0]}, "field 'atoms'"),
+            ({"kind": "finite_discrete", "atoms": [["x", 1.0]]}, "field 'atoms'"),
+            ({"kind": "finite_discrete", "atoms": 5}, "field 'atoms'"),
+            ({"kind": "gaussian", "sdd": 2}, "gaussian spec has unknown field sdd"),
         ],
     )
-    def test_roundtrip(self, dist):
-        assert loads(dumps(dist)) == dist
+    def test_malformed_spec_is_named(self, spec, words):
+        with pytest.raises(InvalidParameterError, match=re.escape(words)):
+            from_spec(spec)
 
     def test_documented_forms(self):
         assert to_spec(Gaussian(0.0, 1.0)) == {"kind": "gaussian", "mean": 0.0, "sd": 1.0}

@@ -90,6 +90,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="r must be >= 0"):
             small_config(family=family, family_params=params, r_grid=(0.5, -0.5))
 
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_non_finite_r_rejected(self, r):
+        with pytest.raises(ConfigError, match="r must be >= 0 and finite"):
+            small_config(r_grid=(0.5, r))
+
+    def test_non_numeric_shape_parameter_rejected(self):
+        with pytest.raises(ConfigError, match="tau must be > 0"):
+            small_config(family="gglocation", family_params={"tau": "abc"})
+
+    def test_non_integral_n_rejected(self):
+        with pytest.raises(ConfigError, match="every n must be an integer"):
+            ExperimentConfig.from_dict(dict(small_config().to_dict(), n_list=[100.7]))
+        cfg = ExperimentConfig.from_dict(dict(small_config().to_dict(), n_list=[1000.0]))
+        assert cfg.n_list == (1000,)
+
+    def test_malformed_custom_spec_rejected(self):
+        params = {"null": {"kind": "gen_gaussian"}, "alt": {"kind": "gaussian", "mean": 2.0}}
+        with pytest.raises(ConfigError, match="gen_gaussian spec needs field 'tau'"):
+            small_config(family="custom", family_params=params)
+
     def test_unsimulatable_family_rejected(self):
         with pytest.raises(ConfigError, match="not simulatable"):
             small_config(family="dilate")
