@@ -96,13 +96,18 @@ def _read_sample(path: str) -> np.ndarray:
             if not token:
                 continue
             try:
-                values.append(float(token))
+                value = float(token)
             except ValueError:
                 if lineno == 0:
                     continue  # header
                 raise InvalidParameterError(
                     f"{path}:{lineno + 1}: cannot parse {token!r} as a number"
                 )
+            if not math.isfinite(value):
+                raise InvalidParameterError(
+                    f"{path}:{lineno + 1}: {token!r} is not a finite number"
+                )
+            values.append(value)
     return np.asarray(values, dtype=float)
 
 

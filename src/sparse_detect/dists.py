@@ -125,6 +125,7 @@ class Gaussian(Distribution):
     kind = "gaussian"
 
     def __post_init__(self):
+        _check_finite(mean=self.mean, sd=self.sd)
         if not (self.sd > 0):
             raise InvalidParameterError(f"sd must be > 0, got {self.sd}")
 
@@ -159,6 +160,7 @@ class GenGaussian(Distribution):
     kind = "gen_gaussian"
 
     def __post_init__(self):
+        _check_finite(tau=self.tau)
         if not (self.tau > 0):
             raise InvalidParameterError(f"tau must be > 0, got {self.tau}")
 
@@ -208,6 +210,7 @@ class Dilated(Distribution):
     kind = "dilated"
 
     def __post_init__(self):
+        _check_finite(scale=self.scale)
         if not (self.scale > 0):
             raise InvalidParameterError(f"scale must be > 0, got {self.scale}")
 
@@ -244,6 +247,9 @@ class Shifted(Distribution):
     shift: float
     kind = "shifted"
 
+    def __post_init__(self):
+        _check_finite(shift=self.shift)
+
     @property
     def is_discrete(self) -> bool:
         return self.base.is_discrete
@@ -279,7 +285,9 @@ class FiniteDiscrete(Distribution):
         atoms = tuple(sorted((float(p), float(m)) for p, m in self.atoms))
         if not atoms:
             raise InvalidParameterError("finite_discrete needs at least one atom")
-        if any(m < 0 for _, m in atoms):
+        if not all(math.isfinite(p) for p, _ in atoms):
+            raise InvalidParameterError(f"atom points must be finite, got {atoms}")
+        if not all(m >= 0 for _, m in atoms):
             raise InvalidParameterError("atom masses must be >= 0")
         total = math.fsum(m for _, m in atoms)
         if abs(total - 1.0) > _ATOM_MASS_TOL:
@@ -485,6 +493,12 @@ def log_likelihood_ratio(g: Distribution, q: Distribution, y):
         raise UndefinedPointError("both densities vanish at the point")
     out = lg - lq
     return float(out) if scalar else out
+
+
+def _check_finite(**params: float) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value}")
 
 
 def _check_probability(p: float) -> None:

@@ -5,7 +5,10 @@ normalized deviation between the empirical CDF and the declared null
 CDF.  Because the empirical CDF is a step function and the deviation is
 monotone between jumps, the supremum is attained on the finite candidate
 set of sample points approached from the left and from the right, which
-is what the implementation evaluates exactly.
+is what the implementation evaluates exactly.  It skips a block of sorted
+rows only when a bound from the block's endpoints, valid because the
+null CDF is monotone and F(1-F) concave, shows that no row in it can
+reach the maximum (see :func:`hc_statistic`).
 
 The declared null is always a :class:`~sparse_detect.dists.Distribution`;
 its ``tails`` method gives both tail probabilities, each exact in its own
@@ -68,24 +71,59 @@ def _null_tail_values(null: Distribution, ys: np.ndarray) -> tuple[np.ndarray, n
     return np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
 
 
-def _tail_deviation(rank: np.ndarray, f: np.ndarray, n: int, lower: bool) -> np.ndarray:
-    """|F_n - F| at the larger of the left and right limits at each row.
+def _block_width(n: int) -> int:
+    """Rows per pruning block; width 1 evaluates every row."""
+    return math.isqrt(n) // 4 if n >= 4096 else 1
 
-    ``rank`` holds the rows' 0-based positions in the sorted sample and is
-    overwritten with the result; ``f`` is the null probability of the
-    rows' tail, the lower one (F) or the upper one (1 - F).
+
+def _weighted_deviation(
+    null: Distribution, ys: np.ndarray, rows: np.ndarray, restricted: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|F_n - F| / sqrt(F (1 - F)) at the given rows of the sorted sample.
+
+    Returns the deviations and the rows' lower and upper null tails.  Each
+    row takes the larger of the left and right limits of F_n and is
+    measured in the tail with the smaller probability.  Under
+    ``restricted`` a row whose null CDF lies outside [1/n, 1/2] reads -inf.
     """
-    right = rank + 1.0
-    right /= n  # F_n at the row
-    rank /= n  # F_n just left of the row
-    for level in (right, rank):
-        if lower:
-            level -= f
-        else:  # (1 - F) - (1 - F_n)
-            np.subtract(1.0, level, out=level)
-            np.subtract(f, level, out=level)
-        np.abs(level, out=level)
-    return np.maximum(right, rank, out=rank)
+    n = ys.size
+    lower, upper = _null_tail_values(null, ys[rows])
+    if (lower <= 0.0).any() or (upper <= 0.0).any():
+        raise InfiniteWeightError(
+            "null CDF hit 0 or 1 at a sample point; deviation weight is infinite"
+        )
+    right, left = (rows + 1.0) / n, rows / n  # F_n at the row and just left of it
+    use_lower = lower <= upper
+    dev = np.maximum(
+        np.abs(np.where(use_lower, right - lower, upper - (1.0 - right))),
+        np.abs(np.where(use_lower, left - lower, upper - (1.0 - left))),
+    )
+    dev /= np.sqrt(lower * upper)
+    if restricted:
+        dev[(lower < 1.0 / n) | (lower > 0.5)] = -np.inf
+    return dev, lower, upper
+
+
+def _open_rows(
+    ends: np.ndarray, lower: np.ndarray, upper: np.ndarray, best: float, width: int
+) -> np.ndarray:
+    """Inner rows of the blocks between ``ends`` whose deviation may reach ``best``.
+
+    ``lower`` and ``upper`` are the null tails at ``ends``.
+    """
+    n = int(ends[-1]) + 1
+    a, b = ends[:-1], ends[1:]
+    reach = np.maximum.reduce([
+        (b + 1.0) / n - lower[:-1],
+        lower[1:] - a / n,
+        upper[:-1] - (1.0 - (b + 1.0) / n),
+        (1.0 - a / n) - upper[1:],
+    ])
+    weight = lower * upper
+    bound = reach / np.sqrt(np.minimum(weight[:-1], weight[1:]))
+    starts = a[bound >= best * (1.0 - 1e-9)]  # the margin absorbs rounding
+    inner = (starts[:, None] + np.arange(1, width)).ravel()
+    return inner[inner < n - 1]  # the last block may be short
 
 
 def hc_statistic(
@@ -101,35 +139,44 @@ def hc_statistic(
     ``restricted=True`` keeps only candidates whose null CDF lies in
     [1/n, 1/2], the conventional tamed variant.  Ties resolve to the
     smallest threshold.
+
+    The scan is pruned but exact.  Tails are first evaluated at every
+    w-th sorted row and the last one, w = isqrt(n) // 4 for n >= 4096
+    and 1 below (so small samples are scanned row by row).  Between two
+    such rows a and b, F is monotone, so every row's numerator is at most
+    max((b+1)/n - F_a, F_b - a/n) in either tail's form, and F(1-F) is
+    concave, so its minimum over the block is at an endpoint.  Only
+    blocks whose bound reaches the best endpoint deviation, less a 1e-9
+    relative margin for rounding, are evaluated row by row; every row
+    skipped deviates strictly less than the maximum, so the statistic,
+    its threshold and the tie-break equal those of the full scan bit for
+    bit.  A NaN sample point raises InvalidParameterError; a null tail
+    of 0 at a sample point raises InfiniteWeightError.
     """
     ys = np.sort(np.asarray(sample, dtype=float))
     n = ys.size
     if n < 1:
         raise InvalidSampleSizeError("higher criticism needs a non-empty sample")
-    f_low, f_up = _null_tail_values(null, ys)
-    if np.any(f_low <= 0.0) or np.any(f_up <= 0.0):
-        raise InfiniteWeightError(
-            "null CDF hit 0 or 1 at a sample point; deviation weight is infinite"
-        )
+    if np.isnan(ys[-1]):  # the sort puts NaN last
+        raise InvalidParameterError("higher criticism needs a sample without NaN")
     # with ties in the sample the intermediate i/n levels are not attained,
-    # but they only ever understate |F_n - F|, so the maximum is unaffected.
-    # Each row is measured in the tail with the smaller probability, and
-    # each tail's deviations are computed once, on its own rows, in place.
-    dev = np.arange(n, dtype=float)  # 0-based ranks, overwritten by deviations
-    use_lower = f_low <= f_up
-    for rows, f, lower in ((use_lower, f_low, True), (~use_lower, f_up, False)):
-        dev[rows] = _tail_deviation(dev[rows], f[rows], n, lower)
-    weight = f_low * f_up
-    dev /= np.sqrt(weight, out=weight)
-    if restricted:
-        keep = (f_low >= 1.0 / n) & (f_low <= 0.5)
-        if not np.any(keep):
-            raise InvalidParameterError(
-                "restricted variant has no candidates with null CDF in [1/n, 1/2]"
-            )
-        dev[~keep] = -np.inf
-    idx = int(np.argmax(dev))
-    return math.sqrt(n) * float(dev[idx]), float(ys[idx])
+    # but they only ever understate |F_n - F|, so the maximum is unaffected
+    width = _block_width(n)
+    ends = np.arange(0, n - 1 + width, width)
+    ends[-1] = n - 1
+    end_dev, lower, upper = _weighted_deviation(null, ys, ends, restricted)
+    rows, dev = ends, end_dev
+    if width > 1:  # blocks of width 1 have no inner rows
+        inner = _open_rows(ends, lower, upper, end_dev.max(), width)
+        rows = np.concatenate((ends, inner))
+        dev = np.concatenate((end_dev, _weighted_deviation(null, ys, inner, restricted)[0]))
+    best = dev.max()
+    if best == -np.inf:
+        raise InvalidParameterError(
+            "restricted variant has no candidates with null CDF in [1/n, 1/2]"
+        )
+    idx = int(rows[dev == best].min())
+    return math.sqrt(n) * float(best), float(ys[idx])
 
 
 def hc_threshold(n: int, delta: float) -> float:

@@ -53,6 +53,17 @@ _Z95 = 1.959963984540054
 _GAMMA_FLAG_THRESHOLD = 0.05
 
 
+def _exponent_grid(name: str, values) -> tuple[float, ...]:
+    """The grid as floats; each entry must be a finite number >= 0."""
+    try:
+        grid = tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise ConfigError(f"every {name} must be a number, got {name}_grid {values!r}") from None
+    if not all(0 <= v < math.inf for v in grid):
+        raise ConfigError(f"every {name} must be >= 0 and finite, got {name}_grid {grid}")
+    return grid
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid specification for a phase sweep."""
@@ -68,14 +79,12 @@ class ExperimentConfig:
     family_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "beta_grid", tuple(float(b) for b in self.beta_grid))
-        object.__setattr__(self, "r_grid", tuple(float(r) for r in self.r_grid))
+        object.__setattr__(self, "beta_grid", _exponent_grid("beta", self.beta_grid))
+        object.__setattr__(self, "r_grid", _exponent_grid("r", self.r_grid))
         if not all(float(n).is_integer() for n in self.n_list):
             raise ConfigError(f"every n must be an integer, got n_list {tuple(self.n_list)}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "tests", tuple(self.tests))
-        if not all(0 <= r < math.inf for r in self.r_grid):
-            raise ConfigError(f"every r must be >= 0 and finite, got r_grid {self.r_grid}")
         try:
             families.build(self.family, self.family_params)
         except InvalidParameterError as exc:

@@ -176,6 +176,13 @@ class TestSampleCommands:
         assert code == 0
         assert json.loads(out)["n"] == 50
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sample_exit_3(self, capsys, sample_file, bad):
+        path = sample_file([0.5] * 20 + [bad] + [1.0] * 20, header="value")
+        code, out, err = run(capsys, "hc", "--input", path)
+        assert (code, out) == (3, "")
+        assert f"{path}:22: {str(bad)!r} is not a finite number" in err
+
     def test_missing_file_exit_4(self, capsys):
         code, _, err = run(capsys, "hc", "--input", "/nonexistent/sample.csv")
         assert code == 4
@@ -225,6 +232,7 @@ class TestDistributionSpecs:
         [
             ('{"kind":"gen_gaussian"}', 3, "needs field 'tau'"),
             ('{"kind":"gaussian","sd":"abc"}', 3, "gaussian field 'sd'"),
+            ('{"kind":"gaussian","sd":1e400}', 3, "sd must be finite"),
             ('{"kind":"gaussian","sdd":2}', 3, "unknown field sdd"),
             ('{"kind":"sparse_mixture"}', 3, "not a spec"),
             ("{bad", 2, "not valid JSON"),
@@ -348,6 +356,26 @@ class TestSimulateCommand:
         )
         assert code == 3
         assert "r must be >= 0" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "beta_grid, r_grid, words",
+        [
+            ("[1e400]", "[0.4]", "beta must be >= 0 and finite"),
+            ("[-0.5]", "[0.4]", "beta must be >= 0 and finite"),
+            ('["abc"]', "[0.4]", "beta must be a number"),
+            ("[0.7]", '["abc"]', "r must be a number"),
+        ],
+    )
+    def test_bad_config_grid_exit_3(self, capsys, tmp_path, beta_grid, r_grid, words):
+        # raw JSON text: 1e400 reads as inf
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            f'{{"family": "idj", "beta_grid": {beta_grid}, "r_grid": {r_grid}, '
+            '"n_list": [100], "replicates": 5, "tests": ["lr"], "seed": 5}'
+        )
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_path))
+        assert (code, out) == (3, "")
+        assert words in err
 
     def test_bad_config_exit_3(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

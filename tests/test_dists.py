@@ -443,6 +443,26 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             SparseMixture(Gaussian(), Gaussian(), 1.5)
 
+    @pytest.mark.parametrize(
+        "build, words",
+        [
+            (lambda v: Gaussian(v, 1.0), "mean must be finite"),
+            (lambda v: Gaussian(0.0, v), "sd must be finite"),
+            (lambda v: GenGaussian(v), "tau must be finite"),
+            (lambda v: Dilated(Gaussian(), v), "scale must be finite"),
+            (lambda v: Shifted(Gaussian(), v), "shift must be finite"),
+            (lambda v: FiniteDiscrete(((0.0, 0.5), (v, 0.5))), "atom points must be finite"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameters_rejected(self, build, words, value):
+        with pytest.raises(InvalidParameterError, match=words):
+            build(value)
+
+    def test_nan_atom_mass_rejected(self):
+        with pytest.raises(InvalidParameterError, match="masses must be >= 0"):
+            FiniteDiscrete(((0.0, math.nan), (1.0, 1.0)))
+
     def test_mixture_of_mixture_is_representable(self):
         inner = SparseMixture(Gaussian(), Gaussian(2.0, 1.0), 0.2).mixed()
         outer = Mixture(Gaussian(), inner, 0.5)

@@ -26,6 +26,7 @@ from sparse_detect.errors import (
     InvalidSampleSizeError,
 )
 from sparse_detect.hctest import (
+    _block_width,
     hc_decision,
     hc_statistic,
     hc_test,
@@ -121,9 +122,31 @@ class TestHCStatistic:
         stat, arg = hc_statistic([-0.7, 0.7], Gaussian())
         assert arg == -0.7
 
+    def test_ties_across_blocks_resolve_to_smallest_threshold(self):
+        # a symmetric sample at n = 2**13 ties rows 29 and n - 30 exactly;
+        # only the upper one is a block endpoint, so the tie spans both passes
+        n, width = 2**13, _block_width(2**13)
+        bulk = norm.ppf((np.arange(30, n // 2) + 0.5) / n)
+        low = np.concatenate((np.full(30, norm.ppf(1e-4)), bulk))
+        ys = np.concatenate((low, -low))
+        assert 29 % width != 0 and (n - 30) % width == 0
+        stat, arg = hc_statistic(ys, Gaussian())
+        assert arg == norm.ppf(1e-4)
+        assert (stat, arg) == hc_statistic_oracle(ys, Gaussian())
+
     def test_infinite_weight_reported(self):
         with pytest.raises(InfiniteWeightError):
             hc_statistic([-50.0, 0.0], Gaussian())
+        for bad in (math.inf, -math.inf):
+            with pytest.raises(InfiniteWeightError):
+                hc_statistic([0.0, bad, 1.0], Gaussian())
+
+    @pytest.mark.parametrize("n", [3, 5000])
+    def test_nan_sample_rejected(self, n):
+        ys = np.linspace(-2.0, 2.0, n)
+        ys[1] = math.nan
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            hc_statistic(ys, Gaussian())
 
     def test_probability_integral_transform_invariance(self):
         # the statistic depends on the sample only through F(Y_i), so an
@@ -158,7 +181,7 @@ class TestHCStatistic:
 
 
 class TestHCStatisticMatchesOracle:
-    """hc_statistic computes each tail only on its own rows, bit for bit."""
+    """The pruned scan returns the exhaustive scan's outcome, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -180,7 +203,7 @@ class TestHCStatisticMatchesOracle:
         want = outcome(hc_statistic_oracle, sample, null, restricted=restricted)
         assert got == want
 
-    @pytest.mark.parametrize("n", [16, 10**3, 10**5])
+    @pytest.mark.parametrize("n", [16, 10**3, 4095, 4096, 10**4 + 7, 10**5])
     @pytest.mark.parametrize("null_index", range(len(ORACLE_NULLS)))
     def test_seeded_samples(self, n, null_index):
         null = ORACLE_NULLS[null_index]
@@ -190,6 +213,40 @@ class TestHCStatisticMatchesOracle:
                 got = outcome(hc_statistic, data, null, restricted=restricted)
                 want = outcome(hc_statistic_oracle, data, null, restricted=restricted)
                 assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4096, 20000),
+        mean=st.sampled_from([0.0, 2.0, 4.0]),
+        decimals=st.sampled_from([None, 0, 1, 2]),
+        null=st.sampled_from(ORACLE_NULLS),
+        restricted=st.booleans(),
+    )
+    def test_pruned_samples(self, seed, n, mean, decimals, null, restricted):
+        ys = Mixture(Gaussian(), Gaussian(mean, 1.0), n**-0.6).sample(n, rng.stream(seed))
+        if decimals is not None:
+            ys = np.round(ys, decimals)
+        got = outcome(hc_statistic, ys, null, restricted=restricted)
+        want = outcome(hc_statistic_oracle, ys, null, restricted=restricted)
+        assert got == want
+
+    def test_maximizer_inside_a_block(self):
+        # a strong signal puts the maximum at a row the endpoint pass skips
+        n = 10**5
+        ys = Mixture(Gaussian(), Gaussian(2.5, 1.0), 0.02).sample(n, rng.stream(32, n))
+        want = hc_statistic_oracle(ys, Gaussian())
+        row = int(np.searchsorted(np.sort(ys), want[1]))
+        assert row % _block_width(n) != 0 and row != n - 1
+        assert hc_statistic(ys, Gaussian()) == want
+
+    @pytest.mark.parametrize("null", [Gaussian(), GenGaussian(1.0)])
+    def test_long_ties(self, null):
+        n = 10**5
+        ys = np.round(Mixture(null, Gaussian(3.0, 1.0), 0.01).sample(n, rng.stream(33, n)), 1)
+        for restricted in (False, True):
+            got = hc_statistic(ys, null, restricted=restricted)
+            assert got == hc_statistic_oracle(ys, null, restricted=restricted)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -206,7 +263,7 @@ class TestHCStatisticMatchesOracle:
         assert null.tails(y) == (null.cdf(y), null.survival(y))
 
     def test_peak_memory_at_n_1e5(self):
-        # the two-branch formula peaked at 8.9 MB here
+        # the full scan peaked at 4.6 MB here, the pruned one at 1.9 MB
         ys = Gaussian().sample(10**5, rng.stream(0, 1))
         tracemalloc.start()
         try:
@@ -216,7 +273,7 @@ class TestHCStatisticMatchesOracle:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 6_000_000, peak
+        assert peak < 3_000_000, peak
 
 
 class TestHCDecision:
