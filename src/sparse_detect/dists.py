@@ -434,8 +434,8 @@ def epsilon_from_beta(n: int, beta: float) -> float:
     """Contamination fraction n**(-beta) for sample size n."""
     if n < 2:
         raise InvalidSampleSizeError(f"n must be >= 2, got {n}")
-    if beta < 0:
-        raise InvalidParameterError(f"beta must be >= 0, got {beta}")
+    if not 0 <= beta < math.inf:
+        raise InvalidParameterError(f"beta must be >= 0 and finite, got {beta}")
     return float(n) ** (-beta)
 
 
@@ -443,8 +443,8 @@ def mu_from_r(n: int, r: float) -> float:
     """Location shift sqrt(2 * r * ln n) for signal strength r."""
     if n < 2:
         raise InvalidSampleSizeError(f"n must be >= 2, got {n}")
-    if r < 0:
-        raise InvalidParameterError(f"r must be >= 0, got {r}")
+    if not 0 <= r < math.inf:
+        raise InvalidParameterError(f"r must be >= 0 and finite, got {r}")
     return math.sqrt(2.0 * r * math.log(n))
 
 

@@ -39,6 +39,8 @@ __all__ = [
     "hc_test",
     "max_test",
     "lr_test",
+    "lr_log_ratios",
+    "lr_statistic",
     "vn_statistic",
 ]
 
@@ -185,8 +187,8 @@ def hc_threshold(n: int, delta: float) -> float:
         raise InvalidSampleSizeError(
             f"n must be >= 16 so that log log n > 0, got {n}"
         )
-    if delta <= 0:
-        raise InvalidParameterError(f"delta must be > 0, got {delta}")
+    if not 0 < delta < math.inf:
+        raise InvalidParameterError(f"delta must be > 0 and finite, got {delta}")
     return math.sqrt(2.0 * (1.0 + delta) * math.log(math.log(n)))
 
 
@@ -231,32 +233,47 @@ def max_test(sample, u: float = 1.0) -> str:
     return "alternative" if float(max(ys.max(), -ys.min())) > threshold else "null"
 
 
+def lr_log_ratios(sample, alt: Distribution, null: Distribution) -> np.ndarray | None:
+    """The log-likelihood ratios l(Y_i) = log dG/dQ (Y_i) of a sample.
+
+    None when a sample point carries alternative mass off the null
+    support, which makes log LR = +inf whatever the mixture weight.
+    """
+    try:
+        return np.asarray(log_likelihood_ratio(alt, null, sample), dtype=float)
+    except SingularPointError:
+        return None
+
+
+def lr_statistic(ell: np.ndarray | None, eps: float) -> float:
+    """log LR of the mixture (1 - eps) Q + eps G from ``lr_log_ratios``.
+
+    sum_i log(1 + eps (exp(l(Y_i)) - 1)), evaluated in log space as
+    logaddexp(log(1 - eps), log eps + l) for stability.  A singular
+    sample (``ell`` None) gives +inf, even at eps = 0, where every other
+    sample gives 0.
+    """
+    if ell is None:
+        return math.inf
+    if eps == 0.0:
+        return 0.0
+    if eps == 1.0:
+        return float(np.sum(ell))
+    return float(np.sum(np.logaddexp(math.log1p(-eps), math.log(eps) + ell)))
+
+
 def lr_test(sample, mix: SparseMixture) -> tuple[float, str]:
     """Likelihood-ratio test of the null against a known sparse mixture.
 
-    log LR = sum_i log(1 + eps (exp(l(Y_i)) - 1)), evaluated in log space
-    as logaddexp(log(1 - eps), log eps + l) for stability; the rule
-    declares the alternative iff log LR >= 0.  A sample point carrying
-    alternative mass off the null support forces log LR = +inf and an
-    immediate alternative decision.
+    The statistic is ``lr_statistic`` of the sample's ``lr_log_ratios``;
+    the rule declares the alternative iff log LR >= 0.  A sample point
+    carrying alternative mass off the null support forces log LR = +inf
+    and an immediate alternative decision.
     """
     ys = np.asarray(sample, dtype=float)
-    eps = mix.epsilon
     if ys.size == 0:
         return 0.0, "alternative"
-    try:
-        ell = np.asarray(
-            log_likelihood_ratio(mix.alt_dist, mix.null_dist, ys), dtype=float
-        )
-    except SingularPointError:
-        return math.inf, "alternative"
-    if eps == 0.0:
-        return 0.0, "alternative"
-    if eps == 1.0:
-        log_lr = float(np.sum(ell))
-    else:
-        terms = np.logaddexp(math.log1p(-eps), math.log(eps) + ell)
-        log_lr = float(np.sum(terms))
+    log_lr = lr_statistic(lr_log_ratios(ys, mix.alt_dist, mix.null_dist), mix.epsilon)
     return log_lr, "alternative" if log_lr >= 0.0 else "null"
 
 

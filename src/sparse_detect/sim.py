@@ -4,12 +4,19 @@ Estimates Type-I plus Type-II error rates over (beta, r, n, test) grids,
 attaches Wilson confidence half-widths and the theoretical boundary
 overlay, and provides the finite-n exponent-estimation diagnostic.
 
+Engine: one unit of work is a block of replicates at one sample size n
+(:func:`_block_counts`).  For each replicate k of the block it draws the
+null sample once and every cell at n decides on it, then draws the
+alternative sample of each (beta, r) once and every requested test
+decides on that one draw.  The log-likelihood ratios depend only on
+(r, n) and the sample, so the lr cells of one r share them and differ
+only in the epsilon reduction.  ``phase_sweep`` sums the blocks' counts
+and folds them into one row per cell with ``run_cell``.
+
 Reproducibility: every sample is drawn from a counter-based stream.  The
-null sample of replicate k at sample size n is keyed by (seed, n, k)
-and is shared by every (beta, r) cell and every test at that n.  The
-alternative sample is keyed by (seed, beta index, r index, n, k),
-with the indices taken in the sorted grids, so the tests of one
-(beta, r, n) see the same alternative draws.  Results are independent of
+null sample of replicate k at sample size n is keyed by (seed, n, k).
+The alternative sample is keyed by (seed, beta index, r index, n, k),
+with the indices taken in the sorted grids.  Results are independent of
 scheduling and worker count, and CSV output is byte-identical for a
 fixed seed.
 """
@@ -21,10 +28,12 @@ import hashlib
 import io
 import json
 import math
+import numbers
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import groupby, repeat
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -32,7 +41,7 @@ import numpy as np
 from . import families, rng
 from .dists import Distribution, SparseMixture, epsilon_from_beta, log_likelihood_ratio
 from .errors import ConfigError, InvalidParameterError
-from .hctest import hc_statistic, hc_threshold, lr_test, max_test
+from .hctest import hc_decision, hc_statistic, lr_log_ratios, lr_statistic, max_test
 
 __all__ = [
     "TESTS",
@@ -100,8 +109,8 @@ class ExperimentConfig:
             raise ConfigError("the hc test requires every n >= 16")
         if any(n < 2 for n in self.n_list):
             raise ConfigError("every n must be >= 2")
-        if self.delta <= 0:
-            raise ConfigError(f"delta must be > 0, got {self.delta}")
+        if not (isinstance(self.delta, numbers.Real) and 0 < self.delta < math.inf):
+            raise ConfigError(f"delta must be > 0 and finite, got {self.delta!r}")
 
     def cells(self) -> list[tuple[int, float, float, int, str]]:
         """Deterministic cell order: beta, then r, then n, then test."""
@@ -165,10 +174,22 @@ class PhaseCell:
 
 
 def wilson_halfwidth(successes: int, trials: int, z: float = _Z95) -> float:
-    """Half-width of the Wilson score interval; stable near rates 0 and 1."""
-    if trials < 1:
+    """Half-width of the Wilson score interval; stable near rates 0 and 1.
+
+    The counts must be integers with trials >= 1 and
+    0 <= successes <= trials.
+    """
+    try:
+        k, m = operator.index(successes), operator.index(trials)
+    except TypeError:
+        raise InvalidParameterError(
+            f"successes and trials must be integers, got {successes!r}, {trials!r}"
+        ) from None
+    if m < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    k, m = float(successes), float(trials)
+    if not 0 <= k <= m:
+        raise InvalidParameterError(f"successes must lie in [0, {m}], got {successes}")
+    k, m = float(k), float(m)
     return z * math.sqrt(k * (m - k) / m + z * z / 4.0) / (m + z * z)
 
 
@@ -181,79 +202,96 @@ def family_mixture(
     return SparseMixture(null, alt(r, n), eps)
 
 
-def _rejects(test: str, ys: np.ndarray, mix: SparseMixture, threshold: float) -> bool:
-    if test == "hc":
-        statistic, _ = hc_statistic(ys, mix.null_dist)
-        return statistic > threshold
-    if test == "lr":
-        _, decision = lr_test(ys, mix)
-        return decision == "alternative"
-    if test == "max":
-        return max_test(ys, u=1.0) == "alternative"
-    raise InvalidParameterError(f"unknown test {test!r}")
+def _decisions(
+    ys: np.ndarray, null: Distribution, cells: Sequence[tuple], mixes: dict, delta: float
+) -> list[bool]:
+    """Whether each cell's test rejects the null on the one sample ``ys``.
+
+    ``mixes`` maps each cell's (beta, r) to its mixture.  hc and max
+    decide once; lr computes the log-likelihood ratios once per r and
+    reduces them with each cell's epsilon.
+    """
+    shared, ells, out = {}, {}, []
+    for _, beta, r, _, test in cells:
+        if test == "lr":
+            mix = mixes[beta, r]
+            if r not in ells:
+                ells[r] = lr_log_ratios(ys, mix.alt_dist, null)
+            out.append(lr_statistic(ells[r], mix.epsilon) >= 0.0)
+        elif test == "hc":
+            if test not in shared:
+                statistic, _ = hc_statistic(ys, null)
+                shared[test] = hc_decision(statistic, ys.size, delta) == "alternative"
+            out.append(shared[test])
+        elif test == "max":
+            if test not in shared:
+                shared[test] = max_test(ys, u=1.0) == "alternative"
+            out.append(shared[test])
+        else:
+            raise InvalidParameterError(f"unknown test {test!r}")
+    return out
 
 
-# tests whose decision on a null sample does not depend on (beta, r)
-_SHARED_NULL_TESTS = ("hc", "max")
-
-
-def _null_rejections(
+def _block_counts(
     cfg: ExperimentConfig, cells: Sequence[tuple], reps: Iterable[int]
-) -> list[int]:
-    """Null rejections of each cell over replicates ``reps``.
+) -> tuple[list[int], list[int]]:
+    """Null rejections and alternative misses of each cell over replicates ``reps``.
 
     Every cell has the same n.  Replicate k draws the null sample keyed
-    by (seed, n, k) once; hc and max decide on it once for all cells,
-    lr once per cell mixture.
+    by (seed, n, k) once and every cell decides on it.  Then, for each
+    (beta, r) among the cells, it draws one alternative sample keyed by
+    (seed, beta index, r index, n, k) and every test of that (beta, r)
+    decides on it; cells of one (beta, r) share the draw when they are
+    adjacent, as in ``cfg.cells()``.
     """
     n = cells[0][3]
-    mixes = [
-        family_mixture(cfg.family, cfg.family_params, r, beta, n)
-        for _, beta, r, _, _ in cells
-    ]
-    tests = [cell[4] for cell in cells]
-    shared_tests = [test for test in _SHARED_NULL_TESTS if test in tests]
-    threshold = hc_threshold(n, cfg.delta) if "hc" in tests else math.nan
-    counts = [0] * len(cells)
+    betas, rs = sorted(cfg.beta_grid), sorted(cfg.r_grid)
+    mixes = {
+        (beta, r): family_mixture(cfg.family, cfg.family_params, r, beta, n)
+        for beta, r in dict.fromkeys(cell[1:3] for cell in cells)
+    }
+    null = mixes[cells[0][1:3]].null_dist
+    alternatives = []  # (first cell position, cells, mixed law, stream key) per (beta, r)
+    for (beta, r), members in groupby(enumerate(cells), key=lambda item: item[1][1:3]):
+        positions, group = zip(*members)
+        key = (betas.index(beta), rs.index(r), n)
+        alternatives.append((positions[0], group, mixes[beta, r].mixed(), key))
+    null_rejects, misses = [0] * len(cells), [0] * len(cells)
     for rep in reps:
-        ys = mixes[0].null_dist.sample(n, rng.stream(cfg.seed, n, rep))
-        shared = {test: _rejects(test, ys, mixes[0], threshold) for test in shared_tests}
-        for i, (test, mix) in enumerate(zip(tests, mixes)):
-            rejected = shared[test] if test in shared else _rejects(test, ys, mix, threshold)
-            counts[i] += rejected
-    return counts
+        ys = null.sample(n, rng.stream(cfg.seed, n, rep))
+        for i, rejected in enumerate(_decisions(ys, null, cells, mixes, cfg.delta)):
+            null_rejects[i] += rejected
+        for first, group, mixed, key in alternatives:
+            ys = mixed.sample(n, rng.stream(cfg.seed, *key, rep))
+            decisions = _decisions(ys, null, group, mixes, cfg.delta)
+            for i, rejected in enumerate(decisions, first):
+                misses[i] += not rejected
+    return null_rejects, misses
 
 
 def run_cell(
     cfg: ExperimentConfig,
     cell: tuple[int, float, float, int, str],
     null_rejects: int | None = None,
+    misses: int | None = None,
 ) -> PhaseCell:
-    """Estimate both error rates for a single grid cell.
+    """Fold a cell's counts over all replicates into its row.
 
-    Replicate k of the alternative draws from the stream keyed by
-    (seed, beta index, r index, n, k).  ``null_rejects`` is the cell's
-    count of null rejections over all replicates, as the null stage of
-    :func:`phase_sweep` computes it; when omitted, the cell computes it
-    from the same null streams.  The result is a pure function of the
-    configuration and the cell.
+    ``null_rejects`` and ``misses`` are the cell's counts of null
+    rejections and alternative misses over the ``cfg.replicates``
+    replicates, as :func:`phase_sweep` sums them from its blocks; each
+    must lie in [0, replicates].  When both are omitted, the cell
+    computes them with the sweep's block function over every replicate,
+    from the same streams, so the row equals the sweep's.  The result is
+    a pure function of the configuration and the cell.
     """
     _, beta, r, n, test = cell
     m = cfg.replicates
-    if null_rejects is None:
-        (null_rejects,) = _null_rejections(cfg, [cell], range(m))
-    mix = family_mixture(cfg.family, cfg.family_params, r, beta, n)
-    mixed = mix.mixed()
-    threshold = hc_threshold(n, cfg.delta) if test == "hc" else math.nan
-    key = (sorted(cfg.beta_grid).index(beta), sorted(cfg.r_grid).index(r), n)
-    misses = 0
-    for rep in range(m):
-        alt_sample = mixed.sample(n, rng.stream(cfg.seed, *key, rep))
-        if not _rejects(test, alt_sample, mix, threshold):
-            misses += 1
+    if null_rejects is None and misses is None:
+        (null_rejects,), (misses,) = _block_counts(cfg, [cell], range(m))
+    halfwidth = wilson_halfwidth(null_rejects, m) + wilson_halfwidth(misses, m)
     type1 = null_rejects / m
     type2 = misses / m
-    halfwidth = wilson_halfwidth(null_rejects, m) + wilson_halfwidth(misses, m)
     return PhaseCell(
         beta=beta,
         r=r,
@@ -339,9 +377,11 @@ class PhaseTable:
 def phase_sweep(cfg: ExperimentConfig, workers: int = 1) -> PhaseTable:
     """Run every grid cell; aggregation is a deterministic fold in cell order.
 
-    A null stage runs first, one task per (n, replicate block), which
-    draws each null sample once and records every cell's null rejection
-    on it.  Then ``run_cell`` draws each cell's alternative half.
+    The work is one task per (n, replicate block): the cells at n over
+    one block of replicates, both the null and the alternative half
+    (see :func:`_block_counts`).  The parent sums each cell's counts
+    over the blocks and calls ``run_cell`` once per cell, in cell order,
+    to fold them into the cell's row.
     """
     cells = cfg.cells()
     used = 1 if workers <= 1 or len(cells) <= 1 else min(workers, len(cells))
@@ -351,14 +391,18 @@ def phase_sweep(cfg: ExperimentConfig, workers: int = 1) -> PhaseTable:
     task_groups = [group for group in groups for _ in blocks]
     task_blocks = blocks * len(groups)
     start = time.perf_counter()
+    null_rejects, misses = [0] * len(cells), [0] * len(cells)  # by cell index
     with ProcessPoolExecutor(used) if used > 1 else contextlib.nullcontext() as pool:
         mapper = pool.map if pool else map
-        null_rejects = [0] * len(cells)  # by cell index, summed over the blocks
-        task_counts = mapper(_null_rejections, repeat(cfg), task_groups, task_blocks)
-        for group, counts in zip(task_groups, task_counts):
-            for cell, count in zip(group, counts):
-                null_rejects[cell[0]] += count
-        results = list(mapper(run_cell, repeat(cfg), cells, null_rejects))
+        task_counts = mapper(_block_counts, repeat(cfg), task_groups, task_blocks)
+        for group, (nulls, alts) in zip(task_groups, task_counts):
+            for cell, null_count, miss_count in zip(group, nulls, alts):
+                null_rejects[cell[0]] += null_count
+                misses[cell[0]] += miss_count
+    results = [
+        run_cell(cfg, cell, nulls, alts)
+        for cell, nulls, alts in zip(cells, null_rejects, misses)
+    ]
     wall = time.perf_counter() - start
     family = families.FAMILIES[cfg.family]
     overlay = tuple(family.beta_star(cell[2], cfg.family_params) for cell in cells)

@@ -289,12 +289,24 @@ class TestNonFiniteParameters:
                 "simulate", "--family", "idj", "--beta-grid", "0.6", "--r-grid", "inf",
                 "--n-list", "64", "--replicates", "2", "--tests", "lr", "--seed", "1",
             ],
+            [
+                "simulate", "--family", "idj", "--beta-grid", "0.6", "--r-grid", "0.4",
+                "--n-list", "64", "--replicates", "2", "--tests", "hc", "--seed", "1",
+                "--delta", "nan",
+            ],
         ],
     )
     def test_exit_3(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert "finite" in err
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_hc_delta_exit_3(self, capsys, sample_file, delta):
+        path = sample_file(Gaussian().sample(50, rng.stream(3, 2)))
+        code, out, err = run(capsys, "hc", "--input", path, "--delta", delta)
+        assert (code, out) == (3, "")
+        assert "delta must be > 0 and finite" in err
 
 
 class TestSimulateCommand:

@@ -45,6 +45,13 @@ class TestCalibration:
         with pytest.raises(InvalidParameterError):
             epsilon_from_beta(100, -0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_calibration_inputs_rejected(self, value):
+        with pytest.raises(InvalidParameterError, match="beta must be >= 0 and finite"):
+            epsilon_from_beta(1000, value)
+        with pytest.raises(InvalidParameterError, match="r must be >= 0 and finite"):
+            mu_from_r(1000, value)
+
     def test_mu_from_r_values(self):
         n_e2 = int(round(math.e**2))
         assert mu_from_r(n_e2, 1.0) == pytest.approx(

@@ -24,6 +24,7 @@ from sparse_detect.errors import (
     InfiniteWeightError,
     InvalidParameterError,
     InvalidSampleSizeError,
+    UndefinedPointError,
 )
 from sparse_detect.hctest import (
     _block_width,
@@ -31,6 +32,8 @@ from sparse_detect.hctest import (
     hc_statistic,
     hc_test,
     hc_threshold,
+    lr_log_ratios,
+    lr_statistic,
     lr_test,
     max_test,
     vn_statistic,
@@ -290,6 +293,13 @@ class TestHCDecision:
         with pytest.raises(InvalidSampleSizeError):
             hc_threshold(15, 0.1)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -0.1])
+    def test_delta_must_be_positive_and_finite(self, delta):
+        with pytest.raises(InvalidParameterError, match="delta must be > 0 and finite"):
+            hc_threshold(1000, delta)
+        with pytest.raises(InvalidParameterError, match="delta"):
+            hc_decision(3.0, 1000, delta)
+
     def test_hc_test_bundle(self):
         stream = rng.stream(9, 3)
         ys = stream.normal(size=1000)
@@ -339,6 +349,34 @@ class TestLRTest:
         log_lr, decision = lr_test([2.0], SparseMixture(q, g, 1.0))
         assert log_lr == math.inf
         assert decision == "alternative"
+
+    def test_singular_point_beats_the_epsilon_zero_convention(self):
+        q = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))
+        g = FiniteDiscrete(((2.0, 1.0),))
+        assert lr_log_ratios([0.0, 2.0], g, q) is None
+        assert lr_statistic(None, 0.0) == math.inf
+        assert lr_test([0.0, 2.0], SparseMixture(q, g, 0.0)) == (math.inf, "alternative")
+
+    def test_undefined_point_propagates(self):
+        q = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))
+        g = FiniteDiscrete(((1.0, 1.0),))
+        with pytest.raises(UndefinedPointError):
+            lr_log_ratios([0.5], g, q)
+        with pytest.raises(UndefinedPointError):
+            lr_test([0.5], SparseMixture(q, g, 0.0))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.3, 1.0])
+    def test_is_the_reduction_of_the_log_ratios(self, eps):
+        # one ell array serves every epsilon, bit for bit
+        null, alt = Gaussian(), Gaussian(2.5, 1.0)
+        ys = Mixture(null, alt, 0.05).sample(500, rng.stream(8, 1))
+        ell = lr_log_ratios(ys, alt, null)
+        log_lr, decision = lr_test(ys, SparseMixture(null, alt, eps))
+        assert lr_statistic(ell, eps) == log_lr
+        assert decision == ("alternative" if log_lr >= 0.0 else "null")
+        if 0.0 < eps < 1.0:
+            terms = np.log1p(eps * np.expm1(ell))
+            assert log_lr == pytest.approx(float(np.sum(terms)), rel=1e-9)
 
     def test_matches_neyman_pearson_brute_force(self):
         # total error of the rule equals 1 - TV between the product laws

@@ -1,5 +1,6 @@
 """Monte-Carlo harness tests: determinism, calibration, diagnostics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -95,6 +96,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="r must be >= 0 and finite"):
             small_config(r_grid=(0.5, r))
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, "abc"])
+    def test_delta_must_be_positive_and_finite(self, delta):
+        with pytest.raises(ConfigError, match="delta must be > 0 and finite"):
+            small_config(delta=delta)
+
     def test_non_numeric_shape_parameter_rejected(self):
         with pytest.raises(ConfigError, match="tau must be > 0"):
             small_config(family="gglocation", family_params={"tau": "abc"})
@@ -157,12 +163,34 @@ class TestWilson:
         assert 0.0 < wilson_halfwidth(0, 50) < 0.1
         assert wilson_halfwidth(50, 50) == wilson_halfwidth(0, 50)
 
+    def test_numpy_integer_counts(self):
+        assert wilson_halfwidth(np.int64(3), np.int64(10)) == wilson_halfwidth(3, 10)
+
+    @pytest.mark.parametrize(
+        "successes, trials", [(3, math.nan), (5, 3), (-1, 3), (1.5, 3), (0, 0), (None, 3)]
+    )
+    def test_invalid_counts_rejected(self, successes, trials):
+        with pytest.raises(InvalidParameterError):
+            wilson_halfwidth(successes, trials)
+
 
 class TestRunCell:
     def test_identical_seeds_identical_cells(self):
         cfg = small_config()
         cell = cfg.cells()[0]
         assert run_cell(cfg, cell) == run_cell(cfg, cell)
+
+    @pytest.mark.parametrize("counts", [(-1, 0), (0, 26), (26, 0), (2.0, 3), (None, 4)])
+    def test_counts_outside_the_replicates_rejected(self, counts):
+        cfg = small_config()  # 25 replicates
+        with pytest.raises(InvalidParameterError):
+            run_cell(cfg, cfg.cells()[0], *counts)
+
+    def test_given_counts_fold_into_the_row(self):
+        cfg = small_config()
+        cell = run_cell(cfg, cfg.cells()[0], 5, 25)
+        assert (cell.type1_rate, cell.type2_rate, cell.total_error) == (0.2, 1.0, 1.2)
+        assert cell.wilson_ci_halfwidth == wilson_halfwidth(5, 25) + wilson_halfwidth(25, 25)
 
     def test_different_seed_changes_rates(self):
         cfg_a = small_config(replicates=40)
@@ -280,8 +308,60 @@ class TestPhaseSweep:
         assert inside.total_error < outside.total_error
 
 
+class _InlinePool:
+    """Stands in for the process pool: runs each task here and records its arguments."""
+
+    tasks: list = []
+
+    def __init__(self, workers):
+        self.workers = workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        args = list(zip(*iterables))
+        self.tasks.extend(args)
+        return [fn(*a) for a in args]
+
+
+# CSV plus overlay bytes of these configs as computed when every cell drew
+# its own alternative samples; sharing a draw between tests must keep them
+GOLDEN_SWEEPS = [
+    (
+        dict(family="idj", beta_grid=(0.0, 0.55, 0.8, 400.0), r_grid=(0.15, 0.6),
+             n_list=(100, 1000), replicates=9, tests=("hc", "lr", "max"), seed=2024),
+        "954b8b8e8c6e0bd55df355399e561be1a17c40280714f5af0982e28392fc8a53",
+    ),
+    (
+        dict(family="hetero", family_params={"sigma2": 2.0}, beta_grid=(0.6,),
+             r_grid=(0.2, 0.5), n_list=(64, 512), replicates=7,
+             tests=("hc", "lr", "max"), seed=5),
+        "b2a1a083db85d1241fde8af6f6d002a6c69aacfa6915349755053b2c44373897",
+    ),
+    (
+        dict(family="gglocation", family_params={"tau": 1.5}, beta_grid=(0.5, 0.75),
+             r_grid=(0.0, 0.4), n_list=(64, 300), replicates=8,
+             tests=("hc", "lr", "max"), seed=11),
+        "2f80c54a932f0d7544eebc6b22c02cc3e0ef8e319242c8fda665b7134769135f",
+    ),
+    (
+        dict(family="custom", beta_grid=(0.0, 0.5), r_grid=(0.0,), n_list=(32, 40),
+             replicates=6, tests=("lr", "max"), seed=7,
+             family_params={
+                 "null": to_spec(FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))),
+                 "alt": to_spec(FiniteDiscrete(((2.0, 1.0),))),
+             }),
+        "73d108cda44a5c100df134ff79e96b60dbc03fe3ddb61224fd0d13011c67d249",
+    ),
+]
+
+
 class TestSharedNull:
-    """The null stage shares each null draw across the cells of one n."""
+    """Each null and each alternative sample is drawn once for every cell it serves."""
 
     def grid(self, **overrides):
         base = dict(
@@ -324,6 +404,37 @@ class TestSharedNull:
         cfg = self.grid(replicates=3)
         phase_sweep(cfg, workers=1)
         assert calls == cfg.cells()
+
+    def test_one_draw_per_sample_and_one_task_per_n_and_block(self, monkeypatch):
+        streams = []
+        real_stream = rng.stream
+
+        def counting(seed, *path):
+            streams.append(path)
+            return real_stream(seed, *path)
+
+        monkeypatch.setattr(rng, "stream", counting)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "tasks", [])
+        cfg = self.grid()  # 3 beta x 2 r x 2 n, 3 tests, 12 replicates
+        csv = phase_sweep(cfg, workers=3).to_csv()
+        assert len(_InlinePool.tasks) == len(cfg.n_list) * 3
+        nulls = [path for path in streams if len(path) == 2]  # (n, k)
+        alternatives = [path for path in streams if len(path) == 4]  # (beta, r, n, k)
+        assert (len(nulls), len(alternatives), len(streams)) == (24, 144, 168)
+        assert len(set(streams)) == len(streams)
+        monkeypatch.undo()
+        assert csv == phase_sweep(cfg, workers=1).to_csv()
+
+    @pytest.mark.parametrize(
+        "spec, digest", GOLDEN_SWEEPS, ids=[spec["family"] for spec, _ in GOLDEN_SWEEPS]
+    )
+    def test_golden_bytes(self, spec, digest):
+        cfg = ExperimentConfig(**spec)
+        for workers in (1, 2, 3, 7):
+            table = phase_sweep(cfg, workers=workers)
+            data = (table.to_csv() + table.overlay_csv()).encode()
+            assert hashlib.sha256(data).hexdigest() == digest, workers
 
 
 class TestHCTypeOneTrend:
