@@ -8,7 +8,13 @@ set of sample points approached from the left and from the right, which
 is what the implementation evaluates exactly.  It skips a block of sorted
 rows only when a bound from the block's endpoints, valid because the
 null CDF is monotone and F(1-F) concave, shows that no row in it can
-reach the maximum (see :func:`hc_statistic`).
+reach the maximum (see :func:`hc_statistic`).  One scan serves a single
+sample and a matrix of samples alike (:func:`hc_statistics`): the
+matrix shares each numpy call's fixed cost across its rows, so it
+prunes blocks of isqrt(n) // 4 rows once it holds 4096 values, where a
+single sample needs n >= 4096.  The max and likelihood-ratio rules
+likewise decide every row of a matrix in one pass
+(:func:`max_rejects`, :func:`lr_statistic`).
 
 The declared null is always a :class:`~sparse_detect.dists.Distribution`;
 its ``tails`` method gives both tail probabilities, each exact in its own
@@ -34,10 +40,12 @@ from .errors import (
 __all__ = [
     "HCResult",
     "hc_statistic",
+    "hc_statistics",
     "hc_threshold",
     "hc_decision",
     "hc_test",
     "max_test",
+    "max_rejects",
     "lr_test",
     "lr_log_ratios",
     "lr_statistic",
@@ -73,59 +81,130 @@ def _null_tail_values(null: Distribution, ys: np.ndarray) -> tuple[np.ndarray, n
     return np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
 
 
-def _block_width(n: int) -> int:
-    """Rows per pruning block; width 1 evaluates every row."""
-    return math.isqrt(n) // 4 if n >= 4096 else 1
+def _block_width(n: int, samples: int = 1) -> int:
+    """Rows per pruning block in a scan of ``samples`` samples of size n.
 
-
-def _weighted_deviation(
-    null: Distribution, ys: np.ndarray, rows: np.ndarray, restricted: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|F_n - F| / sqrt(F (1 - F)) at the given rows of the sorted sample.
-
-    Returns the deviations and the rows' lower and upper null tails.  Each
-    row takes the larger of the left and right limits of F_n and is
-    measured in the tail with the smaller probability.  Under
-    ``restricted`` a row whose null CDF lies outside [1/n, 1/2] reads -inf.
+    Width 1 evaluates every row.  Pruning pays for its fixed cost once
+    the scan holds about 4096 values, in one sample or across many: a
+    scan of 101 Gaussian samples of 1000 values took 3.3 ms pruned
+    against 8.4 ms row by row, while one such sample is faster row by row.
     """
-    n = ys.size
-    lower, upper = _null_tail_values(null, ys[rows])
-    if (lower <= 0.0).any() or (upper <= 0.0).any():
+    return max(1, math.isqrt(n) // 4) if samples * n >= 4096 else 1
+
+
+def _checked_tails(null: Distribution, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Null tails at sample points; the weight 1/sqrt(F (1 - F)) must be finite.
+
+    A NaN point raises InvalidParameterError, a tail of 0 InfiniteWeightError.
+    """
+    lower, upper = _null_tail_values(null, ys)
+    if not min(lower.min(initial=1.0), upper.min(initial=1.0)) > 0.0:  # 0 or NaN
+        if np.isnan(ys).any():
+            raise InvalidParameterError("higher criticism needs a sample without NaN")
         raise InfiniteWeightError(
             "null CDF hit 0 or 1 at a sample point; deviation weight is infinite"
         )
+    return lower, upper
+
+
+def _weighted_deviation(
+    lower: np.ndarray, upper: np.ndarray, rows: np.ndarray, n: int, restricted: bool
+) -> np.ndarray:
+    """|F_n - F| / sqrt(F (1 - F)) at points of sorted samples of size n.
+
+    ``lower`` and ``upper`` are the points' null tails and ``rows`` their
+    0-based rows in their sorted samples, broadcast against the tails.
+    Each point takes the larger of the left and right limits of F_n and
+    is measured in the tail with the smaller probability.  Under
+    ``restricted`` a point whose null CDF lies outside [1/n, 1/2] reads
+    -inf.
+    """
     right, left = (rows + 1.0) / n, rows / n  # F_n at the row and just left of it
-    use_lower = lower <= upper
-    dev = np.maximum(
-        np.abs(np.where(use_lower, right - lower, upper - (1.0 - right))),
-        np.abs(np.where(use_lower, left - lower, upper - (1.0 - left))),
+    # max(|right - F|, |left - F|) is max(right - F, F - left), as left < right
+    dev = np.where(
+        lower <= upper,
+        np.maximum(right - lower, lower - left),
+        np.maximum(upper - (1.0 - right), (1.0 - left) - upper),
     )
     dev /= np.sqrt(lower * upper)
     if restricted:
         dev[(lower < 1.0 / n) | (lower > 0.5)] = -np.inf
-    return dev, lower, upper
+    return dev
 
 
-def _open_rows(
-    ends: np.ndarray, lower: np.ndarray, upper: np.ndarray, best: float, width: int
-) -> np.ndarray:
-    """Inner rows of the blocks between ``ends`` whose deviation may reach ``best``.
+def _open_blocks(
+    ends: np.ndarray, lower: np.ndarray, upper: np.ndarray, best: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sample, first row) of every block whose deviation may reach ``best``.
 
-    ``lower`` and ``upper`` are the null tails at ``ends``.
+    ``lower`` and ``upper`` hold the null tails at ``ends`` in each sample,
+    one sample a line, and ``best`` each sample's best endpoint deviation.
     """
     n = int(ends[-1]) + 1
-    a, b = ends[:-1], ends[1:]
-    reach = np.maximum.reduce([
-        (b + 1.0) / n - lower[:-1],
-        lower[1:] - a / n,
-        upper[:-1] - (1.0 - (b + 1.0) / n),
-        (1.0 - a / n) - upper[1:],
-    ])
+    a = ends[:-1]
+    top, bottom = (ends[1:] + 1.0) / n, a / n  # F_n at the block's last row, left of its first
+    reach = np.maximum(
+        np.maximum(top - lower[:, :-1], lower[:, 1:] - bottom),
+        np.maximum(upper[:, :-1] - (1.0 - top), (1.0 - bottom) - upper[:, 1:]),
+    )
     weight = lower * upper
-    bound = reach / np.sqrt(np.minimum(weight[:-1], weight[1:]))
-    starts = a[bound >= best * (1.0 - 1e-9)]  # the margin absorbs rounding
-    inner = (starts[:, None] + np.arange(1, width)).ravel()
-    return inner[inner < n - 1]  # the last block may be short
+    bound = reach / np.sqrt(np.minimum(weight[:, :-1], weight[:, 1:]))
+    # the margin absorbs rounding
+    samples, blocks = np.nonzero(bound >= best[:, None] * (1.0 - 1e-9))
+    return samples, a[blocks]
+
+
+def hc_statistics(
+    samples, null: Distribution, restricted: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hc_statistic` of every row of a (m, n) matrix of samples.
+
+    Returns the m statistics and the m maximizing thresholds, each equal
+    bit for bit to what :func:`hc_statistic` gives on that row alone:
+    this is the one pruned scan, run on all rows at once, with the block
+    width of ``_block_width(n, m)``.  When several rows are invalid, the
+    error raised is one of theirs.
+    """
+    ys = np.array(samples, dtype=float)
+    ys.sort(axis=-1)  # NaN last, where the endpoint scan meets it
+    m, n = ys.shape
+    if n < 1:
+        raise InvalidSampleSizeError("higher criticism needs a non-empty sample")
+    # with ties in the sample the intermediate i/n levels are not attained,
+    # but they only ever understate |F_n - F|, so the maximum is unaffected
+    width = _block_width(n, m)
+    ends = np.arange(0, n - 1 + width, width)
+    ends[-1] = n - 1
+    lower, upper = _checked_tails(null, ys if width == 1 else ys.take(ends, axis=1))
+    end_dev = _weighted_deviation(lower, upper, ends, n, restricted)
+    best, idx = end_dev.max(axis=1), ends[end_dev.argmax(axis=1)]  # ties: the smallest row
+    if width > 1:  # blocks of width 1 have no inner rows
+        owners, starts = _open_blocks(ends, lower, upper, best)
+        # w - 1 rows from each open block's first inner row; a short last
+        # block takes its rows from the end, rereading rows of the block
+        # before it, which changes neither the maximum nor the tie-break
+        rows = np.minimum(starts, n - 1 - width)[:, None] + np.arange(1, width)
+        dev = _weighted_deviation(
+            *_checked_tails(null, ys.ravel()[rows + (owners * n)[:, None]]), rows, n, restricted
+        )
+        if m == 1:  # the same fold as below, with plain reductions
+            inner_best = dev.max(initial=-np.inf)
+            if inner_best >= best[0]:
+                row = rows[dev == inner_best].min()
+                idx[0] = row if inner_best > best[0] else min(idx[0], row)
+                best[0] = inner_best
+        else:
+            block_best = dev.max(axis=1)
+            end_best = best.copy()
+            np.maximum.at(best, owners, block_best)
+            idx[best > end_best] = n  # an inner row beats every endpoint
+            top = np.flatnonzero(block_best == best[owners])
+            np.minimum.at(idx, owners[top], rows[top, dev[top].argmax(axis=1)])
+    if restricted and (best == -np.inf).any():
+        raise InvalidParameterError(
+            "restricted variant has no candidates with null CDF in [1/n, 1/2]"
+        )
+    return math.sqrt(n) * best, ys[np.arange(m), idx]
 
 
 def hc_statistic(
@@ -152,33 +231,14 @@ def hc_statistic(
     relative margin for rounding, are evaluated row by row; every row
     skipped deviates strictly less than the maximum, so the statistic,
     its threshold and the tie-break equal those of the full scan bit for
-    bit.  A NaN sample point raises InvalidParameterError; a null tail
-    of 0 at a sample point raises InfiniteWeightError.
+    bit.  This is the one-row case of :func:`hc_statistics`, which runs
+    the same scan on every row of a sample matrix at once and prunes as
+    soon as the matrix holds 4096 values.  A NaN sample point raises
+    InvalidParameterError; a null tail of 0 at a sample point raises
+    InfiniteWeightError.
     """
-    ys = np.sort(np.asarray(sample, dtype=float))
-    n = ys.size
-    if n < 1:
-        raise InvalidSampleSizeError("higher criticism needs a non-empty sample")
-    if np.isnan(ys[-1]):  # the sort puts NaN last
-        raise InvalidParameterError("higher criticism needs a sample without NaN")
-    # with ties in the sample the intermediate i/n levels are not attained,
-    # but they only ever understate |F_n - F|, so the maximum is unaffected
-    width = _block_width(n)
-    ends = np.arange(0, n - 1 + width, width)
-    ends[-1] = n - 1
-    end_dev, lower, upper = _weighted_deviation(null, ys, ends, restricted)
-    rows, dev = ends, end_dev
-    if width > 1:  # blocks of width 1 have no inner rows
-        inner = _open_rows(ends, lower, upper, end_dev.max(), width)
-        rows = np.concatenate((ends, inner))
-        dev = np.concatenate((end_dev, _weighted_deviation(null, ys, inner, restricted)[0]))
-    best = dev.max()
-    if best == -np.inf:
-        raise InvalidParameterError(
-            "restricted variant has no candidates with null CDF in [1/n, 1/2]"
-        )
-    idx = int(rows[dev == best].min())
-    return math.sqrt(n) * float(best), float(ys[idx])
+    statistics, thresholds = hc_statistics(np.asarray(sample, dtype=float)[None], null, restricted)
+    return float(statistics[0]), float(thresholds[0])
 
 
 def hc_threshold(n: int, delta: float) -> float:
@@ -221,23 +281,29 @@ def max_test(sample, u: float = 1.0) -> str:
     rejection probability; smaller u is allowed but flagged with a warning.
     """
     ys = np.asarray(sample, dtype=float)
-    n = ys.size
-    if n < 2:
-        raise InvalidSampleSizeError(f"n must be >= 2, got {n}")
+    if ys.size < 2:
+        raise InvalidSampleSizeError(f"n must be >= 2, got {ys.size}")
     if u < 1.0:
         warnings.warn(
             "max test with u < 1 does not control the null rejection rate",
             stacklevel=2,
         )
-    threshold = abs(u) * math.sqrt(2.0 * math.log(n))
-    return "alternative" if float(max(ys.max(), -ys.min())) > threshold else "null"
+    return "alternative" if max_rejects(ys[None], u)[0] else "null"
+
+
+def max_rejects(samples: np.ndarray, u: float = 1.0) -> np.ndarray:
+    """Whether :func:`max_test` declares the alternative on each row of ``samples``."""
+    threshold = abs(u) * math.sqrt(2.0 * math.log(samples.shape[-1]))
+    return np.maximum(samples.max(axis=-1), -samples.min(axis=-1)) > threshold
 
 
 def lr_log_ratios(sample, alt: Distribution, null: Distribution) -> np.ndarray | None:
     """The log-likelihood ratios l(Y_i) = log dG/dQ (Y_i) of a sample.
 
-    None when a sample point carries alternative mass off the null
-    support, which makes log LR = +inf whatever the mixture weight.
+    ``sample`` may also be a matrix of samples, one a row.  None when a
+    sample point carries alternative mass off the null support, which
+    makes log LR = +inf whatever the mixture weight; for a matrix, when
+    any row has such a point.
     """
     try:
         return np.asarray(log_likelihood_ratio(alt, null, sample), dtype=float)
@@ -245,21 +311,37 @@ def lr_log_ratios(sample, alt: Distribution, null: Distribution) -> np.ndarray |
         return None
 
 
-def lr_statistic(ell: np.ndarray | None, eps: float) -> float:
+def lr_statistic(ell: np.ndarray | None, eps):
     """log LR of the mixture (1 - eps) Q + eps G from ``lr_log_ratios``.
 
     sum_i log(1 + eps (exp(l(Y_i)) - 1)), evaluated in log space as
     logaddexp(log(1 - eps), log eps + l) for stability.  A singular
     sample (``ell`` None) gives +inf, even at eps = 0, where every other
     sample gives 0.
+
+    ``ell`` may also be a (m, n) matrix of one sample's log ratios a row,
+    with ``eps`` one weight per row; the result is then the m statistics,
+    each equal bit for bit to this function on its row alone.  The sums
+    run along the contiguous last axis, and each row's constants come
+    from ``math.log1p`` and ``math.log`` as in the one-row case.
     """
     if ell is None:
         return math.inf
-    if eps == 0.0:
-        return 0.0
-    if eps == 1.0:
-        return float(np.sum(ell))
-    return float(np.sum(np.logaddexp(math.log1p(-eps), math.log(eps) + ell)))
+    if np.ndim(ell) < 2:
+        return float(lr_statistic(np.reshape(ell, (1, -1)), [eps])[0])
+    eps = np.asarray(eps, dtype=float)
+    out = np.zeros(eps.shape)
+    whole = eps == 1.0
+    if whole.any():
+        out[whole] = ell[whole].sum(axis=-1)
+    part = (eps != 0.0) & ~whole
+    if part.any():
+        w = eps[part]
+        a = np.array([math.log1p(-x) for x in w])[:, None]
+        b = np.array([math.log(x) for x in w])[:, None]
+        rows = ell if part.all() else ell[part]
+        out[part] = np.logaddexp(a, b + rows).sum(axis=-1)
+    return out
 
 
 def lr_test(sample, mix: SparseMixture) -> tuple[float, str]:

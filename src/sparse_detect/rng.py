@@ -5,6 +5,11 @@ mix of integer path components (sample size, grid indices, replicate
 index, ...).  Streams with distinct (seed, path) are statistically
 independent, and a given (seed, path) always yields the same sequence
 regardless of scheduling or worker count.
+
+:func:`philox_state` is the one keying routine.  :func:`stream` builds a
+fresh generator from it; a loop that draws from many streams can instead
+re-key one generator through its bit generator's ``state`` setter, which
+gives the same draws at a fraction of the cost of a new ``Philox``.
 """
 
 from __future__ import annotations
@@ -32,12 +37,26 @@ def path_key(*path: int) -> int:
     return out & _MASK64
 
 
-def stream(seed: int, *path: int) -> np.random.Generator:
-    """Return the generator owned by (seed, path).
+def philox_state(seed: int, *path: int) -> dict:
+    """The Philox state at the start of the stream owned by (seed, path).
 
-    The seed occupies the low Philox key word and the mixed path the
-    high word, so streams never collide for distinct path tuples short
-    of a 64-bit hash collision.
+    The seed occupies the low key word and the mixed path the high word,
+    so streams never collide for distinct path tuples short of a 64-bit
+    hash collision.  The counter is 0 and the output buffer empty, as in
+    a freshly keyed ``Philox``.
     """
-    key = (int(seed) & _MASK64) | (path_key(*path) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [int(seed) & _MASK64, path_key(*path)]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def stream(seed: int, *path: int) -> np.random.Generator:
+    """Return a new generator owned by (seed, path)."""
+    bit_generator = np.random.Philox(0)
+    bit_generator.state = philox_state(seed, *path)
+    return np.random.Generator(bit_generator)

@@ -5,20 +5,27 @@ attaches Wilson confidence half-widths and the theoretical boundary
 overlay, and provides the finite-n exponent-estimation diagnostic.
 
 Engine: one unit of work is a block of replicates at one sample size n
-(:func:`_block_counts`).  For each replicate k of the block it draws the
-null sample once and every cell at n decides on it, then draws the
-alternative sample of each (beta, r) once and every requested test
-decides on that one draw.  The log-likelihood ratios depend only on
-(r, n) and the sample, so the lr cells of one r share them and differ
-only in the epsilon reduction.  ``phase_sweep`` sums the blocks' counts
-and folds them into one row per cell with ``run_cell``.
+(:func:`_block_counts`).  Replicate k's samples are the rows of one
+sample matrix: the null sample, on which every cell at n decides, then
+one alternative sample per (beta, r), on which every requested test of
+that (beta, r) decides.  Every test decides on the matrix at once: hc
+runs one pruned scan over the sorted rows, max takes two row
+reductions, and lr computes the log-likelihood ratios once per r, on
+the rows that need that r, then reduces each cell's row with the cell's
+epsilon in one pass.  The matrix is drawn and decided in chunks of
+whole rows of at most 2**17 values (one row when n is larger), so at
+n = 1e5 a task holds one sample at a time and its memory does not grow
+with the grid.  ``phase_sweep`` sums the blocks' counts and folds them
+into one row per cell with ``run_cell``.
 
 Reproducibility: every sample is drawn from a counter-based stream.  The
 null sample of replicate k at sample size n is keyed by (seed, n, k).
 The alternative sample is keyed by (seed, beta index, r index, n, k),
-with the indices taken in the sorted grids.  Results are independent of
-scheduling and worker count, and CSV output is byte-identical for a
-fixed seed.
+with the indices taken in the sorted grids.  :func:`rng.philox_state`
+turns each key into a Philox state, and a task re-keys one generator
+with it for every sample, which draws what a fresh ``rng.stream`` of the
+same key would.  Results are independent of scheduling and worker
+count, and CSV output is byte-identical for a fixed seed.
 """
 
 from __future__ import annotations
@@ -40,8 +47,9 @@ import numpy as np
 
 from . import families, rng
 from .dists import Distribution, SparseMixture, epsilon_from_beta, log_likelihood_ratio
-from .errors import ConfigError, InvalidParameterError
-from .hctest import hc_decision, hc_statistic, lr_log_ratios, lr_statistic, max_test
+from .errors import ConfigError, InvalidParameterError, SparseDetectError
+from .hctest import hc_statistics, hc_threshold, lr_log_ratios, lr_statistic, max_rejects
+from .hctest import hc_statistic  # noqa: F401  # perfbench/selftest.py patches it here
 
 __all__ = [
     "TESTS",
@@ -58,6 +66,8 @@ __all__ = [
 
 TESTS = ("hc", "lr", "max")
 _Z95 = 1.959963984540054
+# values in the largest sample matrix one task draws and decides at a time
+_CHUNK_VALUES = 1 << 17
 # estimate_gamma flags a move larger than this between consecutive n
 _GAMMA_FLAG_THRESHOLD = 0.05
 
@@ -71,6 +81,16 @@ def _exponent_grid(name: str, values) -> tuple[float, ...]:
     if not all(0 <= v < math.inf for v in grid):
         raise ConfigError(f"every {name} must be >= 0 and finite, got {name}_grid {grid}")
     return grid
+
+
+def _whole(name: str, value) -> int:
+    """``value`` as an int; it must be an integral number and not a bool."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -94,6 +114,8 @@ class ExperimentConfig:
             raise ConfigError(f"every n must be an integer, got n_list {tuple(self.n_list)}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "tests", tuple(self.tests))
+        object.__setattr__(self, "replicates", _whole("replicates", self.replicates))
+        object.__setattr__(self, "seed", _whole("seed", self.seed))
         try:
             families.build(self.family, self.family_params)
         except InvalidParameterError as exc:
@@ -140,15 +162,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """The config of a JSON object; a malformed entry raises ConfigError."""
+        delta = data.get("delta", 0.1)
         return cls(
             family=data["family"],
             beta_grid=tuple(data["beta_grid"]),
             r_grid=tuple(data["r_grid"]),
             n_list=tuple(data["n_list"]),
-            replicates=int(data["replicates"]),
+            replicates=data["replicates"],
             tests=tuple(data["tests"]),
-            seed=int(data["seed"]),
-            delta=float(data.get("delta", 0.1)),
+            seed=data["seed"],
+            delta=float(delta) if isinstance(delta, numbers.Real) else delta,
             family_params=dict(data.get("family_params", {})),
         )
 
@@ -177,8 +201,10 @@ def wilson_halfwidth(successes: int, trials: int, z: float = _Z95) -> float:
     """Half-width of the Wilson score interval; stable near rates 0 and 1.
 
     The counts must be integers with trials >= 1 and
-    0 <= successes <= trials.
+    0 <= successes <= trials, and z must be > 0 and finite.
     """
+    if not (isinstance(z, numbers.Real) and 0 < z < math.inf):
+        raise InvalidParameterError(f"z must be > 0 and finite, got {z!r}")
     try:
         k, m = operator.index(successes), operator.index(trials)
     except TypeError:
@@ -202,33 +228,72 @@ def family_mixture(
     return SparseMixture(null, alt(r, n), eps)
 
 
-def _decisions(
-    ys: np.ndarray, null: Distribution, cells: Sequence[tuple], mixes: dict, delta: float
-) -> list[bool]:
-    """Whether each cell's test rejects the null on the one sample ``ys``.
+def _subset(index: np.ndarray, size: int) -> np.ndarray | slice:
+    """``index`` into ``size`` rows, or a full slice when it takes every row in order."""
+    return slice(None) if np.array_equal(index, np.arange(size)) else index
 
-    ``mixes`` maps each cell's (beta, r) to its mixture.  hc and max
-    decide once; lr computes the log-likelihood ratios once per r and
-    reduces them with each cell's epsilon.
+
+def _decision_steps(
+    rows: np.ndarray, cells: Sequence[tuple], mixes: dict, size: int
+) -> list[tuple]:
+    """How each cell ``cells[j]`` decides on row ``rows[j]`` of a ``size``-row sample matrix.
+
+    One step per test, and one per r for lr: (test, the positions j it
+    decides, their rows, lr data).  An lr step's data are the alternative
+    law, the rows whose log-likelihood ratios it computes, and batches of
+    at most ``size`` (index among those rows, epsilon) pairs, one pair
+    per position, so that no batch holds more values than the matrix.
+    ``mixes`` maps each cell's (beta, r) to its mixture.
     """
-    shared, ells, out = {}, {}, []
-    for _, beta, r, _, test in cells:
-        if test == "lr":
-            mix = mixes[beta, r]
-            if r not in ells:
-                ells[r] = lr_log_ratios(ys, mix.alt_dist, null)
-            out.append(lr_statistic(ells[r], mix.epsilon) >= 0.0)
-        elif test == "hc":
-            if test not in shared:
-                statistic, _ = hc_statistic(ys, null)
-                shared[test] = hc_decision(statistic, ys.size, delta) == "alternative"
-            out.append(shared[test])
-        elif test == "max":
-            if test not in shared:
-                shared[test] = max_test(ys, u=1.0) == "alternative"
-            out.append(shared[test])
-        else:
+    tests = [cell[4] for cell in cells]
+    steps = []
+    for test in dict.fromkeys(tests):
+        if test not in TESTS:
             raise InvalidParameterError(f"unknown test {test!r}")
+        at = [j for j, t in enumerate(tests) if t == test]
+        if test != "lr":
+            steps.append((test, np.array(at), rows[at], None))
+            continue
+        for r in dict.fromkeys(cells[j][2] for j in at):
+            at_r = np.array([j for j in at if cells[j][2] == r])
+            need, row_of = np.unique(rows[at_r], return_inverse=True)
+            eps = np.array([mixes[cells[j][1:3]].epsilon for j in at_r])
+            batches = [
+                (_subset(row_of[k:k + size], len(need)), eps[k:k + size])
+                for k in range(0, len(at_r), size)
+            ]
+            alt = mixes[cells[at_r[0]][1:3]].alt_dist
+            steps.append((test, at_r, rows[at_r], (alt, _subset(need, size), batches)))
+    return steps
+
+
+def _decisions(
+    ys: np.ndarray, steps: list[tuple], size: int, null: Distribution, delta: float
+) -> np.ndarray:
+    """Whether each of ``size`` cells rejects the null, by ``_decision_steps``.
+
+    hc and max decide once per row of the (m, n) sample matrix ``ys``;
+    lr computes the log-likelihood ratios once per r, on the rows that
+    need that r, and reduces each cell's row with the cell's epsilon.
+    """
+    out = np.zeros(size, dtype=bool)
+    for test, at, rows, lr in steps:
+        if test == "hc":
+            statistics, _ = hc_statistics(ys, null)
+            out[at] = statistics[rows] > hc_threshold(ys.shape[1], delta)
+        elif test == "max":
+            out[at] = max_rejects(ys)[rows]
+        else:
+            alt, need, batches = lr
+            ell = lr_log_ratios(ys[need], alt, null)
+            if ell is None:  # a singular row: reduce row by row, its statistic is +inf
+                eps = np.concatenate([e for _, e in batches])
+                stats = [
+                    lr_statistic(lr_log_ratios(ys[i], alt, null), e) for i, e in zip(rows, eps)
+                ]
+            else:
+                stats = np.concatenate([lr_statistic(ell[i], e) for i, e in batches])
+            out[at] = np.asarray(stats) >= 0.0
     return out
 
 
@@ -237,12 +302,16 @@ def _block_counts(
 ) -> tuple[list[int], list[int]]:
     """Null rejections and alternative misses of each cell over replicates ``reps``.
 
-    Every cell has the same n.  Replicate k draws the null sample keyed
-    by (seed, n, k) once and every cell decides on it.  Then, for each
-    (beta, r) among the cells, it draws one alternative sample keyed by
-    (seed, beta index, r index, n, k) and every test of that (beta, r)
-    decides on it; cells of one (beta, r) share the draw when they are
-    adjacent, as in ``cfg.cells()``.
+    Every cell has the same n.  Replicate k's samples are the rows of one
+    sample matrix: row 0 is the null sample, keyed by (seed, n, k), on
+    which every cell decides; then each (beta, r) among the cells has one
+    alternative sample, keyed by (seed, beta index, r index, n, k), on
+    which every test of that (beta, r) decides.  Cells of one (beta, r)
+    share the row when they are adjacent, as in ``cfg.cells()``.  The
+    matrix is drawn and decided in chunks of whole rows, at most
+    ``_CHUNK_VALUES`` values or one row, so a task's memory does not grow
+    with the grid.  All draws come from one generator, re-keyed for each
+    sample.
     """
     n = cells[0][3]
     betas, rs = sorted(cfg.beta_grid), sorted(cfg.r_grid)
@@ -251,22 +320,46 @@ def _block_counts(
         for beta, r in dict.fromkeys(cell[1:3] for cell in cells)
     }
     null = mixes[cells[0][1:3]].null_dist
-    alternatives = []  # (first cell position, cells, mixed law, stream key) per (beta, r)
-    for (beta, r), members in groupby(enumerate(cells), key=lambda item: item[1][1:3]):
-        positions, group = zip(*members)
-        key = (betas.index(beta), rs.index(r), n)
-        alternatives.append((positions[0], group, mixes[beta, r].mixed(), key))
-    null_rejects, misses = [0] * len(cells), [0] * len(cells)
+    laws, keys, alt_rows = [null], [(n,)], []  # per matrix row; each cell's alternative row
+    for (beta, r), group in groupby(cells, key=lambda cell: cell[1:3]):
+        laws.append(mixes[beta, r].mixed())
+        keys.append((betas.index(beta), rs.index(r), n))
+        alt_rows += [len(laws) - 1] * len(list(group))
+    # the decisions a replicate counts: each cell on row 0, then on its alternative row
+    rows = np.array([0] * len(cells) + alt_rows)
+    positions = np.tile(np.arange(len(cells)), 2)
+    per_chunk = max(1, _CHUNK_VALUES // n)
+    chunks = []  # (first row, rows, steps of its decisions, which are null ones, their cells)
+    for lo in range(0, len(laws), per_chunk):
+        size = min(per_chunk, len(laws) - lo)
+        at = np.flatnonzero((rows >= lo) & (rows < lo + size))
+        steps = _decision_steps(rows[at] - lo, [cells[i] for i in positions[at]], mixes, size)
+        chunks.append((lo, size, steps, rows[at] == 0, positions[at]))
+    bit_generator = np.random.Philox(0)
+    stream = np.random.Generator(bit_generator)
+    null_rejects, misses = np.zeros(len(cells), dtype=int), np.zeros(len(cells), dtype=int)
     for rep in reps:
-        ys = null.sample(n, rng.stream(cfg.seed, n, rep))
-        for i, rejected in enumerate(_decisions(ys, null, cells, mixes, cfg.delta)):
-            null_rejects[i] += rejected
-        for first, group, mixed, key in alternatives:
-            ys = mixed.sample(n, rng.stream(cfg.seed, *key, rep))
-            decisions = _decisions(ys, null, group, mixes, cfg.delta)
-            for i, rejected in enumerate(decisions, first):
-                misses[i] += not rejected
-    return null_rejects, misses
+        for lo, size, steps, on_null, cell_of in chunks:
+            samples = []
+            for row in range(lo, lo + size):
+                bit_generator.state = rng.philox_state(cfg.seed, *keys[row], rep)
+                samples.append(laws[row].sample(n, stream))
+            ys = np.stack(samples) if size > 1 else samples[0][None]
+            del samples
+            try:
+                rejected = _decisions(ys, steps, cell_of.size, null, cfg.delta)
+            except SparseDetectError:
+                # raise the error of the first row that fails, as deciding
+                # the rows one at a time in order would
+                for row in range(lo, lo + size):
+                    mine = np.flatnonzero(rows == row)
+                    row_cells = [cells[i] for i in positions[mine]]
+                    row_steps = _decision_steps(rows[mine] - row, row_cells, mixes, 1)
+                    _decisions(ys[row - lo:row - lo + 1], row_steps, mine.size, null, cfg.delta)
+                raise
+            null_rejects[cell_of[on_null]] += rejected[on_null]
+            misses[cell_of[~on_null]] += ~rejected[~on_null]
+    return null_rejects.tolist(), misses.tolist()
 
 
 def run_cell(

@@ -389,6 +389,25 @@ class TestSimulateCommand:
         assert (code, out) == (3, "")
         assert words in err
 
+    @pytest.mark.parametrize(
+        "field, value, words",
+        [
+            ("replicates", 2.7, "replicates must be an integer, got 2.7"),
+            ("seed", 1.9, "seed must be an integer, got 1.9"),
+            ("delta", "abc", "delta must be > 0 and finite, got 'abc'"),
+        ],
+    )
+    def test_malformed_config_scalar_exit_3(self, capsys, tmp_path, field, value, words):
+        data = {
+            "family": "idj", "beta_grid": [0.7], "r_grid": [0.4],
+            "n_list": [100], "replicates": 5, "tests": ["lr"], "seed": 5,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(data, **{field: value})))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_path))
+        assert (code, out) == (3, "")
+        assert words in err
+
     def test_bad_config_exit_3(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({

@@ -30,11 +30,13 @@ from sparse_detect.hctest import (
     _block_width,
     hc_decision,
     hc_statistic,
+    hc_statistics,
     hc_test,
     hc_threshold,
     lr_log_ratios,
     lr_statistic,
     lr_test,
+    max_rejects,
     max_test,
     vn_statistic,
 )
@@ -277,6 +279,114 @@ class TestHCStatisticMatchesOracle:
         finally:
             tracemalloc.stop()
         assert peak < 3_000_000, peak
+
+
+class TestHCStatisticsMatrix:
+    """Every row of the matrix scan equals the exhaustive scan, bit for bit."""
+
+    # (null, sampled law); the discrete null's samples stay inside its support
+    CASES = {
+        "gaussian": (Gaussian(), Mixture(Gaussian(), Gaussian(2.0, 1.0), 0.1)),
+        "laplace": (
+            GenGaussian(1.0), Mixture(GenGaussian(1.0), Shifted(GenGaussian(1.0), 3.0), 0.1)
+        ),
+        "discrete": (
+            FiniteDiscrete(((-1.0, 0.25), (0.0, 0.25), (1.0, 0.5))),
+            FiniteDiscrete(((-1.0, 0.2), (-0.5, 0.3), (0.0, 0.3), (0.5, 0.2))),
+        ),
+    }
+    # 131 rows of 1e5 values would hold 100 MB; a sweep never holds more than 2**17
+    SHAPES = [
+        (m, n) for m in (1, 2, 131) for n in (1, 2, 16, 4095, 4096, 10**5) if m * n <= 131 * 4096
+    ]
+
+    @pytest.mark.parametrize("m, n", SHAPES)
+    @pytest.mark.parametrize("case", CASES)
+    def test_rows_equal_the_exhaustive_scan(self, case, m, n):
+        null, law = self.CASES[case]
+        ys = np.stack([law.sample(n, rng.stream(51, n, k)) for k in range(m)])
+        for data in (ys, np.round(ys, 1)):  # rounding makes long ties
+            for restricted in (False, True):
+                want = [
+                    outcome(hc_statistic_oracle, row, null, restricted=restricted) for row in data
+                ]
+                got = outcome(hc_statistics, data, null, restricted=restricted)
+                errors = {w for w in want if not isinstance(w, tuple)}
+                if errors:
+                    assert got in errors
+                else:
+                    statistics, thresholds = got
+                    assert list(zip(statistics.tolist(), thresholds.tolist())) == want
+                    assert [hc_statistic(row, null, restricted) for row in data] == want
+
+    @pytest.mark.parametrize("n", [50, 2048])  # 2048: two rows are pruned in blocks
+    def test_invalid_rows_raise_the_single_sample_errors(self, n):
+        good = Gaussian().sample(n, rng.stream(52, n))
+        nan_row, zero_tail, top_tail = good.copy(), good.copy(), good.copy()
+        nan_row[7] = math.nan
+        zero_tail[3] = -50.0
+        top_tail[5] = math.inf
+        cases = (
+            (nan_row, InvalidParameterError),
+            (zero_tail, InfiniteWeightError),
+            (top_tail, InfiniteWeightError),
+        )
+        for bad, error in cases:
+            with pytest.raises(error):
+                hc_statistic(bad, Gaussian())
+            for rows in ((good, bad), (bad, good), (good, good, bad)):
+                with pytest.raises(error):
+                    hc_statistics(np.stack(rows), Gaussian())
+
+    def test_width_rule_counts_the_whole_matrix(self):
+        # one sample is scanned row by row below n = 4096, a matrix of
+        # 4096 values or more in blocks
+        assert (_block_width(4095), _block_width(4096)) == (1, 16)
+        assert (_block_width(1000, 4), _block_width(1000, 5)) == (1, 7)
+        assert _block_width(15, 300) == 1
+
+    def test_max_rejects_rows(self):
+        ys = np.stack([np.append(np.zeros(99), v) for v in (3.5, 2.0, -3.5)])
+        assert max_rejects(ys).tolist() == [True, False, True]
+        assert [max_test(row) for row in ys] == ["alternative", "null", "alternative"]
+
+
+class TestLRStatisticRows:
+    """The row-wise epsilon reduction equals lr_statistic on each row, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 16, 1000, 10**5])
+    @pytest.mark.parametrize(
+        "null, alt",
+        [
+            (Gaussian(), Gaussian(2.5, 1.0)),
+            (Gaussian(), Gaussian()),  # r = 0: every log ratio is 0
+            (Gaussian(), Gaussian(1.0, 2.0)),
+            (GenGaussian(1.5), Shifted(GenGaussian(1.5), 1.2)),
+        ],
+    )
+    def test_rows_equal_single_rows(self, null, alt, n):
+        m = 2 if n == 10**5 else 6
+        ys = np.stack([Mixture(null, alt, 0.1).sample(n, rng.stream(53, n, k)) for k in range(m)])
+        ell = lr_log_ratios(ys, alt, null)
+        singles = [lr_log_ratios(row, alt, null) for row in ys]
+        assert all(np.array_equal(a, b) for a, b in zip(ell, singles))
+        # beta = 0 gives eps 1, a huge beta eps 0; rows repeat as in a sweep
+        eps = [1.0, 0.0, 0.3, n**-0.6, 1e-300]
+        rows = np.repeat(np.arange(m), len(eps))
+        eps_of_row = np.tile(eps, m)
+        got = lr_statistic(ell[rows], eps_of_row)
+        want = [lr_statistic(singles[i], e) for i, e in zip(rows, eps_of_row)]
+        assert got.tolist() == want
+
+    def test_singular_rows(self):
+        # one singular row makes the matrix's log ratios None, and each
+        # row reduced alone keeps its own outcome
+        q = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))
+        g = FiniteDiscrete(((2.0, 1.0),))
+        ys = np.array([[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
+        assert lr_log_ratios(ys, g, q) is None
+        assert lr_log_ratios(ys[:1], g, q).tolist() == [[-math.inf] * 3]
+        assert [lr_statistic(lr_log_ratios(row, g, q), 0.0) for row in ys] == [0.0, math.inf]
 
 
 class TestHCDecision:

@@ -11,11 +11,17 @@ from sparse_detect.dists import (
     FiniteDiscrete,
     Gaussian,
     GenGaussian,
+    Mixture,
     Shifted,
     to_spec,
 )
-from sparse_detect.errors import ConfigError, InvalidParameterError
-from sparse_detect.hctest import hc_statistic, hc_threshold
+from sparse_detect.errors import (
+    ConfigError,
+    IncompatibleLawsError,
+    InfiniteWeightError,
+    InvalidParameterError,
+)
+from sparse_detect.hctest import hc_statistic, hc_threshold, lr_test, max_test
 from sparse_detect.sim import (
     ExperimentConfig,
     estimate_gamma,
@@ -111,6 +117,29 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(dict(small_config().to_dict(), n_list=[1000.0]))
         assert cfg.n_list == (1000,)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("replicates", 2.7), ("replicates", True), ("replicates", "3"),
+         ("seed", 1.9), ("seed", False), ("seed", math.nan)],
+    )
+    def test_non_integral_replicates_and_seed_rejected(self, field, value):
+        data = dict(small_config().to_dict(), **{field: value})
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            ExperimentConfig.from_dict(data)
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            small_config(**{field: value})
+
+    def test_integral_floats_read_as_integers(self):
+        data = dict(small_config().to_dict(), replicates=25.0, seed=1234.0)
+        cfg = ExperimentConfig.from_dict(data)
+        assert cfg == small_config()
+        assert type(cfg.replicates) is int and type(cfg.seed) is int
+
+    def test_non_numeric_delta_in_dict_rejected(self):
+        data = dict(small_config().to_dict(), delta="abc")
+        with pytest.raises(ConfigError, match="delta must be > 0 and finite, got 'abc'"):
+            ExperimentConfig.from_dict(data)
+
     def test_malformed_custom_spec_rejected(self):
         params = {"null": {"kind": "gen_gaussian"}, "alt": {"kind": "gaussian", "mean": 2.0}}
         with pytest.raises(ConfigError, match="gen_gaussian spec needs field 'tau'"):
@@ -172,6 +201,11 @@ class TestWilson:
     def test_invalid_counts_rejected(self, successes, trials):
         with pytest.raises(InvalidParameterError):
             wilson_halfwidth(successes, trials)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -1.0, 0.0, "1.96", None])
+    def test_z_must_be_positive_and_finite(self, z):
+        with pytest.raises(InvalidParameterError, match="z must be > 0 and finite"):
+            wilson_halfwidth(3, 10, z=z)
 
 
 class TestRunCell:
@@ -357,6 +391,22 @@ GOLDEN_SWEEPS = [
              }),
         "73d108cda44a5c100df134ff79e96b60dbc03fe3ddb61224fd0d13011c67d249",
     ),
+    (
+        # 7 sample rows a replicate: 2 chunks at n = 20000, 7 at n = 70000
+        dict(family="idj", beta_grid=(0.5, 0.7, 1.0), r_grid=(0.3, 0.9),
+             n_list=(16, 20000, 70000), replicates=3, tests=("hc", "lr", "max"), seed=99),
+        "8f0555d03175633b2ab185e4c7d1ae8881b12d12a967477977471cf864c434de",
+    ),
+    (
+        # 3 sample rows a replicate in 2 chunks at n = 50000, singular lr rows among them
+        dict(family="custom", beta_grid=(0.0, 0.5), r_grid=(0.0,), n_list=(50000,),
+             replicates=4, tests=("lr", "max"), seed=8,
+             family_params={
+                 "null": to_spec(FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))),
+                 "alt": to_spec(FiniteDiscrete(((2.0, 1.0),))),
+             }),
+        "af1b214d22d3369d8d9e4a5d3400e7c145707727ea7b038bd156505207041810",
+    ),
 ]
 
 
@@ -406,14 +456,15 @@ class TestSharedNull:
         assert calls == cfg.cells()
 
     def test_one_draw_per_sample_and_one_task_per_n_and_block(self, monkeypatch):
+        # every stream, fresh or re-keyed, is keyed through rng.philox_state
         streams = []
-        real_stream = rng.stream
+        real_state = rng.philox_state
 
         def counting(seed, *path):
             streams.append(path)
-            return real_stream(seed, *path)
+            return real_state(seed, *path)
 
-        monkeypatch.setattr(rng, "stream", counting)
+        monkeypatch.setattr(rng, "philox_state", counting)
         monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(_InlinePool, "tasks", [])
         cfg = self.grid()  # 3 beta x 2 r x 2 n, 3 tests, 12 replicates
@@ -426,8 +477,77 @@ class TestSharedNull:
         monkeypatch.undo()
         assert csv == phase_sweep(cfg, workers=1).to_csv()
 
+    def test_no_task_holds_more_than_the_chunk_cap(self, monkeypatch):
+        shapes = []
+        real = sim._decisions
+
+        def recording(ys, *args):
+            shapes.append(ys.shape)
+            return real(ys, *args)
+
+        monkeypatch.setattr(sim, "_decisions", recording)
+        cfg = self.grid(n_list=(16, 20000, 70000), replicates=2)  # 7 sample rows a replicate
+        phase_sweep(cfg)
+        assert max(m * n for m, n in shapes) <= sim._CHUNK_VALUES == 2**17
+        rows = {n: sorted({m for m, size in shapes if size == n}) for n in cfg.n_list}
+        assert rows == {16: [7], 20000: [1, 6], 70000: [1]}
+
     @pytest.mark.parametrize(
-        "spec, digest", GOLDEN_SWEEPS, ids=[spec["family"] for spec, _ in GOLDEN_SWEEPS]
+        "family, params, r, n",
+        [
+            ("idj", {}, 0.5, 200),
+            ("idj", {}, 0.0, 200),
+            ("gglocation", {"tau": 1.5}, 0.4, 64),
+            ("custom", GOLDEN_SWEEPS[3][0]["family_params"], 0.0, 3),  # singular rows
+        ],
+    )
+    def test_matrix_decisions_equal_single_sample_tests(self, family, params, r, n):
+        # beta 0 gives eps 1 and beta 400 eps 0; each row serves every beta
+        betas = (0.0, 0.5, 400.0)
+        mixes = {(beta, r): family_mixture(family, params, r, beta, n) for beta in betas}
+        null = mixes[betas[0], r].null_dist
+        laws = (null, mixes[0.5, r].mixed())  # null and alternative rows, as in a sweep
+        ys = np.stack([laws[k % 2].sample(n, rng.stream(54, k)) for k in range(8)])
+        tests = ("lr", "max") if family == "custom" else ("hc", "lr", "max")
+        cells = [(0, beta, r, n, test) for beta in betas for test in tests] * len(ys)
+        rows = np.repeat(np.arange(len(ys)), len(betas) * len(tests))
+        steps = sim._decision_steps(rows, cells, mixes, len(ys))
+        got = sim._decisions(ys, steps, len(cells), null, 0.1)
+        want = []
+        for row, (_, beta, _, _, test) in zip(rows, cells):
+            if test == "lr":
+                want.append(lr_test(ys[row], mixes[beta, r])[1] == "alternative")
+            elif test == "max":
+                want.append(max_test(ys[row]) == "alternative")
+            else:
+                want.append(hc_statistic(ys[row], null)[0] > hc_threshold(n, 0.1))
+        assert got.tolist() == want
+        if family == "custom":
+            assert len(set(want)) == 2  # some rows singular, some not
+
+    def test_errors_keep_the_row_by_row_order(self):
+        # the null row passes hc and fails lr; an alternative row fails hc.
+        # Deciding row by row, as the sweep reports it, the null row's lr
+        # error comes first, though the chunk's hc scan meets the other first
+        alt = Mixture(Gaussian(300.0, 1.0), FiniteDiscrete(((0.0, 1.0),)), 0.5)
+        params = {"null": to_spec(Gaussian()), "alt": to_spec(alt)}
+        cfg = small_config(family="custom", family_params=params, beta_grid=(0.0,),
+                           r_grid=(0.0,), n_list=(50,), replicates=2, tests=("hc", "lr"))
+        with pytest.raises(IncompatibleLawsError):
+            phase_sweep(cfg)
+        mixes = {(0.0, 0.0): family_mixture("custom", params, 0.0, 0.0, 50)}
+        ys = np.stack([Gaussian().sample(50, rng.stream(1)), alt.sample(50, rng.stream(2))])
+        steps = sim._decision_steps(np.array([0, 0, 1, 1]), cfg.cells() * 2, mixes, 2)
+        with pytest.raises(InfiniteWeightError):
+            sim._decisions(ys, steps, 4, Gaussian(), 0.1)
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        GOLDEN_SWEEPS,
+        ids=[
+            spec["family"] + ("-chunked" if max(spec["n_list"]) > 10**4 else "")
+            for spec, _ in GOLDEN_SWEEPS
+        ],
     )
     def test_golden_bytes(self, spec, digest):
         cfg = ExperimentConfig(**spec)
