@@ -180,26 +180,29 @@ def hc_statistics(
     best, idx = end_dev.max(axis=1), ends[end_dev.argmax(axis=1)]  # ties: the smallest row
     if width > 1:  # blocks of width 1 have no inner rows
         owners, starts = _open_blocks(ends, lower, upper, best)
-        # w - 1 rows from each open block's first inner row; a short last
-        # block takes its rows from the end, rereading rows of the block
-        # before it, which changes neither the maximum nor the tie-break
-        rows = np.minimum(starts, n - 1 - width)[:, None] + np.arange(1, width)
+        # w - 1 rows from each open block's first inner row, one block a
+        # column so the fold reduces across rows; a short last block takes
+        # its rows from the end, rereading rows of the block before it,
+        # which changes neither the maximum nor the tie-break
+        rows = np.arange(1, width)[:, None] + np.minimum(starts, n - 1 - width)
         dev = _weighted_deviation(
-            *_checked_tails(null, ys.ravel()[rows + (owners * n)[:, None]]), rows, n, restricted
+            *_checked_tails(null, ys.ravel()[rows + owners * n]), rows, n, restricted
         )
-        if m == 1:  # the same fold as below, with plain reductions
+        if m == 1:
+            # the fold below with plain reductions, which skip its
+            # per-call cost of ufunc.at and row indexing on one sample
             inner_best = dev.max(initial=-np.inf)
             if inner_best >= best[0]:
                 row = rows[dev == inner_best].min()
                 idx[0] = row if inner_best > best[0] else min(idx[0], row)
                 best[0] = inner_best
         else:
-            block_best = dev.max(axis=1)
+            block_best = dev.max(axis=0)
             end_best = best.copy()
             np.maximum.at(best, owners, block_best)
             idx[best > end_best] = n  # an inner row beats every endpoint
             top = np.flatnonzero(block_best == best[owners])
-            np.minimum.at(idx, owners[top], rows[top, dev[top].argmax(axis=1)])
+            np.minimum.at(idx, owners[top], rows[dev[:, top].argmax(axis=0), top])
     if restricted and (best == -np.inf).any():
         raise InvalidParameterError(
             "restricted variant has no candidates with null CDF in [1/n, 1/2]"
@@ -339,7 +342,7 @@ def lr_statistic(ell: np.ndarray | None, eps):
         w = eps[part]
         a = np.array([math.log1p(-x) for x in w])[:, None]
         b = np.array([math.log(x) for x in w])[:, None]
-        rows = ell if part.all() else ell[part]
+        rows = ell if part.all() else ell[part]  # no copy when every row takes part
         out[part] = np.logaddexp(a, b + rows).sum(axis=-1)
     return out
 

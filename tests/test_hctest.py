@@ -295,9 +295,14 @@ class TestHCStatisticsMatrix:
             FiniteDiscrete(((-1.0, 0.2), (-0.5, 0.3), (0.0, 0.3), (0.5, 0.2))),
         ),
     }
-    # 131 rows of 1e5 values would hold 100 MB; a sweep never holds more than 2**17
+    # 131 rows of 1e5 values would hold 100 MB; a sweep never holds more than 2**17.
+    # 131 rows at n = 64 and 1000 prune in blocks of width 2 and 7, each
+    # with a short last block, as the sweep's grids at n = 1e3 do
     SHAPES = [
-        (m, n) for m in (1, 2, 131) for n in (1, 2, 16, 4095, 4096, 10**5) if m * n <= 131 * 4096
+        (m, n)
+        for m in (1, 2, 131)
+        for n in (1, 2, 16, 64, 1000, 4095, 4096, 10**5)
+        if m * n <= 131 * 4096
     ]
 
     @pytest.mark.parametrize("m, n", SHAPES)
