@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from sparse_detect import boundary
 from sparse_detect.boundary import (
     ExponentFunction,
     alpha_family,
@@ -157,6 +159,17 @@ class TestClosedForms:
         with pytest.raises(InvalidParameterError):
             boundary_closed_form("nope", r=0.5)
 
+    def test_numeric_string_beta_converts_like_r(self):
+        for family, params in (("idj", {}), ("hetero", {"sigma2": 1.5})):
+            want = boundary_closed_form(family, mode="r-of-beta", beta=0.6, **params)
+            got = boundary_closed_form(family, mode="r-of-beta", beta="0.6", **params)
+            assert got == want
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, "abc", None])
+    def test_non_finite_beta_rejected(self, value):
+        with pytest.raises(InvalidParameterError, match="beta must lie in"):
+            boundary_closed_form("idj", mode="r-of-beta", beta=value)
+
     @pytest.mark.parametrize("value", [math.inf, math.nan, "abc", None])
     def test_non_finite_parameters_rejected(self, value):
         with pytest.raises(InvalidParameterError, match="r must be > 0 and finite"):
@@ -209,6 +222,42 @@ class TestAlphaFamilies:
         us = np.linspace(-3, 3, 13)
         np.testing.assert_allclose(alpha.evaluate(us), ref.evaluate(us), atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("dilate", dict(points=[math.nan])),
+            ("dilate", dict(points=[0.3, math.inf])),
+            ("dilate", dict(interval=(-math.inf, 1.0))),
+            ("conv_from_f", dict(ts=[math.nan, 0.5], fs=[0.0, 0.0])),
+        ],
+    )
+    def test_non_finite_support_rejected(self, kind, params):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            alpha_family(kind, **params)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("gen_gaussian_conv", dict(r=1.0, tau=1.5)),
+            ("dilate", dict(points=(-0.4, 0.1, 0.9))),
+            ("dilate", dict(interval=(-0.3, 0.8))),
+            ("conv_from_f", dict(ts=[-1.0, 0.5, 2.0], fs=[0.2, 0.0, np.inf])),
+        ],
+        ids=["ggconv", "dilate-points", "dilate-interval", "conv_from_f"],
+    )
+    def test_blockwise_evaluators_independent_of_block_size(self, monkeypatch, kind, params):
+        # rows are evaluated independently, so the block size moves no bit;
+        # 4099 points leave a ragged last block, and small blocks (slow for
+        # ggconv) are checked on every 8th or 64th of those points
+        alpha = alpha_family(kind, **params)
+        us = np.linspace(*alpha.domain(), 4099)
+        sizes = ((boundary._BLOCK, 1), (7, 8), (1, 64))
+        monkeypatch.setattr(boundary, "_BLOCK", 4096)
+        want = alpha.evaluate(us)
+        for block, step in sizes:
+            monkeypatch.setattr(boundary, "_BLOCK", block)
+            assert alpha.evaluate(us[::step]).tobytes() == want[::step].tobytes(), block
+
 
 class TestExponentFunction:
     @pytest.mark.parametrize("kind, params", ALPHA_KINDS, ids=[k for k, _ in ALPHA_KINDS])
@@ -224,6 +273,13 @@ class TestExponentFunction:
         lo, hi = alpha.domain()
         assert alpha.has_closed_form and hi >= 5.0
         assert lo == (-hi if alpha.axis == "u" else 0.0)
+
+    @pytest.mark.parametrize(
+        "xs", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, math.nan, 2.0]]
+    )
+    def test_grid_abscissae_not_strictly_increasing_rejected(self, xs):
+        with pytest.raises(InvalidParameterError, match="strictly increasing"):
+            ExponentFunction.from_grid(xs, [0.0, 0.0, 0.0])
 
     def test_neither_evaluator_nor_grid_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -258,6 +314,16 @@ class TestAdmissibility:
         gamma = alpha_family("gen_gaussian_location", r=0.5, tau=1.0)
         with pytest.raises(WrongParametrizationError):
             check_admissible(gamma)
+
+    def test_nan_values_are_a_violation(self):
+        alpha = ExponentFunction(
+            axis="u", fn=lambda u: np.where(np.abs(u) < 1.0, np.nan, -1.0), width=5.0
+        )
+        report = check_admissible(alpha)
+        assert not report.admissible
+        assert any("NaN" in v for v in report.violations)
+        with pytest.raises(AdmissibilityError, match="NaN"):
+            beta_sharp(alpha)
 
     @pytest.mark.parametrize(
         "alpha",
@@ -412,6 +478,11 @@ class TestHellingerExponent:
         with pytest.raises(OutOfRegimeError):
             hellinger_exponent(alpha_family("idj", r=0.25), 0.4)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, "abc"])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(InvalidParameterError, match="beta must be finite"):
+            hellinger_exponent(alpha_family("idj", r=0.25), beta)
+
 
 class TestTailExponent:
     def test_flat_before_the_peak(self):
@@ -437,6 +508,11 @@ class TestTailExponent:
     def test_negative_u_rejected(self):
         with pytest.raises(InvalidParameterError):
             tail_exponent(alpha_family("idj", r=0.25), -0.5)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf])
+    def test_non_finite_u_rejected(self, u):
+        with pytest.raises(InvalidParameterError, match="u must be >= 0 and finite"):
+            tail_exponent(alpha_family("idj", r=0.25), u)
 
 
 class TestHCAchievableBoundary:
@@ -539,6 +615,12 @@ class TestEssSupGrid:
         with pytest.raises(EmptySupportError):
             ess_sup_grid(xs, np.full_like(xs, -np.inf))
 
+    def test_nan_value_rejected(self):
+        xs = np.linspace(0, 1, 5)
+        vals = np.array([0.0, 1.0, np.nan, 2.0, -np.inf])
+        with pytest.raises(InvalidParameterError, match="NaN at x=0.5"):
+            ess_sup_grid(xs, vals)
+
     def test_refine_skipped_next_to_neg_inf(self):
         # the winner's left neighbour is off the support, so refining
         # between the neighbours would leave it
@@ -570,3 +652,58 @@ class TestLaplaceLogIntegral:
     def test_invalid_m(self):
         with pytest.raises(InvalidParameterError):
             laplace_log_integral(U_GRID, -(U_GRID**2), 0.0)
+
+    @pytest.mark.parametrize("big_m", [math.nan, math.inf, -1.0, "abc"])
+    def test_non_finite_or_non_positive_m_rejected(self, big_m):
+        with pytest.raises(InvalidParameterError, match="M must be > 0 and finite"):
+            laplace_log_integral(U_GRID, -(U_GRID**2), big_m)
+
+    @pytest.mark.parametrize(
+        "xs", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0], [0.0, math.nan, 2.0, 3.0]]
+    )
+    def test_not_strictly_increasing_xs_rejected(self, xs):
+        with pytest.raises(InvalidParameterError, match="strictly increasing"):
+            laplace_log_integral(xs, np.zeros(4), 10.0)
+
+
+def _scipy_laplace(xs, values, big_m):
+    """Reference: trapezoid log-weights and scipy's logsumexp, one M per call."""
+    dx = np.diff(xs)
+    weights = np.zeros_like(xs)
+    weights[:-1] += 0.5 * dx
+    weights[1:] += 0.5 * dx
+    with np.errstate(divide="ignore"):
+        log_w = np.log(weights)
+    return float(logsumexp(big_m * values + log_w)) / big_m
+
+
+def _ladder_grids():
+    """(id, xs, alpha values): every alpha_family grid, then sampled and edge grids."""
+    for kind, params in ALPHA_KINDS:
+        yield (kind, *alpha_family(kind, **params).grid())
+    rng = np.random.default_rng(20260419)
+    for i in range(6):
+        n = int(rng.integers(50, 3000))
+        xs = np.cumsum(rng.uniform(1e-3, 0.1, n)) - 1.0
+        vals = xs * xs - np.abs(rng.normal(0.0, rng.uniform(0.01, 3.0), n))
+        vals[rng.random(n) < 0.3] = -np.inf
+        vals[: n // 3] = -np.inf  # one off-support region
+        yield f"sampled-{i}", xs, vals
+    xs = np.linspace(-1.0, 1.0, 41)
+    yield "tied-maxima", xs, xs * xs - np.where(np.arange(41) % 10 == 3, 0.0, 0.2)
+    yield "constant-margin", xs, xs * xs - 0.01
+    yield "all-neg-inf", xs, np.full_like(xs, -np.inf)
+    yield "pos-inf", xs, np.where(np.arange(41) == 7, np.inf, xs * xs - 0.1)
+
+
+LADDER_GRIDS = list(_ladder_grids())
+
+
+@pytest.mark.parametrize("xs, vals", [g[1:] for g in LADDER_GRIDS], ids=[g[0] for g in LADDER_GRIDS])
+def test_ladder_equals_scipy_logsumexp_bit_for_bit(xs, vals):
+    margin = vals - xs * xs
+    want = tuple(_scipy_laplace(xs, margin, m) for m in boundary._LADDER)
+    report = boundary._admissibility(ExponentFunction.from_grid(xs, np.zeros_like(xs)), xs, vals)
+    one_rung = tuple(laplace_log_integral(xs, margin, m) for m in boundary._LADDER)
+    assert np.array(report.ladder_values).tobytes() == np.array(want).tobytes()
+    assert np.array(one_rung).tobytes() == np.array(want).tobytes()

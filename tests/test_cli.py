@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from sparse_detect import rng
-from sparse_detect.boundary import boundary_closed_form
+from sparse_detect.boundary import _LADDER, boundary_closed_form
 from sparse_detect.cli import _parse_int_list, main
 from sparse_detect.dists import Gaussian
+from sparse_detect.families import FAMILIES
 
 
 def run(capsys, *argv):
@@ -143,6 +145,27 @@ class TestCheckAlphaCommand:
         payload = json.loads(out)
         assert payload["admissible"] is False
         assert payload["violations"]
+
+    @pytest.mark.parametrize(
+        "family, value, shape",
+        [("idj", 0.3, {}), ("hetero", 0.3, {"sigma2": 0.5}), ("dilate", 0.7, {}),
+         ("ggconv", 1.0, {"tau": 1.5})],
+        ids=["idj", "hetero", "dilate", "ggconv"],
+    )
+    def test_ladder_values_match_scipy_logsumexp(self, capsys, family, value, shape):
+        # the ladder as scipy's logsumexp gives it, one call per rung, bit for bit
+        fam = FAMILIES[family]
+        xs, vals = fam.alpha(value, shape).grid()
+        margin = vals - xs * xs
+        dx = np.diff(xs)
+        log_w = np.log(np.concatenate([[0.0], 0.5 * dx]) + np.concatenate([0.5 * dx, [0.0]]))
+        want = [float(logsumexp(m * margin + log_w)) / m for m in _LADDER]
+        argv = [f"--{fam.swept}", repr(value)]
+        for name, v in shape.items():
+            argv += [f"--{name}", repr(v)]
+        code, out, _ = run(capsys, "check-alpha", "--family", family, *argv, "--format", "json")
+        assert code == 0
+        assert json.dumps(json.loads(out)["ladder_values"]) == json.dumps(want)
 
     @pytest.mark.parametrize("row", ["abc,1", "0.5"])
     def test_malformed_row_exit_3(self, capsys, tmp_path, row):
