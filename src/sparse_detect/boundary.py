@@ -242,14 +242,28 @@ def _dilate(params):
     return _closed(_blockwise(kernel), max(abs(p) for p in pts) + 1.0)
 
 
+def _signal_support(ts, fs) -> np.ndarray:
+    """Mask of the points of ``ts`` on the support of f, given as ``fs``.
+
+    The points must be finite, and only +inf in ``fs`` marks a point off
+    the support; a NaN or -inf exponent raises InvalidParameterError.
+    """
+    if not np.all(np.isfinite(ts)):
+        raise InvalidParameterError(f"support points ts must be finite, got {ts}")
+    finite = np.isfinite(fs)
+    if not np.all(finite | (fs == np.inf)):
+        raise InvalidParameterError(
+            f"exponents fs must be finite or +inf (off-support marker), got {fs}"
+        )
+    if not np.any(finite):
+        raise EmptySupportError("f is infinite everywhere")
+    return finite
+
+
 def _conv_from_f(params):
     ts = np.asarray(params["ts"], dtype=float)
     fs = np.asarray(params["fs"], dtype=float)
-    if not np.all(np.isfinite(ts)):
-        raise InvalidParameterError(f"conv_from_f support points ts must be finite, got {ts}")
-    finite = np.isfinite(fs)
-    if not np.any(finite):
-        raise EmptySupportError("f is infinite everywhere")
+    finite = _signal_support(ts, fs)
     ts, fs = ts[finite], fs[finite]
     kernel = lambda u: u * u - ((u[:, None] - ts[None, :]) ** 2 + fs[None, :]).min(axis=1)
     return _closed(_blockwise(kernel), float(np.max(np.abs(ts))) + 1.0)
@@ -767,15 +781,16 @@ def beta_convolution(ts, fs) -> BoundaryResult:
 
     sup_t { beta_idj(t^2) - f(t) } over the declared grid, +inf entries
     marking off-support regions, refined with linearly interpolated f
-    inside the support.  The result is clamped to [1/2, 1].
+    inside the support.  The grid ``ts`` must be strictly increasing.
+    The result is clamped to [1/2, 1].
     """
     ts = np.asarray(ts, dtype=float)
     fs = np.asarray(fs, dtype=float)
     if ts.ndim != 1 or ts.shape != fs.shape or ts.size == 0:
         raise InvalidParameterError("ts and fs must be equal-length 1-D arrays")
-    finite = np.isfinite(fs)
-    if not np.any(finite):
-        raise EmptySupportError("f is infinite everywhere")
+    finite = _signal_support(ts, fs)
+    if not np.all(np.diff(ts) > 0.0):
+        raise InvalidParameterError(f"ts must be strictly increasing, got {ts}")
     objective = np.where(finite, _beta_star_idj(ts * ts) - fs, -np.inf)
     f_lin = lambda t: float(np.interp(t, ts[finite], fs[finite]))
     sup, arg = ess_sup_grid(ts, objective, lambda t: _beta_star_idj(t * t) - f_lin(t))

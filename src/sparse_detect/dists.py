@@ -146,7 +146,11 @@ class Gaussian(Distribution):
         return self.mean - half, self.mean + half
 
     def sample(self, n, stream):
-        return self.mean + self.sd * stream.standard_normal(n)
+        out = stream.standard_normal(n)
+        if self.sd != 1.0:
+            out *= self.sd
+        out += self.mean  # also at mean 0, which turns an exact -0.0 draw into +0.0
+        return out
 
 
 @dataclass(frozen=True)
@@ -236,7 +240,9 @@ class Dilated(Distribution):
         return self.scale * lo, self.scale * hi
 
     def sample(self, n, stream):
-        return self.scale * self.base.sample(n, stream)
+        out = self.base.sample(n, stream)  # every kind's sample is a fresh array
+        out *= self.scale
+        return out
 
 
 @dataclass(frozen=True)
@@ -271,7 +277,9 @@ class Shifted(Distribution):
         return lo + self.shift, hi + self.shift
 
     def sample(self, n, stream):
-        return self.shift + self.base.sample(n, stream)
+        out = self.base.sample(n, stream)  # every kind's sample is a fresh array
+        out += self.shift
+        return out
 
 
 @dataclass(frozen=True)
@@ -456,19 +464,20 @@ def mu_from_r(n: int, r: float) -> float:
 def log_likelihood_ratio(g: Distribution, q: Distribution, y):
     """log of the density (or mass) ratio dG/dQ at y.
 
-    Gaussian pairs use the exact closed form; in the equal-variance
-    location case this is mu*y - mu^2/2.  Returns -inf where the
-    numerator vanishes but the reference law does not.
+    Gaussian pairs use the exact closed form
+    log(q.sd / g.sd) + 0.5 ((y - q.mean) / q.sd)^2 - 0.5 ((y - g.mean) / g.sd)^2;
+    in the equal-variance location case this is mu*y - mu^2/2.  Returns
+    -inf where the numerator vanishes but the reference law does not.
     """
     scalar = np.isscalar(y) or np.ndim(y) == 0
     if isinstance(g, Gaussian) and isinstance(q, Gaussian):
-        yy = np.asarray(y, dtype=float)
-        out = (
-            math.log(q.sd / g.sd)
-            + 0.5 * ((yy - q.mean) / q.sd) ** 2
-            - 0.5 * ((yy - g.mean) / g.sd) ** 2
-        )
-        return float(out) if scalar else out
+        yy = np.atleast_1d(np.asarray(y, dtype=float))
+        out = _half_square(yy, q)
+        log_sd = math.log(q.sd / g.sd)
+        if log_sd != 0.0:  # a half-square is >= +0.0, so adding +0.0 changes nothing
+            out += log_sd
+        out -= _half_square(yy, g)
+        return float(out[0]) if scalar else out
     if g.is_discrete and q.is_discrete:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
         mg, mq = g.mass(ys), q.mass(ys)
@@ -493,6 +502,21 @@ def log_likelihood_ratio(g: Distribution, q: Distribution, y):
         raise UndefinedPointError("both densities vanish at the point")
     out = lg - lq
     return float(out) if scalar else out
+
+
+def _half_square(y: np.ndarray, law: Gaussian) -> np.ndarray:
+    """0.5 * ((y - law.mean) / law.sd) ** 2 in one new array, bit for bit.
+
+    It skips only steps that cannot change the result: subtracting a zero
+    mean and dividing by a unit sd change at most the sign of a zero,
+    which the square drops.
+    """
+    z = y - law.mean if law.mean != 0.0 else y
+    if law.sd != 1.0:
+        z = np.divide(z, law.sd, out=None if z is y else z)
+    z = np.square(z, out=None if z is y else z)
+    z *= 0.5
+    return z
 
 
 def _check_finite(**params: float) -> None:

@@ -13,8 +13,12 @@ sample and a matrix of samples alike (:func:`hc_statistics`): the
 matrix shares each numpy call's fixed cost across its rows, so it
 prunes blocks of isqrt(n) // 4 rows once it holds 4096 values, where a
 single sample needs n >= 4096.  The max and likelihood-ratio rules
-likewise decide every row of a matrix in one pass
-(:func:`max_rejects`, :func:`lr_statistic`).
+likewise decide every row of a matrix in one pass (:func:`max_rejects`,
+:func:`lr_rejects`).  The likelihood-ratio rule reads only the sign of
+log LR, so :func:`lr_rejects` decides it by a certified screen: a
+vectorised softplus sum settles every row whose value clears a proven
+rounding margin, and only rows near 0 pay for the exact
+:func:`lr_statistic`.
 
 The declared null is always a :class:`~sparse_detect.dists.Distribution`;
 its ``tails`` method gives both tail probabilities, each exact in its own
@@ -49,6 +53,7 @@ __all__ = [
     "lr_test",
     "lr_log_ratios",
     "lr_statistic",
+    "lr_rejects",
     "vn_statistic",
 ]
 
@@ -344,6 +349,87 @@ def lr_statistic(ell: np.ndarray | None, eps):
         b = np.array([math.log(x) for x in w])[:, None]
         rows = ell if part.all() else ell[part]  # no copy when every row takes part
         out[part] = np.logaddexp(a, b + rows).sum(axis=-1)
+    return out
+
+
+def lr_rejects(ell: np.ndarray | None, eps):
+    """``lr_statistic(ell, eps) >= 0``, decided by a certified screen.
+
+    Takes the arguments of :func:`lr_statistic` and returns its sign test,
+    equal to it on every row: a bool, or one per row of a matrix.  The
+    exact statistic pays a scalar libm ``logaddexp`` per value, yet the
+    rule reads only its sign.  So each row with 0 < eps < 1 is first
+    screened with numpy's vectorised ``exp`` and ``log1p``: with
+    a = log(1 - eps), b = log eps and x_i = l_i + (b - a),
+
+        S~ = n a + sum_i softplus(x_i),  softplus(x) = max(x, 0) + log1p(exp(-|x|)),
+
+    which equals the statistic S = sum_i logaddexp(a, b + l_i) in exact
+    arithmetic.  A row is decided by the sign of S~ only when |S~|
+    exceeds the margin M below; every other row (|S~| <= M, a NaN S~,
+    eps outside (0, 1) or NaN) is decided by ``lr_statistic`` itself.
+
+    The margin bounds how far rounding can move lr_statistic and S~ from
+    S, with u = 2^-53 the unit roundoff, to first order:
+
+    * per value, the roundings of a, b, b - a, b + l_i and x_i (u each,
+      through derivatives of at most 1), one ulp each from ``exp`` and
+      ``log1p`` (numpy's vectorised ones are within one ulp of libm,
+      which the tests check), a few from libm's ``logaddexp`` and one
+      from each addition that assembles a term: under
+      10 u (|l_i| + |a| + |b| + 1) for both paths together;
+    * per sum, numpy's pairwise summation of a contiguous row (as
+      ``lr_log_ratios`` lays them out): it adds blocks of at most 128
+      values over eight running sums and then pairs the blocks, so no
+      term passes more than D = ceil(log2 n) + 18 roundings, an error of
+      at most D u sum |terms|.  A term's size is at most |a| + softplus(x_i),
+      and forming n a and adding it costs two more roundings, so the two
+      sums together are off by at most (2 D + 2) u (n |a| + sum softplus).
+
+    So |lr_statistic - S~| <= (2 ceil(log2 n) + 48) u
+    (n (max |l| + |a| + |b| + 1) + sum softplus), and
+
+        M = 2^-40 (n (max |l| + |a| + |b| + 1) + sum softplus)
+
+    is 2^13 u times the same sum, at least 2^6 times the bound for every
+    n up to 2^40.  max |l| is taken over finite entries: an entry
+    l = -inf gives a in the exact path and 0 in the screen, both exactly,
+    and a discrete null puts such entries in every row.  A +inf or NaN
+    entry makes M or S~ non-finite, which sends its row to the exact path.
+    """
+    if ell is None:
+        return True
+    if np.ndim(ell) < 2:
+        return bool(lr_rejects(np.reshape(ell, (1, -1)), [eps])[0])
+    eps = np.asarray(eps, dtype=float)
+    out = np.zeros(eps.shape, dtype=bool)
+    sure = (eps > 0.0) & (eps < 1.0)  # the rows screened, then those the screen settles
+    if sure.any():
+        rows = ell if sure.all() else ell[sure]
+        a = np.array([math.log1p(-x) for x in eps[sure]])
+        b = np.array([math.log(x) for x in eps[sure]])
+        buf = np.add(rows, (b - a)[:, None])
+        soft = np.maximum(buf, 0.0)
+        np.abs(buf, out=buf)
+        np.negative(buf, out=buf)
+        np.exp(buf, out=buf)
+        np.log1p(buf, out=buf)
+        soft += buf
+        soft_sum = soft.sum(axis=-1)
+        n = rows.shape[-1]
+        top = np.maximum(rows.max(axis=-1, initial=0.0), -rows.min(axis=-1, initial=0.0))
+        odd = ~np.isfinite(top)  # a row holding -inf, +inf or NaN
+        if odd.any():
+            some = rows[odd]
+            finite = np.isfinite(some)
+            top[odd] = np.abs(some, out=np.zeros_like(some), where=finite).max(axis=-1)
+        screen = n * a + soft_sum
+        margin = 2.0**-40 * (n * (top + np.abs(a) + np.abs(b) + 1.0) + soft_sum)
+        out[sure] = screen > 0.0
+        sure[sure] = np.abs(screen) > margin  # False for NaN
+    rest = ~sure
+    if rest.any():
+        out[rest] = lr_statistic(ell[rest], eps[rest]) >= 0.0
     return out
 
 

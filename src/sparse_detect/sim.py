@@ -48,7 +48,7 @@ import numpy as np
 from . import families, rng
 from .dists import Distribution, SparseMixture, epsilon_from_beta, log_likelihood_ratio
 from .errors import ConfigError, InvalidParameterError, SparseDetectError
-from .hctest import hc_statistics, hc_threshold, lr_log_ratios, lr_statistic, max_rejects
+from .hctest import hc_statistics, hc_threshold, lr_log_ratios, lr_rejects, max_rejects
 
 __all__ = [
     "TESTS",
@@ -277,7 +277,8 @@ def _decisions(
 
     hc and max decide once per row of the (m, n) sample matrix ``ys``;
     lr computes the log-likelihood ratios once per r, on the rows that
-    need that r, and reduces each cell's row with the cell's epsilon.
+    need that r, and decides each cell's row with the cell's epsilon by
+    the sign of its log LR (``lr_rejects``).
     """
     out = np.zeros(size, dtype=bool)
     for test, at, rows, lr in steps:
@@ -289,14 +290,13 @@ def _decisions(
         else:
             alt, need, batches = lr
             ell = lr_log_ratios(ys[need], alt, null)
-            if ell is None:  # a singular row: reduce row by row, its statistic is +inf
+            if ell is None:  # a singular row: decide row by row, its statistic is +inf
                 eps = np.concatenate([e for _, e in batches])
-                stats = [
-                    lr_statistic(lr_log_ratios(ys[i], alt, null), e) for i, e in zip(rows, eps)
+                out[at] = [
+                    lr_rejects(lr_log_ratios(ys[i], alt, null), e) for i, e in zip(rows, eps)
                 ]
             else:
-                stats = np.concatenate([lr_statistic(ell[i], e) for i, e in batches])
-            out[at] = np.asarray(stats) >= 0.0
+                out[at] = np.concatenate([lr_rejects(ell[i], e) for i, e in batches])
     return out
 
 

@@ -229,6 +229,7 @@ class TestAlphaFamilies:
             ("dilate", dict(points=[0.3, math.inf])),
             ("dilate", dict(interval=(-math.inf, 1.0))),
             ("conv_from_f", dict(ts=[math.nan, 0.5], fs=[0.0, 0.0])),
+            ("conv_from_f", dict(ts=[0.1, 0.5], fs=[math.nan, 0.0])),  # only +inf is off-support
         ],
     )
     def test_non_finite_support_rejected(self, kind, params):
@@ -586,6 +587,20 @@ class TestBetaConvolution:
         ts = np.linspace(-1, 1, 101)
         with pytest.raises(EmptySupportError):
             beta_convolution(ts, np.full_like(ts, np.inf))
+
+    @pytest.mark.parametrize(
+        "ts, fs, match",
+        [
+            ([0.5, 0.1, 0.3], [0.0, 0.0, 0.0], "ts must be strictly increasing"),
+            ([0.1, 0.1, 0.3], [0.0, 0.0, 0.0], "ts must be strictly increasing"),
+            ([0.1, math.nan, 0.3], [0.0, 0.0, 0.0], "ts must be finite"),
+            ([0.1, 0.3], [math.nan, 0.0], "fs must be finite or [+]inf"),
+            ([0.1, 0.3], [-math.inf, 0.0], "fs must be finite or [+]inf"),
+        ],
+    )
+    def test_malformed_grid_rejected(self, ts, fs, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            beta_convolution(ts, fs)
 
 
 class TestEssSupGrid:

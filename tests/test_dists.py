@@ -1,5 +1,6 @@
 """Distribution-layer tests: calibration, quantiles, ratios, sampling."""
 
+import itertools
 import json
 import math
 import re
@@ -76,6 +77,38 @@ class TestLogLikelihoodRatio:
         # mu*y - mu^2/2 with mu = 2
         assert log_likelihood_ratio(g, q, 1.0) == pytest.approx(0.0, abs=1e-14)
         assert log_likelihood_ratio(g, q, 0.0) == pytest.approx(-2.0, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "y",
+        [
+            np.linspace(-30.0, 30.0, 1001),
+            np.array([0.0, -0.0, 1e-310, -1e-310, 1e200, math.inf, -math.inf, math.nan]),
+            np.array(-0.0),
+            -0.0,
+            2.5,
+            [[1.0, -0.0], [3.0, -4.5]],
+        ],
+    )
+    def test_gaussian_pair_equals_the_plain_expression(self, y):
+        # the in-place form skips - 0.0, / 1.0 and + 0.0 and moves no bit
+        def plain(g, q, y):
+            scalar = np.isscalar(y) or np.ndim(y) == 0
+            yy = np.asarray(y, dtype=float)
+            out = (
+                math.log(q.sd / g.sd)
+                + 0.5 * ((yy - q.mean) / q.sd) ** 2
+                - 0.5 * ((yy - g.mean) / g.sd) ** 2
+            )
+            return float(out) if scalar else out
+
+        laws = [
+            Gaussian(), Gaussian(2.0), Gaussian(0.0, 2.0), Gaussian(-1.5, 0.7), Gaussian(-0.0, 1.0)
+        ]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for g, q in itertools.product(laws, laws):
+                got, want = log_likelihood_ratio(g, q, y), plain(g, q, y)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (g, q)
 
     def test_identical_laws(self):
         d = GenGaussian(1.5)
@@ -268,6 +301,31 @@ class TestSampling:
 
     def test_empty(self):
         assert Gaussian().sample(0, rng.stream(1)).size == 0
+
+    def test_in_place_samplers_equal_the_affine_forms(self):
+        # mean + sd * z, scale * x and shift + x, bit for bit; every kind
+        # returns a fresh array, which Dilated and Shifted then update
+        base = GenGaussian(1.5)
+        for d in (Gaussian(), Gaussian(1.5, 2.0), Gaussian(0.0, 0.5), Gaussian(-2.0, 1.0)):
+            z = rng.stream(13, 1).standard_normal(1000)
+            assert d.sample(1000, rng.stream(13, 1)).tobytes() == (d.mean + d.sd * z).tobytes()
+        x = base.sample(1000, rng.stream(13, 2))
+        assert Dilated(base, 2.5).sample(1000, rng.stream(13, 2)).tobytes() == (2.5 * x).tobytes()
+        assert Shifted(base, -0.7).sample(1000, rng.stream(13, 2)).tobytes() == (-0.7 + x).tobytes()
+        kinds = [
+            Gaussian(), base, Dilated(base, 2.0), Shifted(base, 1.0),
+            FiniteDiscrete(((0.0, 0.5), (1.0, 0.5))), Mixture(Gaussian(), base, 0.5),
+        ]
+        for d in kinds:
+            assert d.sample(10, rng.stream(13, 3)).flags.owndata, d
+
+    def test_standard_normal_turns_a_negative_zero_draw_positive(self):
+        # as 0.0 + 1.0 * z does: the mean is added even when it is 0
+        class Zeros:
+            def standard_normal(self, n):
+                return np.full(n, -0.0)
+
+        assert np.signbit(Gaussian().sample(3, Zeros())).tolist() == [False] * 3
 
     def test_gaussian_mean(self):
         x = Gaussian().sample(10**6, rng.stream(11, 0))

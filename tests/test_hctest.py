@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from sparse_detect import rng
+from sparse_detect import hctest, rng
 from sparse_detect.dists import (
     Dilated,
     FiniteDiscrete,
@@ -34,6 +34,7 @@ from sparse_detect.hctest import (
     hc_test,
     hc_threshold,
     lr_log_ratios,
+    lr_rejects,
     lr_statistic,
     lr_test,
     max_rejects,
@@ -392,6 +393,118 @@ class TestLRStatisticRows:
         assert lr_log_ratios(ys, g, q) is None
         assert lr_log_ratios(ys[:1], g, q).tolist() == [[-math.inf] * 3]
         assert [lr_statistic(lr_log_ratios(row, g, q), 0.0) for row in ys] == [0.0, math.inf]
+
+
+class TestLRRejects:
+    """The certified screen gives lr_statistic's sign test on every row."""
+
+    # a discrete null with an atom the alternative lacks: l = -inf there
+    DISCRETE_NULL = FiniteDiscrete(((0.0, 0.5), (1.0, 0.3), (2.0, 0.2)))
+    DISCRETE_ALT = FiniteDiscrete(((0.0, 0.2), (1.0, 0.8)))
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Count the rows that lr_rejects hands to the exact lr_statistic."""
+        rows = []
+        exact = hctest.lr_statistic
+
+        def counted(ell, eps):
+            rows.append(np.size(eps))
+            return exact(ell, eps)
+
+        monkeypatch.setattr(hctest, "lr_statistic", counted)
+        return rows
+
+    @pytest.mark.parametrize("n", [2, 16, 1000])
+    @pytest.mark.parametrize(
+        "null, alt",
+        [
+            (Gaussian(), Gaussian(2.5, 1.0)),
+            (Gaussian(), Gaussian(1.0, 2.0)),  # hetero: sd != 1
+            (GenGaussian(1.5), Shifted(GenGaussian(1.5), 1.2)),
+            (DISCRETE_NULL, DISCRETE_ALT),
+        ],
+        ids=["gaussian", "hetero", "subbotin", "discrete"],
+    )
+    def test_equals_the_sign_of_the_statistic(self, null, alt, n):
+        ys = np.stack([
+            Mixture(null, alt, w).sample(n, rng.stream(59, n, k))
+            for k, w in enumerate((0.0, 0.1, 0.5, 0.9))
+        ])
+        ell = lr_log_ratios(ys, alt, null)
+        if null.is_discrete and n > 2:
+            assert np.isneginf(ell).any()
+        eps = [0.0, 1.0, 1e-300, n**-0.6, n**-0.3, 0.5]
+        rows = np.repeat(np.arange(len(ys)), len(eps))
+        eps_of_row = np.tile(eps, len(ys))
+        want = lr_statistic(ell[rows], eps_of_row) >= 0.0
+        assert lr_rejects(ell[rows], eps_of_row).tolist() == want.tolist()
+        assert [lr_rejects(ell[i], e) for i, e in zip(rows, eps_of_row)] == want.tolist()
+
+    def test_clear_rows_never_fall_back(self, monkeypatch):
+        # Gaussian and discrete rows with -inf ratios are decided by the screen alone
+        fallback = self.spy(monkeypatch)
+        pairs = ((Gaussian(), Gaussian(2.0, 1.0)), (self.DISCRETE_NULL, self.DISCRETE_ALT))
+        for null, alt in pairs:
+            mix = Mixture(null, alt, 0.05)
+            ys = np.stack([mix.sample(1000, rng.stream(61, k)) for k in range(40)])
+            ell = lr_log_ratios(ys, alt, null)
+            eps = np.full(len(ys), 1000**-0.6)
+            got = lr_rejects(ell, eps)
+            assert fallback == []
+            assert got.tolist() == (lr_statistic(ell, eps) >= 0.0).tolist()
+
+    def test_nan_and_singular_rows(self):
+        ell = np.zeros((3, 5))
+        ell[1, 2] = np.nan
+        ell[2] = [np.nan, np.inf, 1.0, -np.inf, 0.0]
+        eps = [0.01, 0.01, 0.5]
+        with np.errstate(invalid="ignore"):  # logaddexp on NaN
+            want = lr_statistic(ell, eps) >= 0.0
+            assert lr_rejects(ell, eps).tolist() == want.tolist() == [True, False, False]
+            assert lr_rejects(np.array([np.nan]), 0.2) is False
+        assert lr_rejects(None, 0.0) is True
+        assert lr_rejects(np.array([1.0, np.inf]), 0.2) is True
+        assert lr_rejects(np.zeros((2, 0)), [0.3, 1.0]).tolist() == [True, True]
+
+    def test_rows_near_zero_fall_back(self, monkeypatch):
+        # l == 0 gives a statistic of rounding size, and a bisected eps one
+        # within 1e-13 of 0: both lie inside the margin, so the exact path decides
+        zero = np.zeros((3, 1000))
+        ys = Gaussian().sample(1000, rng.stream(67, 0))
+        ys[:5] = 3.0
+        ell = lr_log_ratios(ys, Gaussian(1.0, 1.0), Gaussian())
+        assert lr_statistic(ell, 1e-9) > 0.0 > lr_statistic(ell, 1.0)
+        lo, hi = 1e-9, 1.0
+        while hi - lo > 4 * np.spacing(hi):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if lr_statistic(ell, mid) > 0.0 else (lo, mid)
+        for eps in (lo, hi):
+            assert abs(lr_statistic(ell, eps)) < 1e-13
+        zero_eps = [1e-3, 0.5, 1 - 1e-9]
+        want = [lr_statistic(row, e) >= 0.0 for row, e in zip(zero, zero_eps)]
+        want_near = [lr_statistic(ell, eps) >= 0.0 for eps in (lo, hi)]
+        assert want_near == [True, False]
+        fallback = self.spy(monkeypatch)
+        assert lr_rejects(zero, zero_eps).tolist() == want
+        assert fallback == [3]
+        assert [lr_rejects(ell, eps) for eps in (lo, hi)] == want_near
+        assert fallback == [3, 1, 1]
+
+    @pytest.mark.parametrize(
+        "ufunc, reference, lo, hi",
+        [
+            (np.exp, math.exp, -745.0, 0.0),
+            (np.exp, math.exp, -1.0, 0.0),
+            (np.log1p, math.log1p, 0.0, 1.0),
+        ],
+    )
+    def test_vector_ufuncs_within_one_ulp(self, ufunc, reference, lo, hi):
+        # the margin assumes numpy's vectorised exp and log1p within one ulp of libm
+        xs = np.random.default_rng(71).uniform(lo, hi, 10**5)
+        got = ufunc(xs)
+        want = np.array([reference(x) for x in xs])
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
 
 class TestHCDecision:
