@@ -32,7 +32,6 @@ from .dists import (
     GenGaussian,
     Mixture,
     Shifted,
-    SparseMixture,
     epsilon_from_beta,
     from_spec,
     log_likelihood_ratio,

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import boundary as bnd
 from . import families, sim
-from .dists import Distribution, Gaussian, GenGaussian, SparseMixture, from_spec
+from .dists import Distribution, Gaussian, GenGaussian, Mixture, from_spec
 from .errors import SparseDetectError, InvalidParameterError
-from .hctest import hc_test, lr_test, max_test
+from .hctest import TESTS, hc_test, lr_test, max_test
 
 log = logging.getLogger("sparse_detect")
 
@@ -261,9 +261,7 @@ def _cmd_lr(args) -> int:
     if args.null and args.alt:
         if args.epsilon is None:
             raise _Usage("lr with --null/--alt requires --epsilon")
-        mix = SparseMixture(
-            _parse_distribution(args.null), _parse_distribution(args.alt), args.epsilon
-        )
+        mix = Mixture(_parse_distribution(args.null), _parse_distribution(args.alt), args.epsilon)
     elif args.family:
         if args.beta is None or args.r is None:
             raise _Usage("lr with --family requires --r and --beta")
@@ -440,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-grid")
     p.add_argument("--n-list")
     p.add_argument("--replicates", type=int)
-    p.add_argument("--tests", help="comma list from hc,lr,max")
+    p.add_argument("--tests", help=f"comma list from {','.join(TESTS)}")
     p.add_argument("--seed", type=int)
     p.add_argument("--delta", type=float)
     p.add_argument("--sigma2", type=float)

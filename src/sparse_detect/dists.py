@@ -38,7 +38,6 @@ __all__ = [
     "Shifted",
     "FiniteDiscrete",
     "Mixture",
-    "SparseMixture",
     "epsilon_from_beta",
     "mu_from_r",
     "log_likelihood_ratio",
@@ -358,7 +357,11 @@ class FiniteDiscrete(Distribution):
 
 @dataclass(frozen=True)
 class Mixture(Distribution):
-    """Two-component mixture (1 - weight) * first + weight * second."""
+    """Two-component mixture (1 - weight) * first + weight * second.
+
+    It is also the testing problem of the null Q = first against this
+    law, with G = second and eps = weight.
+    """
 
     first: Distribution
     second: Distribution
@@ -367,7 +370,7 @@ class Mixture(Distribution):
 
     def __post_init__(self):
         if not (0.0 <= self.weight <= 1.0):
-            raise InvalidParameterError(f"weight must lie in [0, 1], got {self.weight}")
+            raise InvalidParameterError(f"weight epsilon must lie in [0, 1], got {self.weight}")
 
     @property
     def is_discrete(self) -> bool:
@@ -412,25 +415,6 @@ class Mixture(Distribution):
         out = self.first.sample(n, stream)
         out[at] = self.second.sample(k, stream)
         return out
-
-
-@dataclass(frozen=True)
-class SparseMixture:
-    """Testing problem: null law Q against (1 - eps) Q + eps G."""
-
-    null_dist: Distribution
-    alt_dist: Distribution
-    epsilon: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise InvalidParameterError(
-                f"epsilon must lie in [0, 1], got {self.epsilon}"
-            )
-
-    def mixed(self) -> Mixture:
-        """The mixed law as a first-class distribution."""
-        return Mixture(self.null_dist, self.alt_dist, self.epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .dists import Distribution, FiniteDiscrete, Mixture, SparseMixture
+from .dists import Distribution, FiniteDiscrete, Mixture
 from .errors import (
     IncompatibleLawsError,
     InvalidDistanceError,
@@ -199,7 +199,7 @@ class DecomposedAlternative:
     ac_part: Distribution
     singular_part: Distribution | None
     epsilon_prime: float
-    q_prime: SparseMixture
+    q_prime: Mixture
     case: str
 
 
@@ -231,7 +231,7 @@ def decompose_alternative(
         eps_prime = 0.0
     else:
         eps_prime = eps * (1.0 - kappa) / (1.0 - eps * kappa)
-    q_prime = SparseMixture(null_dist, ac_part, eps_prime)
+    q_prime = Mixture(null_dist, ac_part, eps_prime)
     if eps * kappa <= 1.0 / n:
         case = "case-1: singular mass <= 1/n, detectability set by the AC part"
     else:

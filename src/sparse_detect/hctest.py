@@ -18,7 +18,8 @@ likewise decide every row of a matrix in one pass (:func:`max_rejects`,
 log LR, so :func:`lr_rejects` decides it by a certified screen: a
 vectorised softplus sum settles every row whose value clears a proven
 rounding margin, and only rows near 0 pay for the exact
-:func:`lr_statistic`.
+:func:`lr_statistic`.  Each test a sweep runs is one row of
+:data:`TESTS`, and a testing problem is a :class:`~sparse_detect.dists.Mixture`.
 
 The declared null is always a :class:`~sparse_detect.dists.Distribution`;
 its ``tails`` method gives both tail probabilities, each exact in its own
@@ -29,11 +30,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
-from .dists import Distribution, SparseMixture, log_likelihood_ratio
+from .dists import Distribution, Mixture, log_likelihood_ratio
 from .errors import (
     InfiniteWeightError,
     InvalidParameterError,
@@ -42,6 +44,8 @@ from .errors import (
 )
 
 __all__ = [
+    "DecisionRule",
+    "TESTS",
     "HCResult",
     "hc_statistic",
     "hc_statistics",
@@ -68,14 +72,7 @@ class HCResult:
     delta: float
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "arg_t": self.arg_t,
-            "threshold": self.threshold,
-            "decision": self.decision,
-            "n": self.n,
-            "delta": self.delta,
-        }
+        return asdict(self)
 
 
 def _null_tail_values(null: Distribution, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,18 +262,22 @@ def hc_decision(statistic: float, n: int, delta: float = 0.1) -> str:
     return "alternative" if statistic > hc_threshold(n, delta) else "null"
 
 
+def _hc_rows(ys, rows, picks, threshold, null, alt, eps) -> np.ndarray:
+    statistics, _ = hc_statistics(ys[rows], null)
+    return statistics[picks] > threshold
+
+
 def hc_test(
     sample, null: Distribution, delta: float = 0.1, restricted: bool = False
 ) -> HCResult:
     """Full higher-criticism test on a sample against a declared null."""
     ys = np.asarray(sample, dtype=float)
     statistic, arg_t = hc_statistic(ys, null, restricted=restricted)
-    threshold = hc_threshold(ys.size, delta)
     return HCResult(
         statistic=statistic,
         arg_t=arg_t,
-        threshold=threshold,
-        decision="alternative" if statistic > threshold else "null",
+        threshold=hc_threshold(ys.size, delta),
+        decision=hc_decision(statistic, ys.size, delta),
         n=int(ys.size),
         delta=delta,
     )
@@ -285,24 +286,35 @@ def hc_test(
 def max_test(sample, u: float = 1.0) -> str:
     """Declare the alternative iff max |Y_i| exceeds u * sqrt(2 ln n).
 
-    n is the sample size.  u >= 1 is the regime with vanishing null
-    rejection probability; smaller u is allowed but flagged with a warning.
+    n is the sample size and u must be > 0 and finite.  u >= 1 is the
+    regime with vanishing null rejection probability; smaller u is
+    allowed but flagged with a warning.  A sample holding NaN raises
+    InvalidParameterError.
     """
     ys = np.asarray(sample, dtype=float)
     if ys.size < 2:
         raise InvalidSampleSizeError(f"n must be >= 2, got {ys.size}")
+    if np.isnan(ys).any():
+        raise InvalidParameterError("the max test needs a sample without NaN")
+    rejected = max_rejects(ys[None], u)[0]
     if u < 1.0:
         warnings.warn(
             "max test with u < 1 does not control the null rejection rate",
             stacklevel=2,
         )
-    return "alternative" if max_rejects(ys[None], u)[0] else "null"
+    return "alternative" if rejected else "null"
 
 
 def max_rejects(samples: np.ndarray, u: float = 1.0) -> np.ndarray:
     """Whether :func:`max_test` declares the alternative on each row of ``samples``."""
-    threshold = abs(u) * math.sqrt(2.0 * math.log(samples.shape[-1]))
+    if not 0.0 < u < math.inf:
+        raise InvalidParameterError(f"u must be > 0 and finite, got {u}")
+    threshold = u * math.sqrt(2.0 * math.log(samples.shape[-1]))
     return np.maximum(samples.max(axis=-1), -samples.min(axis=-1)) > threshold
+
+
+def _max_rows(ys, rows, picks, threshold, null, alt, eps) -> np.ndarray:
+    return max_rejects(ys[rows], threshold)[picks]
 
 
 def lr_log_ratios(sample, alt: Distribution, null: Distribution) -> np.ndarray | None:
@@ -433,18 +445,42 @@ def lr_rejects(ell: np.ndarray | None, eps):
     return out
 
 
-def lr_test(sample, mix: SparseMixture) -> tuple[float, str]:
-    """Likelihood-ratio test of the null against a known sparse mixture.
+def _subset(index: np.ndarray, size: int) -> np.ndarray | slice:
+    """``index`` into ``size`` rows, or a full slice when it takes every row in order.
+
+    A slice reads the rows without a copy, which saves one of a 1e5-value row per lr cell.
+    """
+    return slice(None) if np.array_equal(index, np.arange(size)) else index
+
+
+def _lr_rows(ys, rows, picks, threshold, null, alt, eps) -> np.ndarray:
+    """Log ratios once per row read, then the picks in batches of at most ``len(ys)``."""
+    reads = ys[rows]
+    ell = lr_log_ratios(reads, alt, null)
+    if ell is None:  # a singular row: decide row by row, its statistic is +inf
+        return np.array(
+            [lr_rejects(lr_log_ratios(reads[i], alt, null), e) for i, e in zip(picks, eps)]
+        )
+    size = len(ys)
+    return np.concatenate([
+        lr_rejects(ell[_subset(picks[k:k + size], len(ell))], eps[k:k + size])
+        for k in range(0, len(picks), size)
+    ])
+
+
+def lr_test(sample, mix: Mixture) -> tuple[float, str]:
+    """Likelihood-ratio test of the null ``mix.first`` against the mixture ``mix``.
 
     The statistic is ``lr_statistic`` of the sample's ``lr_log_ratios``;
     the rule declares the alternative iff log LR >= 0.  A sample point
     carrying alternative mass off the null support forces log LR = +inf
-    and an immediate alternative decision.
+    and an immediate alternative decision.  A sample holding NaN raises
+    InvalidParameterError.
     """
     ys = np.asarray(sample, dtype=float)
-    if ys.size == 0:
-        return 0.0, "alternative"
-    log_lr = lr_statistic(lr_log_ratios(ys, mix.alt_dist, mix.null_dist), mix.epsilon)
+    if np.isnan(ys).any():
+        raise InvalidParameterError("the likelihood-ratio test needs a sample without NaN")
+    log_lr = lr_statistic(lr_log_ratios(ys, mix.second, mix.first), mix.weight)
     return log_lr, "alternative" if log_lr >= 0.0 else "null"
 
 
@@ -469,3 +505,29 @@ def vn_statistic(sample, s: float, null: Distribution) -> float:
     count_above = n - int(np.searchsorted(np.sort(ys), t, side="right"))
     # F_n(t) - F(t) = S(t) - S_n(t); the survival form stays exact when F ~ 1
     return math.sqrt(n) * (f_up - count_above / n) / math.sqrt(f_low * f_up)
+
+
+@dataclass(frozen=True)
+class DecisionRule:
+    """A test of a phase sweep, one row of :data:`TESTS`.
+
+    ``rejects(ys, rows, picks, threshold, null, alt, eps)`` says for each
+    k whether the test rejects ``null`` on row ``picks[k]`` of ``ys[rows]``
+    at ``threshold(n, delta)``: hc's log-log threshold, max's multiple u
+    of sqrt(2 ln n), and lr's 0 for log LR, which ``lr_rejects`` applies.
+    With ``uses_mixture`` it decides against ``alt`` with weight
+    ``eps[k]``, so its null decision depends on (beta, r); otherwise both
+    are None.  ``min_n`` is the smallest n it takes.
+    """
+
+    rejects: Callable[..., np.ndarray]
+    threshold: Callable[[int, float], float]
+    uses_mixture: bool
+    min_n: int
+
+
+TESTS: dict[str, DecisionRule] = {
+    "hc": DecisionRule(_hc_rows, hc_threshold, uses_mixture=False, min_n=16),
+    "lr": DecisionRule(_lr_rows, lambda n, delta: 0.0, uses_mixture=True, min_n=2),
+    "max": DecisionRule(_max_rows, lambda n, delta: 1.0, uses_mixture=False, min_n=2),
+}

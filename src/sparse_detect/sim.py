@@ -5,18 +5,20 @@ attaches Wilson confidence half-widths and the theoretical boundary
 overlay, and provides the finite-n exponent-estimation diagnostic.
 
 Engine: one unit of work is a block of replicates at one sample size n
-(:func:`_block_counts`).  Replicate k's samples are the rows of one
-sample matrix: the null sample, on which every cell at n decides, then
-one alternative sample per (beta, r), on which every requested test of
-that (beta, r) decides.  Every test decides on the matrix at once: hc
-runs one pruned scan over the sorted rows, max takes two row
-reductions, and lr computes the log-likelihood ratios once per r, on
-the rows that need that r, then reduces each cell's row with the cell's
-epsilon in one pass.  The matrix is drawn and decided in chunks of
-whole rows of at most 2**17 values (one row when n is larger), so at
-n = 1e5 a task holds one sample at a time and its memory does not grow
-with the grid.  ``phase_sweep`` sums the blocks' counts and folds them
-into one row per cell with ``run_cell``.
+(:func:`_block_counts`).  A cell's testing problem is a ``Mixture``.
+Replicate k's samples are the rows of one sample matrix: the null
+sample, on which every cell at n decides, then one alternative sample
+per (beta, r), on which every requested test of that (beta, r) decides.
+A test is a row of :data:`~sparse_detect.hctest.TESTS`, and it decides
+on the matrix at once: hc runs one pruned scan over the sorted rows,
+max takes two row reductions, and lr, which uses the mixture, decides
+once per r: it computes the log-likelihood ratios on the rows that need
+that r, then reduces each cell's row with the cell's epsilon in one
+pass.  The matrix is drawn and decided in chunks of whole rows of at
+most 2**17 values (one row when n is larger), so at n = 1e5 a task
+holds one sample at a time and its memory does not grow with the grid.
+``phase_sweep`` sums the blocks' counts and folds them into one row per
+cell with ``run_cell``.
 
 Reproducibility: every sample is drawn from a counter-based stream.  The
 null sample of replicate k at sample size n is keyed by (seed, n, k).
@@ -40,18 +42,17 @@ import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
+from itertools import groupby, product, repeat
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
 from . import families, rng
-from .dists import Distribution, SparseMixture, epsilon_from_beta, log_likelihood_ratio
+from .dists import Distribution, Mixture, epsilon_from_beta, log_likelihood_ratio
 from .errors import ConfigError, InvalidParameterError, SparseDetectError
-from .hctest import hc_statistics, hc_threshold, lr_log_ratios, lr_rejects, max_rejects
+from .hctest import TESTS, _subset
 
 __all__ = [
-    "TESTS",
     "ExperimentConfig",
     "PhaseCell",
     "PhaseTable",
@@ -63,7 +64,6 @@ __all__ = [
     "wilson_halfwidth",
 ]
 
-TESTS = ("hc", "lr", "max")
 _Z95 = 1.959963984540054
 # values in the largest sample matrix one task draws and decides at a time
 _CHUNK_VALUES = 1 << 17
@@ -109,9 +109,7 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "beta_grid", _exponent_grid("beta", self.beta_grid))
         object.__setattr__(self, "r_grid", _exponent_grid("r", self.r_grid))
-        if not all(float(n).is_integer() for n in self.n_list):
-            raise ConfigError(f"every n must be an integer, got n_list {tuple(self.n_list)}")
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        object.__setattr__(self, "n_list", tuple(_whole("every n", n) for n in self.n_list))
         object.__setattr__(self, "tests", tuple(self.tests))
         object.__setattr__(self, "replicates", _whole("replicates", self.replicates))
         object.__setattr__(self, "seed", _whole("seed", self.seed))
@@ -123,28 +121,19 @@ class ExperimentConfig:
             raise ConfigError("beta_grid, r_grid and n_list must be non-empty")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        unknown = set(self.tests) - set(TESTS)
-        if not self.tests or unknown:
-            raise ConfigError(f"tests must be a non-empty subset of {TESTS}")
-        if "hc" in self.tests and min(self.n_list) < 16:
-            raise ConfigError("the hc test requires every n >= 16")
-        if any(n < 2 for n in self.n_list):
-            raise ConfigError("every n must be >= 2")
+        if not self.tests or not set(self.tests) <= set(TESTS):
+            raise ConfigError(f"tests must be a non-empty subset of {tuple(TESTS)}")
+        for name, test in TESTS.items():
+            if name in self.tests and min(self.n_list) < test.min_n:
+                raise ConfigError(f"the {name} test requires every n >= {test.min_n}")
         if not (isinstance(self.delta, numbers.Real) and 0 < self.delta < math.inf):
             raise ConfigError(f"delta must be > 0 and finite, got {self.delta!r}")
 
     def cells(self) -> list[tuple[int, float, float, int, str]]:
-        """Deterministic cell order: beta, then r, then n, then test."""
-        ordered_tests = [t for t in TESTS if t in self.tests]
-        out = []
-        index = 0
-        for beta in sorted(self.beta_grid):
-            for r in sorted(self.r_grid):
-                for n in sorted(self.n_list):
-                    for test in ordered_tests:
-                        out.append((index, beta, r, n, test))
-                        index += 1
-        return out
+        """Deterministic cell order: beta, then r, then n, then test in table order."""
+        tests = [name for name in TESTS if name in self.tests]
+        grid = product(sorted(self.beta_grid), sorted(self.r_grid), sorted(self.n_list), tests)
+        return [(index, *key) for index, key in enumerate(grid)]
 
     def to_dict(self) -> dict:
         return {
@@ -220,20 +209,11 @@ def wilson_halfwidth(successes: int, trials: int, z: float = _Z95) -> float:
 
 def family_mixture(
     family: str, family_params: dict, r: float, beta: float, n: int
-) -> SparseMixture:
+) -> Mixture:
     """Concrete testing problem for a cell; the shift is recomputed per n."""
     eps = epsilon_from_beta(n, beta)
     null, alt = families.build(family, family_params)
-    return SparseMixture(null, alt(r, n), eps)
-
-
-def _subset(index: np.ndarray, size: int) -> np.ndarray | slice:
-    """``index`` into ``size`` rows, or a full slice when it takes every row in order.
-
-    A slice reads the rows without copying them; at n = 1e5, where a
-    chunk holds one row, this saves a copy of the row per lr cell.
-    """
-    return slice(None) if np.array_equal(index, np.arange(size)) else index
+    return Mixture(null, alt(r, n), eps)
 
 
 def _decision_steps(
@@ -241,62 +221,38 @@ def _decision_steps(
 ) -> list[tuple]:
     """How each cell ``cells[j]`` decides on row ``rows[j]`` of a ``size``-row sample matrix.
 
-    One step per test, and one per r for lr: (test, the positions j it
-    decides, their rows, lr data).  An lr step's data are the alternative
-    law, the rows whose log-likelihood ratios it computes, and batches of
-    at most ``size`` (index among those rows, epsilon) pairs, one pair
-    per position, so that no batch holds more values than the matrix.
-    ``mixes`` maps each cell's (beta, r) to its mixture.
+    One step per test, and per r for a test that uses the mixture: (its
+    ``TESTS`` row, the positions j it decides, the rows it reads, each
+    position's index among them, and the alternative law and each
+    position's epsilon, or None).  ``mixes`` maps (beta, r) to its mixture.
     """
-    tests = [cell[4] for cell in cells]
     steps = []
-    for test in dict.fromkeys(tests):
-        if test not in TESTS:
-            raise InvalidParameterError(f"unknown test {test!r}")
-        at = [j for j, t in enumerate(tests) if t == test]
-        if test != "lr":
-            steps.append((test, np.array(at), rows[at], None))
-            continue
-        for r in dict.fromkeys(cells[j][2] for j in at):
-            at_r = np.array([j for j in at if cells[j][2] == r])
-            need, row_of = np.unique(rows[at_r], return_inverse=True)
-            eps = np.array([mixes[cells[j][1:3]].epsilon for j in at_r])
-            batches = [
-                (_subset(row_of[k:k + size], len(need)), eps[k:k + size])
-                for k in range(0, len(at_r), size)
-            ]
-            alt = mixes[cells[at_r[0]][1:3]].alt_dist
-            steps.append((test, at_r, rows[at_r], (alt, need, batches)))
+    for name in dict.fromkeys(cell[4] for cell in cells):
+        test = TESTS.get(name)
+        if test is None:
+            raise InvalidParameterError(f"unknown test {name!r}")
+        groups = {}
+        for j, cell in enumerate(cells):
+            if cell[4] == name:
+                groups.setdefault(cell[2] if test.uses_mixture else None, []).append(j)
+        for at in groups.values():
+            need, picks = np.unique(rows[at], return_inverse=True)
+            alt = eps = None
+            if test.uses_mixture:
+                alt = mixes[cells[at[0]][1:3]].second
+                eps = np.array([mixes[cells[j][1:3]].weight for j in at])
+            steps.append((test, np.array(at), _subset(need, size), picks, alt, eps))
     return steps
 
 
 def _decisions(
     ys: np.ndarray, steps: list[tuple], size: int, null: Distribution, delta: float
 ) -> np.ndarray:
-    """Whether each of ``size`` cells rejects the null, by ``_decision_steps``.
-
-    hc and max decide once per row of the (m, n) sample matrix ``ys``;
-    lr computes the log-likelihood ratios once per r, on the rows that
-    need that r, and decides each cell's row with the cell's epsilon by
-    the sign of its log LR (``lr_rejects``).
-    """
+    """Whether each of ``size`` cells rejects the null on the sample matrix ``ys``."""
     out = np.zeros(size, dtype=bool)
-    for test, at, rows, lr in steps:
-        if test == "hc":
-            statistics, _ = hc_statistics(ys, null)
-            out[at] = statistics[rows] > hc_threshold(ys.shape[1], delta)
-        elif test == "max":
-            out[at] = max_rejects(ys)[rows]
-        else:
-            alt, need, batches = lr
-            ell = lr_log_ratios(ys[need], alt, null)
-            if ell is None:  # a singular row: decide row by row, its statistic is +inf
-                eps = np.concatenate([e for _, e in batches])
-                out[at] = [
-                    lr_rejects(lr_log_ratios(ys[i], alt, null), e) for i, e in zip(rows, eps)
-                ]
-            else:
-                out[at] = np.concatenate([lr_rejects(ell[i], e) for i, e in batches])
+    for test, at, rows, picks, alt, eps in steps:
+        threshold = test.threshold(ys.shape[1], delta)
+        out[at] = test.rejects(ys, rows, picks, threshold, null, alt, eps)
     return out
 
 
@@ -322,10 +278,10 @@ def _block_counts(
         (beta, r): family_mixture(cfg.family, cfg.family_params, r, beta, n)
         for beta, r in dict.fromkeys(cell[1:3] for cell in cells)
     }
-    null = mixes[cells[0][1:3]].null_dist
+    null = mixes[cells[0][1:3]].first
     laws, keys, alt_rows = [null], [(n,)], []  # per matrix row; each cell's alternative row
     for (beta, r), group in groupby(cells, key=lambda cell: cell[1:3]):
-        laws.append(mixes[beta, r].mixed())
+        laws.append(mixes[beta, r])
         keys.append((betas.index(beta), rs.index(r), n))
         alt_rows += [len(laws) - 1] * len(list(group))
     # the decisions a replicate counts: each cell on row 0, then on its alternative row
@@ -463,11 +419,10 @@ class PhaseTable:
 
     def select(self, **criteria) -> list[PhaseCell]:
         """Cells matching the given field values exactly."""
-        out = []
-        for cell in self.cells:
-            if all(getattr(cell, k) == v for k, v in criteria.items()):
-                out.append(cell)
-        return out
+        return [
+            cell for cell in self.cells
+            if all(getattr(cell, k) == v for k, v in criteria.items())
+        ]
 
 
 def phase_sweep(cfg: ExperimentConfig, workers: int = 1) -> PhaseTable:

@@ -31,7 +31,6 @@ from sparse_detect.dists import (
     GenGaussian,
     Mixture,
     Shifted,
-    SparseMixture,
 )
 from sparse_detect.divergence import (
     hellinger_sq,
@@ -201,7 +200,7 @@ def test_criterion_6_neyman_pearson_brute_force():
             (q_tri, g_tri, 0.4, (2, 4, 6)),
         ]
         for q, g, eps, sizes in toys:
-            mix = SparseMixture(q, g, eps)
+            mix = Mixture(q, g, eps)
             mixed = Mixture(q, g, eps)
             for n in sizes:
                 total_error = 0.0

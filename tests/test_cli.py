@@ -14,6 +14,7 @@ from sparse_detect.boundary import _LADDER, boundary_closed_form
 from sparse_detect.cli import _parse_int_list, main
 from sparse_detect.dists import Gaussian
 from sparse_detect.families import FAMILIES
+from sparse_detect.sim import PhaseTable
 
 
 def run(capsys, *argv):
@@ -242,11 +243,27 @@ class TestSampleCommands:
         assert payload["decision"] == "alternative"
         assert payload["log_lr"] == pytest.approx(np.log(1.5))
 
+    def test_lr_epsilon_out_of_range_exit_3(self, capsys, sample_file):
+        path = sample_file([0.0, 1.0])
+        code, out, err = run(
+            capsys, "lr", "--input", path, "--null", "gaussian",
+            "--alt", '{"kind":"gaussian","mean":3}', "--epsilon", "1.5",
+        )
+        assert (code, out) == (3, "")
+        assert "epsilon must lie in [0, 1], got 1.5" in err
+
     def test_maxtest(self, capsys, sample_file):
         path = sample_file([0.0] * 99 + [3.5])
         code, out, _ = run(capsys, "maxtest", "--input", path, "--u", "1.0")
         assert code == 0
         assert json.loads(out)["decision"] == "alternative"
+
+    @pytest.mark.parametrize("u", ["nan", "inf", "-1", "0"])
+    def test_maxtest_u_exit_3(self, capsys, sample_file, u):
+        path = sample_file([0.0] * 99 + [3.5])
+        code, out, err = run(capsys, "maxtest", "--input", path, "--u", u)
+        assert (code, out) == (3, "")
+        assert "u must be > 0 and finite" in err
 
 
 class TestDistributionSpecs:
@@ -418,6 +435,9 @@ class TestSimulateCommand:
             ("replicates", 2.7, "replicates must be an integer, got 2.7"),
             ("seed", 1.9, "seed must be an integer, got 1.9"),
             ("delta", "abc", "delta must be > 0 and finite, got 'abc'"),
+            ("n_list", ["abc"], "every n must be an integer, got 'abc'"),
+            ("n_list", [None], "every n must be an integer, got None"),
+            ("n_list", [True], "every n must be an integer, got True"),
         ],
     )
     def test_malformed_config_scalar_exit_3(self, capsys, tmp_path, field, value, words):
@@ -550,3 +570,11 @@ def test_readme_command_runs(capsys, command, value):
     assert code == 0, err
     if value:
         assert out.strip() == value
+
+
+def test_readme_quick_tour_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick tour", 1)[1]
+    tour = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(tour, "README.md quick tour", "exec"), {})
+    assert capsys.readouterr().out.startswith(PhaseTable.CSV_HEADER + "\n")

@@ -17,7 +17,6 @@ from sparse_detect.dists import (
     GenGaussian,
     Mixture,
     Shifted,
-    SparseMixture,
     epsilon_from_beta,
     from_spec,
     log_likelihood_ratio,
@@ -332,17 +331,17 @@ class TestSampling:
         assert abs(x.mean()) < 0.005  # 3 sigma / sqrt(n) band
 
     def test_sparse_mixture_sample(self):
-        mix = SparseMixture(Gaussian(), Gaussian(5.0, 1.0), 0.5)
-        x = mix.mixed().sample(20000, rng.stream(3, 0, 0))
+        mix = Mixture(Gaussian(), Gaussian(5.0, 1.0), 0.5)
+        x = mix.sample(20000, rng.stream(3, 0, 0))
         frac_high = (x > 2.5).mean()
         assert 0.45 < frac_high < 0.55
 
     def test_epsilon_zero_is_null_distributionally(self):
         # KS distance below the 1% critical value in >= 95 of 100 seeded trials
-        mix = SparseMixture(Gaussian(), Gaussian(3.0, 1.0), 0.0)
+        mix = Mixture(Gaussian(), Gaussian(3.0, 1.0), 0.0)
         passes = 0
         for trial in range(100):
-            x = mix.mixed().sample(10**5, rng.stream(2024, trial))
+            x = mix.sample(10**5, rng.stream(2024, trial))
             pvalue = kstest(x, Gaussian().cdf).pvalue
             passes += pvalue > 0.01
         assert passes >= 95
@@ -506,7 +505,7 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             FiniteDiscrete(((0.0, 0.6), (1.0, 0.6)))
         with pytest.raises(InvalidParameterError):
-            SparseMixture(Gaussian(), Gaussian(), 1.5)
+            Mixture(Gaussian(), Gaussian(), 1.5)
 
     @pytest.mark.parametrize(
         "build, words",
@@ -529,7 +528,7 @@ class TestValidation:
             FiniteDiscrete(((0.0, math.nan), (1.0, 1.0)))
 
     def test_mixture_of_mixture_is_representable(self):
-        inner = SparseMixture(Gaussian(), Gaussian(2.0, 1.0), 0.2).mixed()
+        inner = Mixture(Gaussian(), Gaussian(2.0, 1.0), 0.2)
         outer = Mixture(Gaussian(), inner, 0.5)
         assert outer.cdf(0.0) == pytest.approx(
             0.5 * 0.5 + 0.5 * float(inner.cdf(0.0))

@@ -10,7 +10,6 @@ from sparse_detect.dists import (
     Gaussian,
     GenGaussian,
     Mixture,
-    SparseMixture,
 )
 from sparse_detect.divergence import (
     decompose_alternative,
@@ -218,7 +217,7 @@ class TestDecomposition:
         out = decompose_alternative(Gaussian(), 0.0, Gaussian(2.0, 1.0), None, 0.01, 100)
         assert out.epsilon_prime == pytest.approx(0.01, abs=1e-15)
         assert out.case.startswith("case-1")
-        assert out.q_prime == SparseMixture(Gaussian(), Gaussian(2.0, 1.0), 0.01)
+        assert out.q_prime == Mixture(Gaussian(), Gaussian(2.0, 1.0), 0.01)
 
     def test_declared_kappa_echoed(self):
         nu = FiniteDiscrete(((50.0, 1.0),))

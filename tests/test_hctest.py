@@ -18,7 +18,6 @@ from sparse_detect.dists import (
     GenGaussian,
     Mixture,
     Shifted,
-    SparseMixture,
 )
 from sparse_detect.errors import (
     InfiniteWeightError,
@@ -555,18 +554,29 @@ class TestMaxTest:
         with pytest.warns(UserWarning):
             max_test(np.zeros(100), u=0.5)
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -1.0, 0.0])
+    def test_u_must_be_positive_and_finite(self, u):
+        with pytest.raises(InvalidParameterError, match="u must be > 0 and finite"):
+            max_test(np.zeros(100), u=u)
+        with pytest.raises(InvalidParameterError, match="u must be > 0 and finite"):
+            max_rejects(np.zeros((2, 100)), u)
+
+    def test_nan_sample_rejected(self):
+        with pytest.raises(InvalidParameterError, match="without NaN"):
+            max_test([0.1, math.nan, 0.2] * 10)
+
 
 class TestLRTest:
     def test_discrete_toy(self):
         q = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))
         g = FiniteDiscrete(((1.0, 1.0),))
-        mix = SparseMixture(q, g, 0.5)
+        mix = Mixture(q, g, 0.5)
         log_lr, decision = lr_test([1.0], mix)
         assert log_lr == pytest.approx(math.log(1.5), abs=1e-14)
         assert decision == "alternative"
 
     def test_epsilon_zero_convention(self):
-        mix = SparseMixture(Gaussian(), Gaussian(3.0, 1.0), 0.0)
+        mix = Mixture(Gaussian(), Gaussian(3.0, 1.0), 0.0)
         log_lr, decision = lr_test([0.1, -0.5], mix)
         assert log_lr == 0.0
         assert decision == "alternative"
@@ -574,7 +584,7 @@ class TestLRTest:
     def test_singular_sentinel(self):
         q = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))
         g = FiniteDiscrete(((2.0, 1.0),))
-        log_lr, decision = lr_test([2.0], SparseMixture(q, g, 1.0))
+        log_lr, decision = lr_test([2.0], Mixture(q, g, 1.0))
         assert log_lr == math.inf
         assert decision == "alternative"
 
@@ -583,7 +593,12 @@ class TestLRTest:
         g = FiniteDiscrete(((2.0, 1.0),))
         assert lr_log_ratios([0.0, 2.0], g, q) is None
         assert lr_statistic(None, 0.0) == math.inf
-        assert lr_test([0.0, 2.0], SparseMixture(q, g, 0.0)) == (math.inf, "alternative")
+        assert lr_test([0.0, 2.0], Mixture(q, g, 0.0)) == (math.inf, "alternative")
+
+    def test_nan_sample_rejected(self):
+        mix = Mixture(Gaussian(), Gaussian(1.0, 1.0), 0.1)
+        with pytest.raises(InvalidParameterError, match="without NaN"):
+            lr_test([0.1, math.nan], mix)
 
     def test_undefined_point_propagates(self):
         q = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))
@@ -591,7 +606,7 @@ class TestLRTest:
         with pytest.raises(UndefinedPointError):
             lr_log_ratios([0.5], g, q)
         with pytest.raises(UndefinedPointError):
-            lr_test([0.5], SparseMixture(q, g, 0.0))
+            lr_test([0.5], Mixture(q, g, 0.0))
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.3, 1.0])
     def test_is_the_reduction_of_the_log_ratios(self, eps):
@@ -599,7 +614,7 @@ class TestLRTest:
         null, alt = Gaussian(), Gaussian(2.5, 1.0)
         ys = Mixture(null, alt, 0.05).sample(500, rng.stream(8, 1))
         ell = lr_log_ratios(ys, alt, null)
-        log_lr, decision = lr_test(ys, SparseMixture(null, alt, eps))
+        log_lr, decision = lr_test(ys, Mixture(null, alt, eps))
         assert lr_statistic(ell, eps) == log_lr
         assert decision == ("alternative" if log_lr >= 0.0 else "null")
         if 0.0 < eps < 1.0:
@@ -611,7 +626,7 @@ class TestLRTest:
         q = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))
         g = FiniteDiscrete(((1.0, 1.0),))
         for eps, n in ((0.5, 1), (0.5, 3), (0.25, 6), (0.7, 4)):
-            mix = SparseMixture(q, g, eps)
+            mix = Mixture(q, g, eps)
             m = Mixture(q, g, eps)
             total_error = 0.0
             tv = 0.0
@@ -628,7 +643,7 @@ class TestLRTest:
         # the worked toy: error 0.75 = 1 - TV
         q = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))
         g = FiniteDiscrete(((1.0, 1.0),))
-        mix = SparseMixture(q, g, 0.5)
+        mix = Mixture(q, g, 0.5)
         _, d0 = lr_test([0.0], mix)
         _, d1 = lr_test([1.0], mix)
         assert (d0, d1) == ("null", "alternative")

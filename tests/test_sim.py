@@ -21,7 +21,7 @@ from sparse_detect.errors import (
     InfiniteWeightError,
     InvalidParameterError,
 )
-from sparse_detect.hctest import hc_statistic, hc_threshold, lr_test, max_test
+from sparse_detect.hctest import TESTS, hc_statistic, hc_test, hc_threshold, lr_test, max_test
 from sparse_detect.sim import (
     ExperimentConfig,
     estimate_gamma,
@@ -158,19 +158,19 @@ class TestConfig:
 class TestFamilyMixture:
     def test_idj_mapping(self):
         mix = family_mixture("idj", {}, 0.8, 0.55, 10**4)
-        assert mix.null_dist == Gaussian(0.0, 1.0)
-        assert mix.alt_dist == Gaussian(math.sqrt(1.6 * math.log(10**4)), 1.0)
-        assert mix.epsilon == pytest.approx(10**-2.2, rel=1e-12)
+        assert mix.first == Gaussian(0.0, 1.0)
+        assert mix.second == Gaussian(math.sqrt(1.6 * math.log(10**4)), 1.0)
+        assert mix.weight == pytest.approx(10**-2.2, rel=1e-12)
 
     def test_hetero_mapping(self):
         mix = family_mixture("hetero", {"sigma2": 4.0}, 0.25, 0.6, 100)
-        assert mix.alt_dist.sd == 2.0
+        assert mix.second.sd == 2.0
 
     def test_gglocation_mapping(self):
         mix = family_mixture("gglocation", {"tau": 2.0}, 0.5, 0.6, 1000)
-        assert mix.null_dist == GenGaussian(2.0)
-        assert isinstance(mix.alt_dist, Shifted)
-        assert mix.alt_dist.shift == pytest.approx(math.sqrt(0.5 * math.log(1000)))
+        assert mix.first == GenGaussian(2.0)
+        assert isinstance(mix.second, Shifted)
+        assert mix.second.shift == pytest.approx(math.sqrt(0.5 * math.log(1000)))
 
     def test_gglocation_negative_r_rejected(self):
         with pytest.raises(InvalidParameterError, match="r must be >= 0"):
@@ -179,7 +179,7 @@ class TestFamilyMixture:
     def test_signal_rescaled_per_n(self):
         small = family_mixture("idj", {}, 0.5, 0.6, 100)
         large = family_mixture("idj", {}, 0.5, 0.6, 10**6)
-        assert large.alt_dist.mean > small.alt_dist.mean
+        assert large.second.mean > small.second.mean
 
 
 class TestWilson:
@@ -505,22 +505,25 @@ class TestSharedNull:
         # beta 0 gives eps 1 and beta 400 eps 0; each row serves every beta
         betas = (0.0, 0.5, 400.0)
         mixes = {(beta, r): family_mixture(family, params, r, beta, n) for beta in betas}
-        null = mixes[betas[0], r].null_dist
-        laws = (null, mixes[0.5, r].mixed())  # null and alternative rows, as in a sweep
+        null = mixes[betas[0], r].first
+        laws = (null, mixes[0.5, r])  # null and alternative rows, as in a sweep
         ys = np.stack([laws[k % 2].sample(n, rng.stream(54, k)) for k in range(8)])
-        tests = ("lr", "max") if family == "custom" else ("hc", "lr", "max")
+        # every row of the test table against its public single-sample test
+        reference = {
+            "hc": lambda y, mix: hc_test(y, mix.first, delta=0.1).decision,
+            "lr": lambda y, mix: lr_test(y, mix)[1],
+            "max": lambda y, mix: max_test(y),
+        }
+        assert list(reference) == list(TESTS)
+        tests = [name for name, test in TESTS.items() if n >= test.min_n]
         cells = [(0, beta, r, n, test) for beta in betas for test in tests] * len(ys)
         rows = np.repeat(np.arange(len(ys)), len(betas) * len(tests))
         steps = sim._decision_steps(rows, cells, mixes, len(ys))
         got = sim._decisions(ys, steps, len(cells), null, 0.1)
-        want = []
-        for row, (_, beta, _, _, test) in zip(rows, cells):
-            if test == "lr":
-                want.append(lr_test(ys[row], mixes[beta, r])[1] == "alternative")
-            elif test == "max":
-                want.append(max_test(ys[row]) == "alternative")
-            else:
-                want.append(hc_statistic(ys[row], null)[0] > hc_threshold(n, 0.1))
+        want = [
+            reference[test](ys[row], mixes[beta, r]) == "alternative"
+            for row, (_, beta, _, _, test) in zip(rows, cells)
+        ]
         assert got.tolist() == want
         if family == "custom":
             assert len(set(want)) == 2  # some rows singular, some not
@@ -615,7 +618,7 @@ class TestEstimateGamma:
     def test_family_diagnostic_and_convergence_flags(self):
         s_grid = np.arange(0.15, 2.0001, 0.05)
         # the alternative is rebuilt for every n from a callable
-        alt = lambda n: family_mixture("gglocation", {"tau": 1.0}, 0.5, 0.5, n).alt_dist
+        alt = lambda n: family_mixture("gglocation", {"tau": 1.0}, 0.5, 0.5, n).second
         # the 1e3 -> 1e4 step is 2 ln 2 (1/ln 1e3 - 1/ln 1e4) = 0.0502 > 0.05,
         # deterministically flagged
         early = estimate_gamma(GenGaussian(1.0), alt, [10**3, 10**4], s_grid)
