@@ -28,7 +28,7 @@ import numpy as np
 from . import boundary as bnd
 from . import families, sim
 from .dists import Distribution, Gaussian, GenGaussian, Mixture, from_spec
-from .errors import SparseDetectError, InvalidParameterError
+from .errors import ConfigError, InvalidParameterError, SparseDetectError
 from .hctest import TESTS, hc_test, lr_test, max_test
 
 log = logging.getLogger("sparse_detect")
@@ -282,11 +282,27 @@ def _cmd_maxtest(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_simulate(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise _Usage(f"--workers must be >= 1, got {args.workers}")
     cfg_data = {}
     if args.config:
         with open(args.config) as fh:
-            cfg_data = json.load(fh)
+            try:
+                cfg_data = json.load(fh)
+            except ValueError as exc:  # malformed JSON, or bytes that are not text
+                raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(cfg_data, dict):
+            raise ConfigError(
+                f"config {args.config} must hold a JSON object, got {type(cfg_data).__name__}"
+            )
     inline = {}
     if args.family:
         inline["family"] = args.family
@@ -314,7 +330,7 @@ def _cmd_simulate(args) -> int:
     if "seed" not in cfg_data:
         raise _Usage("simulate requires an explicit --seed (no wall-clock default)")
     cfg = sim.ExperimentConfig.from_dict(cfg_data)
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    workers = args.workers if args.workers is not None else _usable_cpus()
     table = sim.phase_sweep(cfg, workers=workers)
     if args.output:
         table.write_csv(args.output)
@@ -443,7 +459,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float)
     p.add_argument("--sigma2", type=float)
     p.add_argument("--tau", type=float)
-    p.add_argument("--workers", type=int)
+    p.add_argument(
+        "--workers", type=int, help="pool size >= 1; default: the CPUs this process may use"
+    )
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate-gamma", help="finite-n exponent-function diagnostic")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dists import Distribution, FiniteDiscrete, Mixture
 from .errors import (
@@ -98,6 +97,10 @@ def _domain(p: Distribution, q: Distribution) -> tuple[float, float, list]:
 
 
 def _quad(fn, lo, hi, points) -> float:
+    # scipy.integrate loads scipy.optimize, sparse and linalg with it, so
+    # only a quadrature pays that import; closed forms and sweeps never do.
+    from scipy.integrate import quad
+
     val, err = quad(fn, lo, hi, points=points or None, limit=200)
     if err > _QUAD_TOL:
         raise QuadratureError(

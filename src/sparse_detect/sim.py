@@ -41,7 +41,7 @@ import numbers
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import groupby, product, repeat
 from typing import Callable, Iterable, Sequence, Union
 
@@ -121,8 +121,10 @@ class ExperimentConfig:
             raise ConfigError("beta_grid, r_grid and n_list must be non-empty")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        if not self.tests or not set(self.tests) <= set(TESTS):
-            raise ConfigError(f"tests must be a non-empty subset of {tuple(TESTS)}")
+        if not self.tests or not all(isinstance(t, str) and t in TESTS for t in self.tests):
+            raise ConfigError(
+                f"tests must be a non-empty subset of {tuple(TESTS)}, got {list(self.tests)}"
+            )
         for name, test in TESTS.items():
             if name in self.tests and min(self.n_list) < test.min_n:
                 raise ConfigError(f"the {name} test requires every n >= {test.min_n}")
@@ -150,7 +152,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """The config of a JSON object; a malformed entry raises ConfigError."""
+        """The config of a JSON object; a missing or malformed entry raises ConfigError."""
+        missing = [
+            f.name for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in data
+        ]
+        if missing:
+            raise ConfigError(f"config is missing {', '.join(map(repr, missing))}")
+        for key in ("beta_grid", "r_grid", "n_list", "tests"):
+            if not isinstance(data[key], (list, tuple)):
+                raise ConfigError(f"{key} must be a list, got {data[key]!r}")
+        params = data.get("family_params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"family_params must be an object, got {params!r}")
         delta = data.get("delta", 0.1)
         return cls(
             family=data["family"],
@@ -161,7 +175,7 @@ class ExperimentConfig:
             tests=tuple(data["tests"]),
             seed=data["seed"],
             delta=float(delta) if isinstance(delta, numbers.Real) else delta,
-            family_params=dict(data.get("family_params", {})),
+            family_params=dict(params),
         )
 
     def config_hash(self) -> str:

@@ -1,6 +1,7 @@
 """CLI tests: exit codes, formats, determinism, round trips."""
 
 import json
+import os
 import re
 import shlex
 from pathlib import Path
@@ -438,6 +439,7 @@ class TestSimulateCommand:
             ("n_list", ["abc"], "every n must be an integer, got 'abc'"),
             ("n_list", [None], "every n must be an integer, got None"),
             ("n_list", [True], "every n must be an integer, got True"),
+            ("beta_grid", 0.5, "beta_grid must be a list, got 0.5"),
         ],
     )
     def test_malformed_config_scalar_exit_3(self, capsys, tmp_path, field, value, words):
@@ -450,6 +452,57 @@ class TestSimulateCommand:
         code, out, err = run(capsys, "simulate", "--config", str(cfg_path))
         assert (code, out) == (3, "")
         assert words in err
+
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            (
+                '{"family": "idj", "beta_grid": [0.5], "n_list": [100], "replicates": 5,'
+                ' "tests": ["lr"], "seed": 5}',
+                "config is missing 'r_grid'",
+            ),
+            ('[{"family": "idj", "seed": 5}]', "must hold a JSON object, got list"),
+            ('{"family": "idj", "seed": 5', "is not valid JSON"),
+        ],
+        ids=["missing-key", "top-level-list", "invalid-json"],
+    )
+    def test_malformed_config_file_exit_3(self, capsys, tmp_path, text, words):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_path))
+        assert (code, out) == (3, "")
+        assert words in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_2(self, capsys, workers):
+        code, out, err = run(
+            capsys, "simulate", "--family", "idj", "--beta-grid", "0.6", "--r-grid", "0.5",
+            "--n-list", "64", "--replicates", "2", "--tests", "lr", "--seed", "1",
+            "--workers", workers,
+        )
+        assert (code, out) == (2, "")
+        assert f"--workers must be >= 1, got {workers}" in err
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, want",
+        [({5}, 8, 1), ({0, 1}, 1, 2), (None, 2, 2), (None, None, 1)],
+        ids=["one-pinned-cpu", "two-pinned-cpus", "no-affinity", "cpu-count-unknown"],
+    )
+    def test_default_workers_are_usable_cpus(
+        self, capsys, monkeypatch, affinity, cpu_count, want
+    ):
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity))
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        code, _, err = run(
+            capsys, "simulate", "--family", "idj", "--beta-grid", "0.6,0.9",
+            "--r-grid", "0.5", "--n-list", "64", "--replicates", "4", "--tests", "lr,max",
+            "--seed", "1",
+        )
+        assert code == 0
+        assert json.loads(err.strip().splitlines()[-1])["worker_count"] == want
 
     def test_bad_config_exit_3(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

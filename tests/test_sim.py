@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,19 @@ class TestConfig:
     def test_unsimulatable_family_rejected(self):
         with pytest.raises(ConfigError, match="not simulatable"):
             small_config(family="dilate")
+
+    @pytest.mark.parametrize(
+        "field, value, words",
+        [
+            ("tests", "lr", "tests must be a list, got 'lr'"),
+            ("tests", [["lr"]], "tests must be a non-empty subset"),
+            ("family_params", [1], "family_params must be an object, got [1]"),
+        ],
+    )
+    def test_malformed_dict_entry_rejected(self, field, value, words):
+        data = dict(small_config().to_dict(), **{field: value})
+        with pytest.raises(ConfigError, match=re.escape(words)):
+            ExperimentConfig.from_dict(data)
 
     def test_round_trip_dict(self):
         cfg = small_config()
