@@ -35,6 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import checks
 from .errors import (
     AdmissibilityError,
     EmptySupportError,
@@ -107,9 +108,11 @@ class ExponentFunction:
             raise InvalidParameterError(
                 "an exponent function holds either fn and width or xs and values"
             )
-        if self.fn is None:
-            xs = np.asarray(self.xs, dtype=float)
-            values = np.asarray(self.values, dtype=float)
+        if self.fn is not None:
+            checks.positive(self.width, "width")
+        else:
+            xs = checks.array(self.xs, "xs")
+            values = checks.array(self.values, "values")
             if xs.ndim != 1 or xs.size == 0 or xs.shape != values.shape:
                 raise InvalidParameterError("grid xs and values must be equal-length 1-D")
             if not np.all(np.diff(xs) > 0):
@@ -196,18 +199,18 @@ def _blockwise(kernel):
 
 
 def _idj(params):
-    r = _require_positive(params, "r")
+    r = checks.positive(params.get("r"), "r")
     return _closed(lambda u: 2.0 * u * math.sqrt(r) - r, math.sqrt(r) + 1.0)
 
 
 def _symmetric_idj(params):
-    r = _require_positive(params, "r")
+    r = checks.positive(params.get("r"), "r")
     return _closed(lambda u: 2.0 * np.abs(u) * math.sqrt(r) - r, math.sqrt(r) + 1.0)
 
 
 def _hetero(params):
-    r = _require_nonnegative(params, "r")
-    sigma2 = _require_positive(params, "sigma2")
+    r = checks.nonnegative(params.get("r"), "r")
+    sigma2 = checks.positive(params.get("sigma2"), "sigma2")
     return _closed(
         lambda u: u * u - (u - math.sqrt(r)) ** 2 / sigma2,
         math.sqrt(r) + math.sqrt(sigma2),
@@ -217,18 +220,15 @@ def _hetero(params):
 
 def _dilate(params):
     if "linf" in params:
-        linf = _require_nonnegative(params, "linf")
+        linf = checks.nonnegative(params["linf"], "linf")
         pts = (-linf, linf)
     elif "points" in params:
-        pts = tuple(float(p) for p in params["points"])
-        if not pts:
-            raise InvalidParameterError("dilate needs a non-empty support")
-        if not all(math.isfinite(p) for p in pts):
-            raise InvalidParameterError(f"dilate support points must be finite, got {pts}")
+        pts = checks.grid(params["points"], "every dilate support point")
     elif "interval" in params:
-        a, b = (float(v) for v in params["interval"])
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise InvalidParameterError("dilate interval must be finite with a < b")
+        ends = checks.grid(params["interval"], "every dilate interval end")
+        if len(ends) != 2 or not ends[0] < ends[1]:
+            raise InvalidParameterError(f"dilate interval must be (a, b) with a < b, got {ends}")
+        a, b = ends
 
         def kernel(u):
             x = np.clip(u, a, b)  # unconstrained maximizer of 2ux - x^2 is x = u
@@ -242,14 +242,15 @@ def _dilate(params):
     return _closed(_blockwise(kernel), max(abs(p) for p in pts) + 1.0)
 
 
-def _signal_support(ts, fs) -> np.ndarray:
-    """Mask of the points of ``ts`` on the support of f, given as ``fs``.
+def _signal_support(ts, fs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ts`` and ``fs`` as arrays, and the mask of the points on the support of f.
 
     The points must be finite, and only +inf in ``fs`` marks a point off
     the support; a NaN or -inf exponent raises InvalidParameterError.
     """
-    if not np.all(np.isfinite(ts)):
-        raise InvalidParameterError(f"support points ts must be finite, got {ts}")
+    ts, fs = np.asarray(checks.grid(ts, "ts")), checks.array(fs, "fs")
+    if ts.shape != fs.shape:
+        raise InvalidParameterError("ts and fs must be equal-length 1-D arrays")
     finite = np.isfinite(fs)
     if not np.all(finite | (fs == np.inf)):
         raise InvalidParameterError(
@@ -257,21 +258,19 @@ def _signal_support(ts, fs) -> np.ndarray:
         )
     if not np.any(finite):
         raise EmptySupportError("f is infinite everywhere")
-    return finite
+    return ts, fs, finite
 
 
 def _conv_from_f(params):
-    ts = np.asarray(params["ts"], dtype=float)
-    fs = np.asarray(params["fs"], dtype=float)
-    finite = _signal_support(ts, fs)
+    ts, fs, finite = _signal_support(params["ts"], params["fs"])
     ts, fs = ts[finite], fs[finite]
     kernel = lambda u: u * u - ((u[:, None] - ts[None, :]) ** 2 + fs[None, :]).min(axis=1)
     return _closed(_blockwise(kernel), float(np.max(np.abs(ts))) + 1.0)
 
 
 def _gen_gaussian_conv(params):
-    r = _require_positive(params, "r")
-    tau = _require_positive(params, "tau")
+    r = checks.positive(params.get("r"), "r")
+    tau = checks.positive(params.get("tau"), "tau")
     sqrt_r = math.sqrt(r)
     unit = np.linspace(0.0, 1.0, 513)[None, :]
 
@@ -290,8 +289,8 @@ def _gen_gaussian_conv(params):
 
 
 def _gen_gaussian_location(params):
-    r = _require_positive(params, "r")
-    tau = _require_positive(params, "tau")
+    r = checks.positive(params.get("r"), "r")
+    tau = checks.positive(params.get("tau"), "tau")
     return _closed(
         lambda s: s - np.abs(np.maximum(s, 0.0) ** (1.0 / tau) - r ** (1.0 / tau)) ** tau,
         r + 1.0, axis="s", convolutional=False,
@@ -376,23 +375,24 @@ def ess_sup_grid(
 ) -> tuple[float, float]:
     """(max value, argmax) over a grid; -inf entries are skipped.
 
-    A NaN value raises :class:`InvalidParameterError`.  Ties break to the
-    smallest abscissa.  When ``refine`` is given (a
-    callable agreeing with ``values`` on the grid), a golden-section
-    pass between the neighbours of the winning point sharpens the
-    maximum; it is skipped unless both neighbours are finite, so the
-    refinement never leaves the support.
+    A NaN or +inf maximum, or one at a non-finite abscissa, raises
+    :class:`InvalidParameterError`.  Ties break to the smallest abscissa.
+    When ``refine`` is given (a callable agreeing with ``values`` on the
+    grid), a golden-section pass between the neighbours of the winning
+    point sharpens the maximum; it is skipped unless both neighbours are
+    finite, so the refinement never leaves the support.
     """
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
+    xs = checks.array(xs, "xs")
+    values = checks.array(values, "values")
     if xs.size == 0:
         raise EmptySupportError("empty grid")
     if np.all(np.isneginf(values)):
         raise EmptySupportError("all grid values are -inf")
     idx = int(np.argmax(values))  # first occurrence wins ties; a NaN wins outright
     best_x, best_v = float(xs[idx]), float(values[idx])
-    if math.isnan(best_v):
-        raise InvalidParameterError(f"grid value is NaN at x={best_x:.6g}")
+    if not (math.isfinite(best_v) and math.isfinite(best_x)):  # all -inf was caught above
+        value = "NaN" if math.isnan(best_v) else best_v
+        raise InvalidParameterError(f"grid value is {value} at x={best_x:.6g}")
     lo, hi = max(idx - 1, 0), min(idx + 1, xs.size - 1)
     if refine is not None and np.all(np.isfinite(values[lo : hi + 1])):
         x_ref, v_ref = _golden_max_scalar(refine, float(xs[lo]), float(xs[hi]))
@@ -461,10 +461,10 @@ def laplace_log_integral(xs, values, big_m: float) -> float:
     Stabilized with log-sum-exp; -inf values contribute nothing.  As M
     grows the result converges to the essential supremum of f, which is
     how admissibility of exponent functions is probed numerically.  M
-    must be positive and finite, and ``xs`` strictly increasing.  This is
-    the one-rung case of the admissibility ladder.
+    must be positive and finite, ``xs`` strictly increasing and ``values``
+    free of NaN.  This is the one-rung case of the admissibility ladder.
     """
-    return _laplace_ladder(xs, values, (big_m,))[0]
+    return _laplace_ladder(xs, checks.array(values, "values", nan=False), (big_m,))[0]
 
 
 def _laplace_ladder(xs, values, ladder) -> tuple[float, ...]:
@@ -480,9 +480,9 @@ def _laplace_ladder(xs, values, ladder) -> tuple[float, ...]:
     ``scipy.special.logsumexp(a) / M`` bit for bit, without its
     per-call conversions and its second, unshifted exp pass.
     """
-    ladder = tuple(_require_positive({"M": m}, "M") for m in ladder)
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
+    ladder = tuple(checks.positive(m, "M") for m in ladder)
+    xs = checks.array(xs, "xs")
+    values = checks.array(values, "values")
     if xs.ndim != 1 or xs.shape != values.shape:
         raise InvalidParameterError("grid xs and values must be equal-length 1-D")
     if xs.size < 2:
@@ -628,7 +628,7 @@ def hellinger_exponent(alpha: ExponentFunction, beta: float) -> float:
     beta, the simple rate above it.  Crosses -1 exactly at the boundary.
     """
     _require_axis(alpha, "u")
-    beta = _require_finite({"beta": beta}, "beta", "be finite", math.isfinite)
+    beta = checks.number(beta, "beta")
     if beta < 0.5:
         raise OutOfRegimeError(f"beta must be >= 1/2, got {beta}")
     xs, vals = alpha.grid()
@@ -640,7 +640,7 @@ def hellinger_exponent(alpha: ExponentFunction, beta: float) -> float:
 def tail_exponent(alpha: ExponentFunction, u: float) -> float:
     """sup over q >= u of alpha(q) - q^2; nonincreasing in u."""
     _require_axis(alpha, "u")
-    u = _require_nonnegative({"u": u}, "u")
+    u = checks.nonnegative(u, "u")
     xs, vals = alpha.grid()
     candidates = []
     if np.any(xs >= u):
@@ -717,34 +717,34 @@ def boundary_closed_form(family: str, mode: str = "beta-of-r", **params) -> floa
 
     if family == "idj":
         if mode == "beta-of-r":
-            return float(_beta_star_idj(_require_positive(params, "r")))
-        beta = _require_open_interval(params, "beta", 0.5, 1.0)
+            return float(_beta_star_idj(checks.positive(params.get("r"), "r")))
+        beta = checks.between(params.get("beta"), "beta", 0.5, 1.0, strict=True)
         return beta - 0.5 if beta <= 0.75 else (1.0 - math.sqrt(1.0 - beta)) ** 2
 
     if family == "hetero":
-        sigma2 = _require_positive(params, "sigma2")
+        sigma2 = checks.positive(params.get("sigma2"), "sigma2")
         if mode == "beta-of-r":
-            r = _require_nonnegative(params, "r")
+            r = checks.nonnegative(params.get("r"), "r")
             if 2.0 * math.sqrt(r) + sigma2 <= 2.0:
                 # at the corner r = 0, sigma2 = 2 the ratio is read as 0
                 return 0.5 if r == 0.0 and sigma2 == 2.0 else 0.5 + r / (2.0 - sigma2)
             return 1.0 - max(0.0, 1.0 - math.sqrt(r)) ** 2 / sigma2
-        beta = _require_open_interval(params, "beta", 0.5, 1.0)
+        beta = checks.between(params.get("beta"), "beta", 0.5, 1.0, strict=True)
         if sigma2 < 2.0 and beta <= 1.0 - sigma2 / 4.0:
             return (2.0 - sigma2) * (beta - 0.5)
         return max(0.0, 1.0 - math.sqrt(sigma2) * math.sqrt(1.0 - beta)) ** 2
 
     if family == "dilate":
         _require_mode_beta(mode, family)
-        linf = _require_nonnegative(params, "linf")
+        linf = checks.nonnegative(params.get("linf"), "linf")
         if linf <= 0.5:
             return linf * linf + 0.5
         return 1.0 - max(0.0, 1.0 - linf) ** 2
 
     if family == "ggconv":
         _require_mode_beta(mode, family)
-        r = _require_positive(params, "r")
-        tau = _require_positive(params, "tau")
+        r = checks.positive(params.get("r"), "r")
+        tau = checks.positive(params.get("tau"), "tau")
         if tau == 1.0:
             if r > 1.5 + math.sqrt(2.0):
                 return (1.0 - 0.5 / math.sqrt(r)) ** 2
@@ -761,8 +761,8 @@ def boundary_closed_form(family: str, mode: str = "beta-of-r", **params) -> floa
 
     if family == "gglocation":
         _require_mode_beta(mode, family)
-        r = _require_positive(params, "r")
-        tau = _require_positive(params, "tau")
+        r = checks.positive(params.get("r"), "r")
+        tau = checks.positive(params.get("tau"), "tau")
         if r > 1.0:
             return 1.0
         if tau <= 1.0:
@@ -784,46 +784,13 @@ def beta_convolution(ts, fs) -> BoundaryResult:
     inside the support.  The grid ``ts`` must be strictly increasing.
     The result is clamped to [1/2, 1].
     """
-    ts = np.asarray(ts, dtype=float)
-    fs = np.asarray(fs, dtype=float)
-    if ts.ndim != 1 or ts.shape != fs.shape or ts.size == 0:
-        raise InvalidParameterError("ts and fs must be equal-length 1-D arrays")
-    finite = _signal_support(ts, fs)
+    ts, fs, finite = _signal_support(ts, fs)
     if not np.all(np.diff(ts) > 0.0):
         raise InvalidParameterError(f"ts must be strictly increasing, got {ts}")
     objective = np.where(finite, _beta_star_idj(ts * ts) - fs, -np.inf)
     f_lin = lambda t: float(np.interp(t, ts[finite], fs[finite]))
     sup, arg = ess_sup_grid(ts, objective, lambda t: _beta_star_idj(t * t) - f_lin(t))
     return _boundary(sup - 0.5, arg, ts)
-
-
-# ---------------------------------------------------------------------------
-# parameter validation helpers
-# ---------------------------------------------------------------------------
-
-
-def _require_positive(params: dict, name: str) -> float:
-    return _require_finite(params, name, "be > 0 and finite", lambda v: v > 0)
-
-
-def _require_nonnegative(params: dict, name: str) -> float:
-    return _require_finite(params, name, "be >= 0 and finite", lambda v: v >= 0)
-
-
-def _require_finite(params: dict, name: str, rule: str, holds) -> float:
-    """params[name] as a finite float passing ``holds``; ``rule`` words the test."""
-    val = params.get(name)
-    try:
-        num = float(val)
-    except (TypeError, ValueError):
-        num = math.nan
-    if not (math.isfinite(num) and holds(num)):
-        raise InvalidParameterError(f"{name} must {rule}, got {val!r}")
-    return num
-
-
-def _require_open_interval(params: dict, name: str, lo: float, hi: float) -> float:
-    return _require_finite(params, name, f"lie in ({lo}, {hi})", lambda v: lo < v < hi)
 
 
 def _require_mode_beta(mode: str, family: str) -> None:

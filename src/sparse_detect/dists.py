@@ -21,6 +21,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 from scipy.special import gammaincc, gammainccinv, gammaln, ndtr, ndtri
 
+from . import checks
 from .errors import (
     IncompatibleLawsError,
     InvalidParameterError,
@@ -89,7 +90,7 @@ class Distribution:
 
     def quantile(self, p: float) -> float:
         """Generalized inverse inf{y : F(y) >= p} via monotone bisection."""
-        _check_probability(p)
+        p = checks.probability(p)
         lo, hi = self.support_bounds()
         # widen until the bracket certainly contains the quantile
         while self.cdf(lo) > p:
@@ -124,9 +125,8 @@ class Gaussian(Distribution):
     kind = "gaussian"
 
     def __post_init__(self):
-        _check_finite(mean=self.mean, sd=self.sd)
-        if not (self.sd > 0):
-            raise InvalidParameterError(f"sd must be > 0, got {self.sd}")
+        checks.number(self.mean, "mean")
+        checks.positive(checks.number(self.sd, "sd"), "sd")
 
     def log_density(self, y):
         z = (np.asarray(y, dtype=float) - self.mean) / self.sd
@@ -137,8 +137,7 @@ class Gaussian(Distribution):
         return ndtr(z), ndtr(-z)
 
     def quantile(self, p: float) -> float:
-        _check_probability(p)
-        return self.mean + self.sd * float(ndtri(p))
+        return self.mean + self.sd * float(ndtri(checks.probability(p)))
 
     def support_bounds(self, log_floor: float = -700.0) -> tuple[float, float]:
         half = self.sd * math.sqrt(2 * max(1.0, -log_floor))
@@ -163,9 +162,7 @@ class GenGaussian(Distribution):
     kind = "gen_gaussian"
 
     def __post_init__(self):
-        _check_finite(tau=self.tau)
-        if not (self.tau > 0):
-            raise InvalidParameterError(f"tau must be > 0, got {self.tau}")
+        checks.positive(checks.number(self.tau, "tau"), "tau")
 
     @property
     def _log_norm(self) -> float:
@@ -189,7 +186,7 @@ class GenGaussian(Distribution):
     def quantile(self, p: float) -> float:
         # invert the smaller tail, Q(1/tau, |y|^tau) = 2 min(p, 1 - p), so
         # that p far below or above 1/2 keeps its resolution
-        _check_probability(p)
+        p = checks.probability(p)
         tail = 2.0 * min(p, 1.0 - p)
         mag = float(gammainccinv(1.0 / self.tau, tail)) ** (1.0 / self.tau)
         return -mag if p < 0.5 else mag
@@ -213,9 +210,7 @@ class Dilated(Distribution):
     kind = "dilated"
 
     def __post_init__(self):
-        _check_finite(scale=self.scale)
-        if not (self.scale > 0):
-            raise InvalidParameterError(f"scale must be > 0, got {self.scale}")
+        checks.positive(checks.number(self.scale, "scale"), "scale")
 
     @property
     def is_discrete(self) -> bool:
@@ -253,7 +248,7 @@ class Shifted(Distribution):
     kind = "shifted"
 
     def __post_init__(self):
-        _check_finite(shift=self.shift)
+        checks.number(self.shift, "shift")
 
     @property
     def is_discrete(self) -> bool:
@@ -289,13 +284,12 @@ class FiniteDiscrete(Distribution):
     kind = "finite_discrete"
 
     def __post_init__(self):
-        atoms = tuple(sorted((float(p), float(m)) for p, m in self.atoms))
+        atoms = tuple(sorted(
+            (checks.number(p, "atom points"), checks.nonnegative(m, "atom masses"))
+            for p, m in self.atoms
+        ))
         if not atoms:
             raise InvalidParameterError("finite_discrete needs at least one atom")
-        if not all(math.isfinite(p) for p, _ in atoms):
-            raise InvalidParameterError(f"atom points must be finite, got {atoms}")
-        if not all(m >= 0 for _, m in atoms):
-            raise InvalidParameterError("atom masses must be >= 0")
         total = math.fsum(m for _, m in atoms)
         if abs(total - 1.0) > _ATOM_MASS_TOL:
             raise InvalidParameterError(
@@ -339,7 +333,7 @@ class FiniteDiscrete(Distribution):
         return (lower, upper) if lower.shape else (float(lower), float(upper))
 
     def quantile(self, p: float) -> float:
-        _check_probability(p)
+        p = checks.probability(p)
         cum = np.cumsum(self.masses)
         idx = int(np.searchsorted(cum, p - _ATOM_MASS_TOL, side="left"))
         return float(self.points[min(idx, len(self.atoms) - 1)])
@@ -369,8 +363,7 @@ class Mixture(Distribution):
     kind = "mixture"
 
     def __post_init__(self):
-        if not (0.0 <= self.weight <= 1.0):
-            raise InvalidParameterError(f"weight epsilon must lie in [0, 1], got {self.weight}")
+        checks.between(self.weight, "weight epsilon", 0, 1)
 
     @property
     def is_discrete(self) -> bool:
@@ -424,20 +417,14 @@ class Mixture(Distribution):
 
 def epsilon_from_beta(n: int, beta: float) -> float:
     """Contamination fraction n**(-beta) for sample size n."""
-    if n < 2:
-        raise InvalidSampleSizeError(f"n must be >= 2, got {n}")
-    if not 0 <= beta < math.inf:
-        raise InvalidParameterError(f"beta must be >= 0 and finite, got {beta}")
-    return float(n) ** (-beta)
+    n = checks.integer(n, "n", 2, error=InvalidSampleSizeError)
+    return float(n) ** (-checks.nonnegative(beta, "beta"))
 
 
 def mu_from_r(n: int, r: float) -> float:
     """Location shift sqrt(2 * r * ln n) for signal strength r."""
-    if n < 2:
-        raise InvalidSampleSizeError(f"n must be >= 2, got {n}")
-    if not 0 <= r < math.inf:
-        raise InvalidParameterError(f"r must be >= 0 and finite, got {r}")
-    return math.sqrt(2.0 * r * math.log(n))
+    n = checks.integer(n, "n", 2, error=InvalidSampleSizeError)
+    return math.sqrt(2.0 * checks.nonnegative(r, "r") * math.log(n))
 
 
 # ---------------------------------------------------------------------------
@@ -501,17 +488,6 @@ def _half_square(y: np.ndarray, law: Gaussian) -> np.ndarray:
     z = np.square(z, out=None if z is y else z)
     z *= 0.5
     return z
-
-
-def _check_finite(**params: float) -> None:
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise InvalidParameterError(f"{name} must be finite, got {value}")
-
-
-def _check_probability(p: float) -> None:
-    if not (0.0 < p < 1.0):
-        raise InvalidProbabilityError(f"p must lie in (0, 1), got {p!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from .dists import Distribution, FiniteDiscrete, Mixture
 from .errors import (
     IncompatibleLawsError,
     InvalidDistanceError,
-    InvalidParameterError,
+    InvalidSampleSizeError,
     NotSingularError,
     QuadratureError,
 )
@@ -153,15 +154,14 @@ def hellinger_sq(p: Distribution, q: Distribution) -> float:
 
 def hellinger_tensorize(h2: float, n: int) -> float:
     """Squared Hellinger distance between n-fold product laws."""
-    _check_h2(h2)
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
+    h2 = checks.between(h2, "squared Hellinger distance", 0, 2, error=InvalidDistanceError)
+    n = checks.integer(n, "n", 1, error=InvalidSampleSizeError)
     return 2.0 - 2.0 * (1.0 - h2 / 2.0) ** n
 
 
 def tv_hellinger_bounds(h2: float) -> tuple[float, float]:
     """Sandwich h2/2 <= TV <= sqrt(h2) * sqrt(1 - h2/4), clamped to [0, 1]."""
-    _check_h2(h2)
+    h2 = checks.between(h2, "squared Hellinger distance", 0, 2, error=InvalidDistanceError)
     lower = min(1.0, h2 / 2.0)
     upper = min(1.0, math.sqrt(h2 * (1.0 - h2 / 4.0)))
     return lower, upper
@@ -172,16 +172,9 @@ def mixture_hellinger_singular(h2_pq0: float, eps: float) -> float:
 
     Exact identity 2(1 - sqrt(1-eps)) + sqrt(1-eps) * H^2(P, Q0).
     """
-    _check_h2(h2_pq0)
-    if not (0.0 <= eps <= 1.0):
-        raise InvalidParameterError(f"eps must lie in [0, 1], got {eps}")
-    root = math.sqrt(1.0 - eps)
+    h2_pq0 = checks.between(h2_pq0, "squared Hellinger distance", 0, 2, error=InvalidDistanceError)
+    root = math.sqrt(1.0 - checks.between(eps, "eps", 0, 1))
     return 2.0 * (1.0 - root) + root * h2_pq0
-
-
-def _check_h2(h2: float) -> None:
-    if not (0.0 <= h2 <= 2.0):
-        raise InvalidDistanceError(f"squared Hellinger distance must lie in [0, 2], got {h2}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +215,9 @@ def decompose_alternative(
     driven by the absolutely continuous part) or larger ("case-2",
     trivially detectable through the singular support).
     """
-    if not (0.0 <= kappa <= 1.0):
-        raise InvalidParameterError(f"kappa must lie in [0, 1], got {kappa}")
-    if not (0.0 <= eps <= 1.0):
-        raise InvalidParameterError(f"eps must lie in [0, 1], got {eps}")
-    if n < 2:
-        raise InvalidParameterError(f"n must be >= 2, got {n}")
+    checks.between(kappa, "kappa", 0, 1)
+    checks.between(eps, "eps", 0, 1)
+    checks.integer(n, "n", 2, error=InvalidSampleSizeError)
     if kappa > 0:
         _check_singular(null_dist, singular_part)
     if eps * kappa >= 1.0:

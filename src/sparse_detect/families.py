@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import boundary
+from . import boundary, checks
 from .dists import Distribution, Gaussian, GenGaussian, Shifted, from_spec, mu_from_r
 from .errors import InvalidParameterError
 
@@ -53,16 +53,16 @@ def _idj(params):
 
 
 def _hetero(params):
-    sd = math.sqrt(boundary._require_positive(params, "sigma2"))
+    sd = math.sqrt(checks.positive(params["sigma2"], "sigma2"))
     return Gaussian(), lambda r, n: Gaussian(mu_from_r(n, r), sd)
 
 
 def _gglocation(params):
-    tau = boundary._require_positive(params, "tau")
+    tau = checks.positive(params["tau"], "tau")
     null = GenGaussian(tau)
 
     def alt(r, n):
-        r = boundary._require_nonnegative({"r": r}, "r")
+        r = checks.nonnegative(r, "r")
         return Shifted(null, (r * math.log(n)) ** (1.0 / tau))
 
     return null, alt
@@ -98,7 +98,7 @@ def build(name: str, params: dict) -> tuple[Distribution, Callable]:
     Raises InvalidParameterError when the family cannot be simulated or
     a required shape parameter is missing or out of range.
     """
-    family = FAMILIES.get(name)
+    family = FAMILIES.get(name) if isinstance(name, str) else None
     if family is None or family.builder is None:
         raise InvalidParameterError(
             f"family {name!r} is not simulatable; choose from {SIMULATABLE}"

@@ -35,12 +35,14 @@ from typing import Callable
 
 import numpy as np
 
+from . import checks
 from .dists import Distribution, Mixture, log_likelihood_ratio
 from .errors import (
     InfiniteWeightError,
     InvalidParameterError,
     InvalidSampleSizeError,
     SingularPointError,
+    UndefinedPointError,
 )
 
 __all__ = [
@@ -101,8 +103,7 @@ def _checked_tails(null: Distribution, ys: np.ndarray) -> tuple[np.ndarray, np.n
     """
     lower, upper = _null_tail_values(null, ys)
     if not min(lower.min(initial=1.0), upper.min(initial=1.0)) > 0.0:  # 0 or NaN
-        if np.isnan(ys).any():
-            raise InvalidParameterError("higher criticism needs a sample without NaN")
+        checks.array(ys, "sample", nan=False)
         raise InfiniteWeightError(
             "null CDF hit 0 or 1 at a sample point; deviation weight is infinite"
         )
@@ -167,11 +168,10 @@ def hc_statistics(
     width of ``_block_width(n, m)``.  When several rows are invalid, the
     error raised is one of theirs.
     """
-    ys = np.array(samples, dtype=float)
-    ys.sort(axis=-1)  # NaN last, where the endpoint scan meets it
+    # NaN sorts last, where the endpoint scan meets it
+    ys = np.sort(checks.array(samples, "samples"), axis=-1)
     m, n = ys.shape
-    if n < 1:
-        raise InvalidSampleSizeError("higher criticism needs a non-empty sample")
+    checks.integer(n, "n", 1, error=InvalidSampleSizeError)
     # with ties in the sample the intermediate i/n levels are not attained,
     # but they only ever understate |F_n - F|, so the maximum is unaffected
     width = _block_width(n, m)
@@ -242,23 +242,20 @@ def hc_statistic(
     InvalidParameterError; a null tail of 0 at a sample point raises
     InfiniteWeightError.
     """
-    statistics, thresholds = hc_statistics(np.asarray(sample, dtype=float)[None], null, restricted)
+    statistics, thresholds = hc_statistics(checks.array(sample, "sample")[None], null, restricted)
     return float(statistics[0]), float(thresholds[0])
 
 
 def hc_threshold(n: int, delta: float) -> float:
-    """Decision threshold sqrt(2 (1 + delta) log log n)."""
-    if n < 16:
-        raise InvalidSampleSizeError(
-            f"n must be >= 16 so that log log n > 0, got {n}"
-        )
-    if not 0 < delta < math.inf:
-        raise InvalidParameterError(f"delta must be > 0 and finite, got {delta}")
+    """Decision threshold sqrt(2 (1 + delta) log log n); n >= 16 keeps log log n > 0."""
+    n = checks.integer(n, "n", 16, error=InvalidSampleSizeError)
+    delta = checks.positive(delta, "delta")
     return math.sqrt(2.0 * (1.0 + delta) * math.log(math.log(n)))
 
 
 def hc_decision(statistic: float, n: int, delta: float = 0.1) -> str:
     """"alternative" iff the statistic exceeds the log-log threshold."""
+    statistic = checks.number(statistic, "statistic")
     return "alternative" if statistic > hc_threshold(n, delta) else "null"
 
 
@@ -271,7 +268,7 @@ def hc_test(
     sample, null: Distribution, delta: float = 0.1, restricted: bool = False
 ) -> HCResult:
     """Full higher-criticism test on a sample against a declared null."""
-    ys = np.asarray(sample, dtype=float)
+    ys = checks.array(sample, "sample")
     statistic, arg_t = hc_statistic(ys, null, restricted=restricted)
     return HCResult(
         statistic=statistic,
@@ -291,11 +288,8 @@ def max_test(sample, u: float = 1.0) -> str:
     allowed but flagged with a warning.  A sample holding NaN raises
     InvalidParameterError.
     """
-    ys = np.asarray(sample, dtype=float)
-    if ys.size < 2:
-        raise InvalidSampleSizeError(f"n must be >= 2, got {ys.size}")
-    if np.isnan(ys).any():
-        raise InvalidParameterError("the max test needs a sample without NaN")
+    ys = checks.array(sample, "sample", nan=False)
+    checks.integer(ys.size, "n", 2, error=InvalidSampleSizeError)
     rejected = max_rejects(ys[None], u)[0]
     if u < 1.0:
         warnings.warn(
@@ -307,9 +301,8 @@ def max_test(sample, u: float = 1.0) -> str:
 
 def max_rejects(samples: np.ndarray, u: float = 1.0) -> np.ndarray:
     """Whether :func:`max_test` declares the alternative on each row of ``samples``."""
-    if not 0.0 < u < math.inf:
-        raise InvalidParameterError(f"u must be > 0 and finite, got {u}")
-    threshold = u * math.sqrt(2.0 * math.log(samples.shape[-1]))
+    samples = checks.array(samples, "samples")
+    threshold = checks.positive(u, "u") * math.sqrt(2.0 * math.log(samples.shape[-1]))
     return np.maximum(samples.max(axis=-1), -samples.min(axis=-1)) > threshold
 
 
@@ -348,7 +341,7 @@ def lr_statistic(ell: np.ndarray | None, eps):
     if ell is None:
         return math.inf
     if np.ndim(ell) < 2:
-        return float(lr_statistic(np.reshape(ell, (1, -1)), [eps])[0])
+        return float(lr_statistic(np.reshape(ell, (1, -1)), [checks.between(eps, "eps", 0, 1)])[0])
     eps = np.asarray(eps, dtype=float)
     out = np.zeros(eps.shape)
     whole = eps == 1.0
@@ -412,7 +405,7 @@ def lr_rejects(ell: np.ndarray | None, eps):
     if ell is None:
         return True
     if np.ndim(ell) < 2:
-        return bool(lr_rejects(np.reshape(ell, (1, -1)), [eps])[0])
+        return bool(lr_rejects(np.reshape(ell, (1, -1)), [checks.between(eps, "eps", 0, 1)])[0])
     eps = np.asarray(eps, dtype=float)
     out = np.zeros(eps.shape, dtype=bool)
     sure = (eps > 0.0) & (eps < 1.0)  # the rows screened, then those the screen settles
@@ -475,12 +468,12 @@ def lr_test(sample, mix: Mixture) -> tuple[float, str]:
     the rule declares the alternative iff log LR >= 0.  A sample point
     carrying alternative mass off the null support forces log LR = +inf
     and an immediate alternative decision.  A sample holding NaN raises
-    InvalidParameterError.
+    InvalidParameterError, an infinite point of a Gaussian pair UndefinedPointError.
     """
-    ys = np.asarray(sample, dtype=float)
-    if np.isnan(ys).any():
-        raise InvalidParameterError("the likelihood-ratio test needs a sample without NaN")
+    ys = checks.array(sample, "sample", nan=False)
     log_lr = lr_statistic(lr_log_ratios(ys, mix.second, mix.first), mix.weight)
+    if math.isnan(log_lr):  # inf - inf in a closed-form log ratio at an infinite point
+        raise UndefinedPointError("both densities vanish at an infinite sample point")
     return log_lr, "alternative" if log_lr >= 0.0 else "null"
 
 
@@ -491,12 +484,9 @@ def vn_statistic(sample, s: float, null: Distribution) -> float:
     and n the sample size; its absolute value never exceeds the
     higher-criticism statistic.
     """
-    if not (0.0 < s < 1.0):
-        raise InvalidParameterError(f"s must lie in (0, 1), got {s}")
-    ys = np.asarray(sample, dtype=float)
-    n = ys.size
-    if n < 16:
-        raise InvalidSampleSizeError(f"n must be >= 16, got {n}")
+    s = checks.between(s, "s", 0, 1, strict=True)
+    ys = checks.array(sample, "sample", nan=False)
+    n = checks.integer(ys.size, "n", 16, error=InvalidSampleSizeError)
     t = math.sqrt(2.0 * s * math.log(n))
     f_low, f_up = _null_tail_values(null, np.array([t]))
     f_low, f_up = float(f_low[0]), float(f_up[0])

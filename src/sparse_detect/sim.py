@@ -37,8 +37,6 @@ import hashlib
 import io
 import json
 import math
-import numbers
-import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
@@ -47,7 +45,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from . import families, rng
+from . import checks, families, rng
 from .dists import Distribution, Mixture, epsilon_from_beta, log_likelihood_ratio
 from .errors import ConfigError, InvalidParameterError, SparseDetectError
 from .hctest import TESTS, _subset
@@ -71,27 +69,6 @@ _CHUNK_VALUES = 1 << 17
 _GAMMA_FLAG_THRESHOLD = 0.05
 
 
-def _exponent_grid(name: str, values) -> tuple[float, ...]:
-    """The grid as floats; each entry must be a finite number >= 0."""
-    try:
-        grid = tuple(float(v) for v in values)
-    except (TypeError, ValueError):
-        raise ConfigError(f"every {name} must be a number, got {name}_grid {values!r}") from None
-    if not all(0 <= v < math.inf for v in grid):
-        raise ConfigError(f"every {name} must be >= 0 and finite, got {name}_grid {grid}")
-    return grid
-
-
-def _whole(name: str, value) -> int:
-    """``value`` as an int; it must be an integral number and not a bool."""
-    integral = isinstance(value, numbers.Integral) or (
-        isinstance(value, float) and value.is_integer()
-    )
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid specification for a phase sweep."""
@@ -107,20 +84,22 @@ class ExperimentConfig:
     family_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "beta_grid", _exponent_grid("beta", self.beta_grid))
-        object.__setattr__(self, "r_grid", _exponent_grid("r", self.r_grid))
-        object.__setattr__(self, "n_list", tuple(_whole("every n", n) for n in self.n_list))
-        object.__setattr__(self, "tests", tuple(self.tests))
-        object.__setattr__(self, "replicates", _whole("replicates", self.replicates))
-        object.__setattr__(self, "seed", _whole("seed", self.seed))
         try:
+            checked = {
+                "beta_grid": checks.grid(self.beta_grid, "every beta", checks.nonnegative),
+                "r_grid": checks.grid(self.r_grid, "every r", checks.nonnegative),
+                "n_list": checks.integers(self.n_list, "every n"),
+                "replicates": checks.integer(self.replicates, "replicates", 1),
+                # one 64-bit Philox key word, so that no two seeds alias
+                "seed": checks.integer(self.seed, "seed", 0, 2**64 - 1),
+                "delta": checks.positive(self.delta, "delta"),
+                "tests": tuple(self.tests),
+            }
             families.build(self.family, self.family_params)
         except InvalidParameterError as exc:
             raise ConfigError(str(exc)) from None
-        if not self.beta_grid or not self.r_grid or not self.n_list:
-            raise ConfigError("beta_grid, r_grid and n_list must be non-empty")
-        if self.replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if not self.tests or not all(isinstance(t, str) and t in TESTS for t in self.tests):
             raise ConfigError(
                 f"tests must be a non-empty subset of {tuple(TESTS)}, got {list(self.tests)}"
@@ -128,8 +107,6 @@ class ExperimentConfig:
         for name, test in TESTS.items():
             if name in self.tests and min(self.n_list) < test.min_n:
                 raise ConfigError(f"the {name} test requires every n >= {test.min_n}")
-        if not (isinstance(self.delta, numbers.Real) and 0 < self.delta < math.inf):
-            raise ConfigError(f"delta must be > 0 and finite, got {self.delta!r}")
 
     def cells(self) -> list[tuple[int, float, float, int, str]]:
         """Deterministic cell order: beta, then r, then n, then test in table order."""
@@ -165,22 +142,26 @@ class ExperimentConfig:
         params = data.get("family_params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"family_params must be an object, got {params!r}")
-        delta = data.get("delta", 0.1)
         return cls(
             family=data["family"],
             beta_grid=tuple(data["beta_grid"]),
             r_grid=tuple(data["r_grid"]),
-            n_list=tuple(data["n_list"]),
-            replicates=data["replicates"],
+            n_list=tuple(map(_json_int, data["n_list"])),
+            replicates=_json_int(data["replicates"]),
             tests=tuple(data["tests"]),
-            seed=data["seed"],
-            delta=float(delta) if isinstance(delta, numbers.Real) else delta,
+            seed=_json_int(data["seed"]),
+            delta=data.get("delta", 0.1),
             family_params=dict(params),
         )
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _json_int(value):
+    """An integral float, as JSON may write 25 or 1e3, as the int it names."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 @dataclass(frozen=True)
@@ -205,19 +186,9 @@ def wilson_halfwidth(successes: int, trials: int, z: float = _Z95) -> float:
     The counts must be integers with trials >= 1 and
     0 <= successes <= trials, and z must be > 0 and finite.
     """
-    if not (isinstance(z, numbers.Real) and 0 < z < math.inf):
-        raise InvalidParameterError(f"z must be > 0 and finite, got {z!r}")
-    try:
-        k, m = operator.index(successes), operator.index(trials)
-    except TypeError:
-        raise InvalidParameterError(
-            f"successes and trials must be integers, got {successes!r}, {trials!r}"
-        ) from None
-    if m < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    if not 0 <= k <= m:
-        raise InvalidParameterError(f"successes must lie in [0, {m}], got {successes}")
-    k, m = float(k), float(m)
+    z = checks.positive(z, "z")
+    m = checks.integer(trials, "trials", 1)
+    k, m = float(checks.integer(successes, "successes", 0, m)), float(m)
     return z * math.sqrt(k * (m - k) / m + z * z / 4.0) / (m + z * z)
 
 
@@ -446,10 +417,10 @@ def phase_sweep(cfg: ExperimentConfig, workers: int = 1) -> PhaseTable:
     one block of replicates, both the null and the alternative half
     (see :func:`_block_counts`).  The parent sums each cell's counts
     over the blocks and calls ``run_cell`` once per cell, in cell order,
-    to fold them into the cell's row.
+    to fold them into the cell's row.  ``workers`` must be an integer >= 1.
     """
     cells = cfg.cells()
-    used = 1 if workers <= 1 or len(cells) <= 1 else min(workers, len(cells))
+    used = min(checks.integer(workers, "workers", 1), len(cells))
     m = cfg.replicates
     blocks = [range(m * b // used, m * (b + 1) // used) for b in range(used)]
     groups = [[cell for cell in cells if cell[3] == n] for n in sorted(set(cfg.n_list))]
@@ -547,12 +518,8 @@ def estimate_gamma(
     is rescaled with the sample size (triangular-array semantics), which
     is the form in which family exponents converge.
     """
-    n_list = tuple(int(n) for n in n_list)
-    s_grid = tuple(float(s) for s in s_grid)
-    if not n_list or min(n_list) < 2:
-        raise InvalidParameterError("n_list must be non-empty with every n >= 2")
-    if not s_grid:
-        raise InvalidParameterError("s_grid must be non-empty")
+    n_list = checks.integers(n_list, "every n", 2)
+    s_grid = checks.grid(s_grid, "every s in s_grid")
     s_floor = 1.0 / math.log2(min(n_list))
     if min(s_grid) < s_floor - 1e-12:
         raise InvalidParameterError(

@@ -159,11 +159,12 @@ class TestClosedForms:
         with pytest.raises(InvalidParameterError):
             boundary_closed_form("nope", r=0.5)
 
-    def test_numeric_string_beta_converts_like_r(self):
+    def test_numeric_string_beta_rejected_like_r(self):
         for family, params in (("idj", {}), ("hetero", {"sigma2": 1.5})):
-            want = boundary_closed_form(family, mode="r-of-beta", beta=0.6, **params)
-            got = boundary_closed_form(family, mode="r-of-beta", beta="0.6", **params)
-            assert got == want
+            with pytest.raises(InvalidParameterError, match="beta must lie in"):
+                boundary_closed_form(family, mode="r-of-beta", beta="0.6", **params)
+            with pytest.raises(InvalidParameterError, match="r must be"):
+                boundary_closed_form(family, r="0.3", **params)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, "abc", None])
     def test_non_finite_beta_rejected(self, value):

@@ -440,6 +440,12 @@ class TestSimulateCommand:
             ("n_list", [None], "every n must be an integer, got None"),
             ("n_list", [True], "every n must be an integer, got True"),
             ("beta_grid", 0.5, "beta_grid must be a list, got 0.5"),
+            ("beta_grid", [True], "every beta must be a number, got True"),
+            ("delta", True, "delta must be > 0 and finite, got True"),
+            ("family", [], "family [] is not simulatable"),
+            ("family", {}, "family {} is not simulatable"),
+            ("seed", -1, f"seed must lie in [0, {2**64 - 1}], got -1"),
+            ("seed", 2**64, f"seed must lie in [0, {2**64 - 1}], got {2**64}"),
         ],
     )
     def test_malformed_config_scalar_exit_3(self, capsys, tmp_path, field, value, words):
@@ -540,6 +546,14 @@ class TestEstimateGammaCommand:
         )
         assert code == 3
         assert "r must be >= 0" in err and out == ""
+
+    def test_nan_s_grid_named_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "estimate-gamma", "--family", "idj", "--r", "0.25",
+            "--n-list", "1000", "--s-grid", "nan",
+        )
+        assert (code, out) == (3, "")
+        assert "every s in s_grid must be finite, got nan" in err
 
     def test_json_shape(self, capsys):
         code, out, _ = run(

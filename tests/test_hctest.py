@@ -693,6 +693,10 @@ class TestVnStatistic:
         with pytest.raises(InvalidSampleSizeError):
             vn_statistic(np.zeros(8), 0.5, Gaussian())
 
+    def test_nan_sample_rejected(self):
+        with pytest.raises(InvalidParameterError, match="without NaN"):
+            vn_statistic(np.full(20, math.nan), 0.5, Gaussian())
+
 
 class TestNullCalibration:
     def test_loglog_normalization_sane(self):

@@ -130,6 +130,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ConfigError, match=re.escape(f"seed must lie in [0, {2**64 - 1}]")):
+            small_config(seed=seed)
+        assert small_config(seed=2**64 - 1).seed == 2**64 - 1
+
     def test_integral_floats_read_as_integers(self):
         data = dict(small_config().to_dict(), replicates=25.0, seed=1234.0)
         cfg = ExperimentConfig.from_dict(data)
@@ -283,6 +289,11 @@ class TestRunCell:
 
 
 class TestPhaseSweep:
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, True, None])
+    def test_workers_must_be_an_integer_from_one(self, workers):
+        with pytest.raises(InvalidParameterError, match="workers must be"):
+            phase_sweep(small_config(tests=("max",)), workers=workers)
+
     def test_single_cell_single_row(self):
         cfg = small_config(beta_grid=(0.7,), tests=("max",))
         table = phase_sweep(cfg)
@@ -595,6 +606,18 @@ class TestHCTypeOneTrend:
 
 
 class TestEstimateGamma:
+    @pytest.mark.parametrize(
+        "n_list, s_grid, words",
+        [
+            ([1000.7], [0.5], "every n must be an integer, got 1000.7"),
+            ([math.nan], [0.5], "every n must be an integer, got nan"),
+            ([1000], [0.5, math.nan], "every s in s_grid must be finite, got nan"),
+        ],
+    )
+    def test_malformed_grids_named(self, n_list, s_grid, words):
+        with pytest.raises(InvalidParameterError, match=re.escape(words)):
+            estimate_gamma(Gaussian(), Gaussian(1.0, 1.0), n_list, s_grid)
+
     def test_identical_pair_is_zero(self):
         diag = estimate_gamma(
             Gaussian(), Gaussian(), [10**3, 10**4], np.arange(0.15, 1.0, 0.1)
