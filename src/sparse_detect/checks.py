@@ -107,3 +107,11 @@ def array(values, name, nan=True) -> np.ndarray:
     if not nan and np.isnan(out).any():
         raise InvalidParameterError(f"{name} must hold numbers without NaN")
     return out
+
+
+def matrix(values, name) -> np.ndarray:
+    """``values`` as :func:`array` reads them, which must form a (rows, n) matrix."""
+    out = array(values, name)
+    if out.ndim != 2:
+        raise InvalidParameterError(f"{name} must be a (rows, n) matrix, got shape {out.shape}")
+    return out

@@ -22,6 +22,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -45,8 +46,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-class _Usage(Exception):
-    """Bad flag combination; reported as exit code 2."""
+class _Usage(argparse.ArgumentTypeError):
+    """Bad flag value (argparse reports it from a flag's type) or combination; exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +78,17 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     if not all(v.is_integer() for v in values):
         raise _Usage(f"{text!r} holds a non-integral entry")
     return tuple(int(v) for v in values)
+
+
+def _workers(text: str) -> int:
+    """A --workers pool size: an integer >= 1."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise _Usage(f"--workers must be an integer, got {text!r}") from None
+    if workers < 1:
+        raise _Usage(f"--workers must be >= 1, got {workers}")
+    return workers
 
 
 def _numbers(text: str, parts) -> tuple[float, ...]:
@@ -290,8 +302,6 @@ def _usable_cpus() -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.workers is not None and args.workers < 1:
-        raise _Usage(f"--workers must be >= 1, got {args.workers}")
     cfg_data = {}
     if args.config:
         with open(args.config) as fh:
@@ -303,23 +313,9 @@ def _cmd_simulate(args) -> int:
             raise ConfigError(
                 f"config {args.config} must hold a JSON object, got {type(cfg_data).__name__}"
             )
-    inline = {}
-    if args.family:
-        inline["family"] = args.family
-    if args.beta_grid:
-        inline["beta_grid"] = list(_parse_grid(args.beta_grid))
-    if args.r_grid:
-        inline["r_grid"] = list(_parse_grid(args.r_grid))
-    if args.n_list:
-        inline["n_list"] = list(_parse_int_list(args.n_list))
-    if args.replicates is not None:
-        inline["replicates"] = args.replicates
-    if args.tests:
-        inline["tests"] = args.tests.split(",")
-    if args.seed is not None:
-        inline["seed"] = args.seed
-    if args.delta is not None:
-        inline["delta"] = args.delta
+    # each config field's flag has the field's name as its dest
+    names = {f.name for f in fields(sim.ExperimentConfig)}
+    inline = {k: v for k, v in vars(args).items() if k in names and v is not None}
     params = _shape_params(args)
     if params:
         inline["family_params"] = params
@@ -333,12 +329,15 @@ def _cmd_simulate(args) -> int:
     workers = args.workers if args.workers is not None else _usable_cpus()
     table = sim.phase_sweep(cfg, workers=workers)
     if args.output:
-        table.write_csv(args.output)
-        table.write_manifest(args.output + ".manifest.json")
-        table.write_overlay_csv(args.output + ".overlay.csv")
-        log.info(
-            "wrote %s plus manifest and overlay sidecars", args.output
-        )
+        outputs = {
+            "": table.to_csv(),
+            ".manifest.json": json.dumps(table.manifest(), indent=2, sort_keys=True) + "\n",
+            ".overlay.csv": table.overlay_csv(),
+        }
+        for suffix, text in outputs.items():
+            with open(args.output + suffix, "w", newline="") as fh:
+                fh.write(text)
+        log.info("wrote %s plus manifest and overlay sidecars", args.output)
     else:
         sys.stdout.write(table.to_csv())
         sys.stderr.write(json.dumps(table.manifest()) + "\n")
@@ -450,17 +449,19 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--config", help="JSON experiment configuration")
     p.add_argument("--family", choices=list(families.FAMILIES))
-    p.add_argument("--beta-grid")
-    p.add_argument("--r-grid")
-    p.add_argument("--n-list")
+    p.add_argument("--beta-grid", type=_parse_grid)
+    p.add_argument("--r-grid", type=_parse_grid)
+    p.add_argument("--n-list", type=_parse_int_list)
     p.add_argument("--replicates", type=int)
-    p.add_argument("--tests", help=f"comma list from {','.join(TESTS)}")
+    p.add_argument(
+        "--tests", type=lambda text: text.split(","), help=f"comma list from {','.join(TESTS)}"
+    )
     p.add_argument("--seed", type=int)
     p.add_argument("--delta", type=float)
     p.add_argument("--sigma2", type=float)
     p.add_argument("--tau", type=float)
     p.add_argument(
-        "--workers", type=int, help="pool size >= 1; default: the CPUs this process may use"
+        "--workers", type=_workers, help="pool size >= 1; default: the CPUs this process may use"
     )
     p.set_defaults(func=_cmd_simulate)
 

@@ -518,7 +518,7 @@ def from_spec(spec: dict) -> Distribution:
     for name, f in declared.items():
         if name in spec:
             try:
-                args[name] = _CODECS[f.type][1](spec[name])
+                args[name] = _CODECS[f.type][1](spec[name], name)
             except (TypeError, ValueError, InvalidParameterError) as exc:
                 raise InvalidParameterError(
                     f"{kind} field {name!r} cannot be read from {spec[name]!r}: {exc}"
@@ -528,12 +528,14 @@ def from_spec(spec: dict) -> Distribution:
     return _KINDS[kind](**args)
 
 
-# per field annotation, as written: (to JSON, from JSON)
+# per field annotation, as written: (to JSON, from JSON given the field's name)
 _CODECS = {
-    "float": (lambda x: x, float),
-    "Distribution": (to_spec, from_spec),
+    "float": (lambda x: x, checks.number),
+    "Distribution": (to_spec, lambda spec, name: from_spec(spec)),
     "tuple[tuple[float, float], ...]": (
         lambda atoms: [list(atom) for atom in atoms],
-        lambda atoms: tuple((float(p), float(m)) for p, m in atoms),
+        lambda atoms, name: tuple(
+            (checks.number(p, "atom points"), checks.number(m, "atom masses")) for p, m in atoms
+        ),
     ),
 }

@@ -29,7 +29,7 @@ class Family:
     swept: str = "r"
     shape: tuple[str, ...] = ()
     exponent: Optional[str] = None  # None: no exponent function, no boundary
-    no_signal: Optional[float] = None  # boundary at swept <= 0, outside the closed form
+    no_signal: Optional[float] = None  # boundary at swept = 0, outside the closed form
     builder: Optional[Callable] = None
 
     def alpha(self, value: float, params: dict) -> boundary.ExponentFunction:
@@ -37,10 +37,11 @@ class Family:
         return boundary.alpha_family(self.exponent, **self._params(value, params))
 
     def beta_star(self, value: float, params: dict) -> float:
-        """Closed-form boundary at signal value ``value``; nan without one."""
+        """Closed-form boundary at signal value ``value`` >= 0; nan without one."""
         if self.exponent is None:
             return math.nan
-        if self.no_signal is not None and not value > 0:
+        value = checks.nonnegative(value, self.swept)
+        if self.no_signal is not None and value == 0:
             return self.no_signal
         return boundary.boundary_closed_form(self.name, **self._params(value, params))
 

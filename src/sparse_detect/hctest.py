@@ -169,7 +169,7 @@ def hc_statistics(
     error raised is one of theirs.
     """
     # NaN sorts last, where the endpoint scan meets it
-    ys = np.sort(checks.array(samples, "samples"), axis=-1)
+    ys = np.sort(checks.matrix(samples, "samples"), axis=-1)
     m, n = ys.shape
     checks.integer(n, "n", 1, error=InvalidSampleSizeError)
     # with ties in the sample the intermediate i/n levels are not attained,
@@ -190,21 +190,12 @@ def hc_statistics(
         dev = _weighted_deviation(
             *_checked_tails(null, ys.ravel()[rows + owners * n]), rows, n, restricted
         )
-        if m == 1:
-            # the fold below with plain reductions, which skip its
-            # per-call cost of ufunc.at and row indexing on one sample
-            inner_best = dev.max(initial=-np.inf)
-            if inner_best >= best[0]:
-                row = rows[dev == inner_best].min()
-                idx[0] = row if inner_best > best[0] else min(idx[0], row)
-                best[0] = inner_best
-        else:
-            block_best = dev.max(axis=0)
-            end_best = best.copy()
-            np.maximum.at(best, owners, block_best)
-            idx[best > end_best] = n  # an inner row beats every endpoint
-            top = np.flatnonzero(block_best == best[owners])
-            np.minimum.at(idx, owners[top], rows[dev[:, top].argmax(axis=0), top])
+        block_best = dev.max(axis=0)
+        end_best = best.copy()
+        np.maximum.at(best, owners, block_best)
+        idx[best > end_best] = n  # an inner row beats every endpoint
+        top = np.flatnonzero(block_best == best[owners])
+        np.minimum.at(idx, owners[top], rows[dev[:, top].argmax(axis=0), top])
     if restricted and (best == -np.inf).any():
         raise InvalidParameterError(
             "restricted variant has no candidates with null CDF in [1/n, 1/2]"
@@ -301,8 +292,9 @@ def max_test(sample, u: float = 1.0) -> str:
 
 def max_rejects(samples: np.ndarray, u: float = 1.0) -> np.ndarray:
     """Whether :func:`max_test` declares the alternative on each row of ``samples``."""
-    samples = checks.array(samples, "samples")
-    threshold = checks.positive(u, "u") * math.sqrt(2.0 * math.log(samples.shape[-1]))
+    samples = checks.matrix(samples, "samples")
+    n = checks.integer(samples.shape[1], "n", 2, error=InvalidSampleSizeError)
+    threshold = checks.positive(u, "u") * math.sqrt(2.0 * math.log(n))
     return np.maximum(samples.max(axis=-1), -samples.min(axis=-1)) > threshold
 
 
@@ -471,7 +463,8 @@ def lr_test(sample, mix: Mixture) -> tuple[float, str]:
     InvalidParameterError, an infinite point of a Gaussian pair UndefinedPointError.
     """
     ys = checks.array(sample, "sample", nan=False)
-    log_lr = lr_statistic(lr_log_ratios(ys, mix.second, mix.first), mix.weight)
+    with np.errstate(invalid="ignore"):  # the NaN of inf - inf is reported below
+        log_lr = lr_statistic(lr_log_ratios(ys, mix.second, mix.first), mix.weight)
     if math.isnan(log_lr):  # inf - inf in a closed-form log ratio at an infinite point
         raise UndefinedPointError("both densities vanish at an infinite sample point")
     return log_lr, "alternative" if log_lr >= 0.0 else "null"

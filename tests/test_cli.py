@@ -297,6 +297,22 @@ class TestDistributionSpecs:
         assert (code, out) == (3, "")
         assert "needs field 'tau'" in err
 
+    @pytest.mark.parametrize("field, value", [("mean", True), ("sd", "2")])
+    def test_custom_config_spec_number_must_be_a_number_exit_3(
+        self, capsys, tmp_path, field, value
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "family": "custom", "beta_grid": [0.7], "r_grid": [0.4], "n_list": [100],
+            "replicates": 5, "tests": ["lr"], "seed": 5,
+            "family_params": {
+                "null": {"kind": "gaussian"}, "alt": {"kind": "gaussian", field: value},
+            },
+        }))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_path))
+        assert (code, out) == (3, "")
+        assert f"gaussian field {field!r} cannot be read from {value!r}" in err
+
 
 class TestFormatOption:
     @pytest.mark.parametrize(
@@ -637,6 +653,13 @@ def test_readme_command_runs(capsys, command, value):
     assert code == 0, err
     if value:
         assert out.strip() == value
+
+
+def test_readme_output_columns_are_the_csv_header():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Output files", 1)[1]
+    columns = re.search(r"`(beta,r,\S*)`", section).group(1)
+    assert columns == PhaseTable.CSV_HEADER
 
 
 def test_readme_quick_tour_runs(capsys):

@@ -477,6 +477,12 @@ class TestSerialization:
             ({"kind": "finite_discrete", "atoms": [["x", 1.0]]}, "field 'atoms'"),
             ({"kind": "finite_discrete", "atoms": 5}, "field 'atoms'"),
             ({"kind": "gaussian", "sdd": 2}, "gaussian spec has unknown field sdd"),
+            ({"kind": "gaussian", "mean": True}, "field 'mean' cannot be read from True"),
+            ({"kind": "gaussian", "sd": "2"}, "field 'sd' cannot be read from '2'"),
+            ({"kind": "finite_discrete", "atoms": [[True, 1.0]]},
+             "atom points must be finite, got True"),
+            ({"kind": "finite_discrete", "atoms": [[0.0, "1"]]},
+             "atom masses must be finite, got '1'"),
         ],
     )
     def test_malformed_spec_is_named(self, spec, words):

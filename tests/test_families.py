@@ -8,6 +8,7 @@ import pytest
 from sparse_detect.boundary import beta_sharp, beta_star_general, boundary_closed_form
 from sparse_detect.cli import _build_parser
 from sparse_detect.dists import FiniteDiscrete, to_spec
+from sparse_detect.errors import InvalidParameterError
 from sparse_detect.families import FAMILIES, SIMULATABLE
 from sparse_detect.sim import ExperimentConfig, phase_sweep
 
@@ -63,14 +64,20 @@ def test_overlay_is_the_closed_form(name):
         replicates=1, tests=("lr",), seed=0, family_params=params,
     )
     table = phase_sweep(cfg)
-    assert len(table.beta_star) == 3
-    for cell, overlay in zip(table.cells, table.beta_star):
+    assert len(table.cells) == 3
+    for cell in table.cells:
         if family.exponent is None:
-            assert math.isnan(overlay)
+            assert math.isnan(cell.beta_star)
         elif cell.r == 0.0 and family.no_signal is not None:
-            assert overlay == family.no_signal == 0.5
+            assert cell.beta_star == family.no_signal == 0.5
         else:
-            assert overlay == boundary_closed_form(name, r=cell.r, **params)
+            assert cell.beta_star == boundary_closed_form(name, r=cell.r, **params)
+
+
+@pytest.mark.parametrize("value", [math.nan, -0.1, math.inf])
+def test_overlay_rejects_a_signal_value_outside_zero_to_inf(value):
+    with pytest.raises(InvalidParameterError, match="r must be >= 0 and finite"):
+        FAMILIES["idj"].beta_star(value, {})
 
 
 def test_cli_family_choices_are_the_table():

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +357,22 @@ class TestHCStatisticsMatrix:
         assert max_rejects(ys).tolist() == [True, False, True]
         assert [max_test(row) for row in ys] == ["alternative", "null", "alternative"]
 
+    @pytest.mark.parametrize(
+        "call, error, words",
+        [
+            (lambda: max_rejects(np.zeros((2, 0))), InvalidSampleSizeError, "n must be >= 2"),
+            (lambda: max_rejects(np.zeros(20)), InvalidParameterError, "got shape (20,)"),
+            (lambda: hc_statistics(np.zeros(20), Gaussian()), InvalidParameterError,
+             "samples must be a (rows, n) matrix, got shape (20,)"),
+            (lambda: hc_statistics(np.zeros((2, 2, 20)), Gaussian()), InvalidParameterError,
+             "got shape (2, 2, 20)"),
+        ],
+        ids=["max-empty-rows", "max-one-sample", "hc-one-sample", "hc-3d"],
+    )
+    def test_matrix_shape_is_named(self, call, error, words):
+        with pytest.raises(error, match=re.escape(words)):
+            call()
+
 
 class TestLRStatisticRows:
     """The row-wise epsilon reduction equals lr_statistic on each row, bit for bit."""
@@ -599,6 +617,13 @@ class TestLRTest:
         mix = Mixture(Gaussian(), Gaussian(1.0, 1.0), 0.1)
         with pytest.raises(InvalidParameterError, match="without NaN"):
             lr_test([0.1, math.nan], mix)
+
+    def test_infinite_gaussian_point_raises_without_warnings(self):
+        mix = Mixture(Gaussian(), Gaussian(1.0, 1.0), 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UndefinedPointError):
+                lr_test([0.0, math.inf, 1.0], mix)
 
     def test_undefined_point_propagates(self):
         q = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))

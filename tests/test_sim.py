@@ -21,6 +21,7 @@ from sparse_detect.errors import (
     IncompatibleLawsError,
     InfiniteWeightError,
     InvalidParameterError,
+    InvalidSampleSizeError,
 )
 from sparse_detect.hctest import TESTS, hc_statistic, hc_test, hc_threshold, lr_test, max_test
 from sparse_detect.sim import (
@@ -298,12 +299,12 @@ class TestPhaseSweep:
         cfg = small_config(beta_grid=(0.7,), tests=("max",))
         table = phase_sweep(cfg)
         assert len(table.cells) == 1
-        assert len(table.beta_star) == 1
+        assert len(table.overlay_csv().splitlines()) == 2  # header, one (r, beta_star) row
 
     def test_overlay_column_matches_closed_form(self):
         cfg = small_config(tests=("max",), r_grid=(0.25,))
         table = phase_sweep(cfg)
-        assert all(b == pytest.approx(0.75) for b in table.beta_star)
+        assert all(cell.beta_star == pytest.approx(0.75) for cell in table.cells)
 
     def test_csv_shape_and_roundtrip(self):
         cfg = small_config(replicates=10)
@@ -617,6 +618,11 @@ class TestEstimateGamma:
     def test_malformed_grids_named(self, n_list, s_grid, words):
         with pytest.raises(InvalidParameterError, match=re.escape(words)):
             estimate_gamma(Gaussian(), Gaussian(1.0, 1.0), n_list, s_grid)
+
+    def test_deviation_names_an_n_outside_the_list(self):
+        diag = estimate_gamma(Gaussian(), Gaussian(1.0, 1.0), [1000], [0.5])
+        with pytest.raises(InvalidSampleSizeError, match=re.escape("one of [1000], got 999")):
+            diag.deviation_from(lambda s: s, 999)
 
     def test_identical_pair_is_zero(self):
         diag = estimate_gamma(
