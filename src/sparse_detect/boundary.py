@@ -71,11 +71,12 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ADMISSIBLE_SLACK = 1e-9
 _LADDER = tuple(2.0**k for k in range(4, 13))
 _LADDER_FINAL_TOL = 0.05
-# Rows per evaluator block.  Row-by-support arrays stay bounded in memory, and
-# ggconv's (rows, 513) coarse-search temporaries (4.2 MB at 1024 rows) stay
-# near the per-core L2 cache; at 4096 rows they are 16.8 MB each and run
-# slower.  1024 measured fastest of 512, 1024, 2048 and 4096.
+# Rows per evaluator block.  The (rows, support) arrays of dilate points and
+# conv_from_f stay bounded, 8 KB per support point at 1024 rows, however long
+# the input; ggconv's Newton solve holds only per-row arrays.
 _BLOCK = 1024
+_ULPS = 4.0 * np.finfo(float).eps
+_NEWTON_CAP = 64  # ggconv Newton steps per row; about 12 at most in practice
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +273,37 @@ def _gen_gaussian_conv(params):
     r = checks.positive(params.get("r"), "r")
     tau = checks.positive(params.get("tau"), "tau")
     sqrt_r = math.sqrt(r)
-    unit = np.linspace(0.0, 1.0, 513)[None, :]
+    # alpha(u) = u^2 - min_{z >= 0} c(z), c(z) = (u - sqrt(r) z)^2 + z^tau.  Above lo,
+    # c'(z) = 2 r z - 2 sqrt(r) u + tau z^(tau-1) increases, so its root there is the
+    # local minimum of c: lo = 0 for tau >= 1; for tau < 1, c' is convex and lo is its
+    # minimizer.  Rows with c'(lo) >= 0 keep z = 0, a candidate every row compares.
+    lo = (tau * (1.0 - tau) / (2.0 * r)) ** (1.0 / (2.0 - tau)) if tau < 1.0 else 0.0
+    slope_lo = 2.0 * r * lo + tau * lo ** (tau - 1.0)  # c'(lo) + 2 sqrt(r) u
 
     def kernel(u):
         u = np.abs(u)  # the exponent is even in u
-        zgrid = unit * (u / sqrt_r + 1.0)[:, None]
-        k = np.argmin((u[:, None] - sqrt_r * zgrid) ** 2 + zgrid**tau, axis=1)
-        rows = np.arange(u.size)
-        cost = lambda z: (u - sqrt_r * z) ** 2 + z**tau
-        z = _golden_min_arrays(
-            cost, zgrid[rows, np.maximum(k - 1, 0)], zgrid[rows, np.minimum(k + 1, 512)]
-        )
-        return u * u - cost(z)
+        a, b = np.full(u.shape, lo), u / sqrt_r  # c'(a) < 0 <= c'(b) on the rows solved
+        tol = _ULPS * b
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if tau > 1.0:  # c' >= tau z^(tau-1) - 2 sqrt(r) u gives a nearer upper end
+                b = np.minimum(b, (2.0 * sqrt_r * u / tau) ** (1.0 / (tau - 1.0)))
+            rows = np.flatnonzero(2.0 * sqrt_r * u > slope_lo)
+            z = np.zeros(u.shape)
+            z[rows] = b[rows]
+            # Newton from b, bisecting when a step leaves the bracket; each row stops
+            # once c' is zero to its rounding error or its bracket is a few ulps wide
+            for _ in range(_NEWTON_CAP):
+                if rows.size == 0:
+                    break
+                x, ui, ai, bi = z[rows], u[rows], a[rows], b[rows]
+                power = x ** (tau - 2.0)
+                slope = 2.0 * r * x - 2.0 * sqrt_r * ui + tau * power * x
+                ai, bi = np.where(slope < 0.0, x, ai), np.where(slope < 0.0, bi, x)
+                step = x - slope / (2.0 * r + tau * (tau - 1.0) * power)
+                z[rows] = np.where((step >= ai) & (step <= bi), step, 0.5 * (ai + bi))
+                a[rows], b[rows] = ai, bi
+                rows = rows[(np.abs(slope) > _ULPS * 2.0 * sqrt_r * ui) & (bi - ai > tol[rows])]
+        return u * u - np.minimum((u - sqrt_r * z) ** 2 + z**tau, u * u)
 
     return _closed(_blockwise(kernel), sqrt_r * 2.0 ** (1.0 / tau) + 1.0)
 
@@ -437,22 +457,6 @@ def _golden_max_scalar(fn, lo: float, hi: float):
             fd = float(fn(d))
     x = 0.5 * (a + b)
     return x, float(fn(x))
-
-
-def _golden_min_arrays(fn, lo: np.ndarray, hi: np.ndarray, iters: int = 70):
-    a = lo.astype(float).copy()
-    b = hi.astype(float).copy()
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        left = fc <= fd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = fn(c), fn(d)
-    return 0.5 * (a + b)
 
 
 def laplace_log_integral(xs, values, big_m: float) -> float:

@@ -109,6 +109,14 @@ def array(values, name, nan=True) -> np.ndarray:
     return out
 
 
+def vector(values, name, nan=True) -> np.ndarray:
+    """``values`` as :func:`array` reads them, which must form one 1-D sample."""
+    out = array(values, name, nan)
+    if out.ndim != 1:
+        raise InvalidParameterError(f"{name} must be a 1-D array, got shape {out.shape}")
+    return out
+
+
 def matrix(values, name) -> np.ndarray:
     """``values`` as :func:`array` reads them, which must form a (rows, n) matrix."""
     out = array(values, name)

@@ -192,7 +192,7 @@ def _cmd_boundary(args) -> int:
     if args.r_grid is not None:
         shape = _params(args, *family.shape)
         rows = ["family,params,beta_star,maximizer,method"]
-        for value in _parse_grid(args.r_grid):
+        for value in args.r_grid:
             params = {family.swept: value, **shape}
             label = ";".join(f"{k}={_fmt(v)}" for k, v in params.items())
             alpha = family.alpha(value, shape)
@@ -347,17 +347,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate_gamma(args) -> int:
     if args.n_list is None or args.s_grid is None:
         raise _Usage("estimate-gamma requires --n-list and --s-grid")
-    n_list = _parse_int_list(args.n_list)
-    s_grid = _parse_grid(args.s_grid)
     if args.null and args.alt:
         diag = sim.estimate_gamma(
-            _parse_distribution(args.null), _parse_distribution(args.alt), n_list, s_grid
+            _parse_distribution(args.null), _parse_distribution(args.alt), args.n_list, args.s_grid
         )
     elif args.family:
         if args.r is None:
             raise _Usage("estimate-gamma with --family requires --r")
         null, alt = families.build(args.family, _shape_params(args))
-        diag = sim.estimate_gamma(null, lambda n: alt(args.r, n), n_list, s_grid)
+        diag = sim.estimate_gamma(null, lambda n: alt(args.r, n), args.n_list, args.s_grid)
     else:
         raise _Usage("estimate-gamma requires --family or --null/--alt")
     for n_from, n_to, s, delta in diag.flags:
@@ -414,7 +412,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boundary", help="evaluate a detection boundary")
     add_common(p, family=True, formats=True)
     p.add_argument("--mode", choices=["beta-of-r", "r-of-beta"])
-    p.add_argument("--r-grid", help="sweep the family parameter: lo:hi:step or comma list")
+    p.add_argument(
+        "--r-grid", type=_parse_grid, help="sweep the family parameter: lo:hi:step or comma list"
+    )
     p.set_defaults(func=_cmd_boundary)
 
     p = sub.add_parser("exponent", help="Hellinger-distance exponent at a sparsity level")
@@ -469,8 +469,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, family=True, formats=True)
     p.add_argument("--null")
     p.add_argument("--alt")
-    p.add_argument("--n-list")
-    p.add_argument("--s-grid")
+    p.add_argument("--n-list", type=_parse_int_list)
+    p.add_argument("--s-grid", type=_parse_grid)
     p.set_defaults(func=_cmd_estimate_gamma)
 
     return parser

@@ -233,7 +233,7 @@ def hc_statistic(
     InvalidParameterError; a null tail of 0 at a sample point raises
     InfiniteWeightError.
     """
-    statistics, thresholds = hc_statistics(checks.array(sample, "sample")[None], null, restricted)
+    statistics, thresholds = hc_statistics(checks.vector(sample, "sample")[None], null, restricted)
     return float(statistics[0]), float(thresholds[0])
 
 
@@ -279,7 +279,7 @@ def max_test(sample, u: float = 1.0) -> str:
     allowed but flagged with a warning.  A sample holding NaN raises
     InvalidParameterError.
     """
-    ys = checks.array(sample, "sample", nan=False)
+    ys = checks.vector(sample, "sample", nan=False)
     checks.integer(ys.size, "n", 2, error=InvalidSampleSizeError)
     rejected = max_rejects(ys[None], u)[0]
     if u < 1.0:
@@ -462,7 +462,7 @@ def lr_test(sample, mix: Mixture) -> tuple[float, str]:
     and an immediate alternative decision.  A sample holding NaN raises
     InvalidParameterError, an infinite point of a Gaussian pair UndefinedPointError.
     """
-    ys = checks.array(sample, "sample", nan=False)
+    ys = checks.vector(sample, "sample", nan=False)
     with np.errstate(invalid="ignore"):  # the NaN of inf - inf is reported below
         log_lr = lr_statistic(lr_log_ratios(ys, mix.second, mix.first), mix.weight)
     if math.isnan(log_lr):  # inf - inf in a closed-form log ratio at an infinite point
@@ -478,7 +478,7 @@ def vn_statistic(sample, s: float, null: Distribution) -> float:
     higher-criticism statistic.
     """
     s = checks.between(s, "s", 0, 1, strict=True)
-    ys = checks.array(sample, "sample", nan=False)
+    ys = checks.vector(sample, "sample", nan=False)
     n = checks.integer(ys.size, "n", 16, error=InvalidSampleSizeError)
     t = math.sqrt(2.0 * s * math.log(n))
     f_low, f_up = _null_tail_values(null, np.array([t]))

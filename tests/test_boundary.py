@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from sparse_detect import boundary
@@ -33,7 +36,7 @@ from sparse_detect.errors import (
 
 U_GRID = np.linspace(-5.0, 5.0, 20001)
 
-# one valid parameter set per alpha_family kind
+# one valid parameter set per alpha_family kind, then ggconv's tau < 1 and tau = 1 branches
 ALPHA_KINDS = [
     ("idj", dict(r=0.3)),
     ("symmetric_idj", dict(r=0.3)),
@@ -42,6 +45,12 @@ ALPHA_KINDS = [
     ("conv_from_f", dict(ts=[-1.0, 0.5, 2.0], fs=[0.2, 0.0, np.inf])),
     ("gen_gaussian_conv", dict(r=1.0, tau=1.5)),
     ("gen_gaussian_location", dict(r=0.5, tau=2.0)),
+    ("gen_gaussian_conv", dict(r=1.0, tau=0.5)),
+    ("gen_gaussian_conv", dict(r=1.0, tau=1.0)),
+]
+ALPHA_IDS = [kind for kind, _ in ALPHA_KINDS[:7]] + [
+    "gen_gaussian_conv-tau0.5",
+    "gen_gaussian_conv-tau1",
 ]
 
 
@@ -181,6 +190,19 @@ class TestClosedForms:
             boundary_closed_form("dilate", linf=value)
 
 
+def _ggconv_reference(u, r, tau):
+    """u^2 - min(u^2, c(z*)), with z* the brentq root of c' above the minimum of c'."""
+    u, sqrt_r = abs(u), math.sqrt(r)
+    slope = lambda z: 2.0 * r * z - 2.0 * sqrt_r * u + tau * z ** (tau - 1.0)
+    lo = (tau * (1.0 - tau) / (2.0 * r)) ** (1.0 / (2.0 - tau)) if tau < 1.0 else 0.0
+    hi = u / sqrt_r
+    if hi <= lo or slope(lo) >= 0.0:
+        return 0.0
+    # c'(hi) = tau hi^(tau-1) > 0, unless rounding cancels it at a tiny u
+    z = brentq(slope, lo, hi, xtol=1e-18) if slope(hi) > 0.0 else hi
+    return u * u - min(u * u, (u - sqrt_r * z) ** 2 + z**tau)
+
+
 class TestAlphaFamilies:
     def test_idj_value(self):
         alpha = alpha_family("idj", r=0.25)
@@ -216,6 +238,37 @@ class TestAlphaFamilies:
         us = np.linspace(-2, 2, 9)
         np.testing.assert_allclose(alpha.evaluate(us), ref.evaluate(us), atol=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tau=st.floats(0.2, 6.0),
+        r=st.floats(0.05, 8.0),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_ggconv_matches_brentq_reference(self, tau, r, share):
+        alpha = alpha_family("gen_gaussian_conv", r=r, tau=tau)
+        u = share * alpha.domain()[1]
+        got = float(alpha.evaluate(u))
+        assert 0.0 <= got <= u * u
+        assert float(alpha.evaluate(-u)) == got
+        assert abs(got - _ggconv_reference(u, r, tau)) <= 1e-12 * max(1.0, u * u)
+
+    @pytest.mark.parametrize("r", [0.05, 0.3, 1.0, 4.0])
+    def test_ggconv_tau1_closed_form(self, r):
+        # c'(z) = 2 r z - 2 sqrt(r) u + 1 is linear, so z* = max(0, (2 sqrt(r) u - 1) / 2r)
+        alpha = alpha_family("gen_gaussian_conv", r=r, tau=1.0)
+        us = np.linspace(*alpha.domain(), 401)
+        z = np.maximum(0.0, (2.0 * math.sqrt(r) * np.abs(us) - 1.0) / (2.0 * r))
+        want = us * us - (np.abs(us) - math.sqrt(r) * z) ** 2 - z
+        np.testing.assert_allclose(
+            alpha.evaluate(us), want, rtol=0, atol=1e-14 * max(1.0, us.max() ** 2)
+        )
+
+    def test_ggconv_minimum_at_zero_gives_exact_zero(self):
+        # for tau = 0.5, r = 1 the minimum of c sits at z = 0 while u < 0.75
+        alpha = alpha_family("gen_gaussian_conv", r=1.0, tau=0.5)
+        for u in (0.1, 0.3, 0.6):
+            assert float(alpha.evaluate(u)) == 0.0
+
     def test_ggconv_tau2_matches_hetero(self):
         # Gaussian signal of variance r on unit noise is hetero sigma2 = 1 + r
         alpha = alpha_family("gen_gaussian_conv", r=2.0, tau=2.0)
@@ -244,8 +297,13 @@ class TestAlphaFamilies:
             ("dilate", dict(points=(-0.4, 0.1, 0.9))),
             ("dilate", dict(interval=(-0.3, 0.8))),
             ("conv_from_f", dict(ts=[-1.0, 0.5, 2.0], fs=[0.2, 0.0, np.inf])),
+            ("gen_gaussian_conv", dict(r=1.0, tau=0.5)),
+            ("gen_gaussian_conv", dict(r=1.0, tau=1.0)),
         ],
-        ids=["ggconv", "dilate-points", "dilate-interval", "conv_from_f"],
+        ids=[
+            "ggconv", "dilate-points", "dilate-interval", "conv_from_f",
+            "ggconv-tau0.5", "ggconv-tau1",
+        ],
     )
     def test_blockwise_evaluators_independent_of_block_size(self, monkeypatch, kind, params):
         # rows are evaluated independently, so the block size moves no bit;
@@ -262,14 +320,14 @@ class TestAlphaFamilies:
 
 
 class TestExponentFunction:
-    @pytest.mark.parametrize("kind, params", ALPHA_KINDS, ids=[k for k, _ in ALPHA_KINDS])
+    @pytest.mark.parametrize("kind, params", ALPHA_KINDS, ids=ALPHA_IDS)
     def test_scalar_matches_one_element_array(self, kind, params):
         alpha = alpha_family(kind, **params)
         for x in (0.0, 0.37, 1.9):
             scalar = np.asarray(alpha.evaluate(x)).item()
             assert scalar == np.asarray(alpha.evaluate(np.array([x]))).item()
 
-    @pytest.mark.parametrize("kind, params", ALPHA_KINDS, ids=[k for k, _ in ALPHA_KINDS])
+    @pytest.mark.parametrize("kind, params", ALPHA_KINDS, ids=ALPHA_IDS)
     def test_domain_by_axis(self, kind, params):
         alpha = alpha_family(kind, **params)
         lo, hi = alpha.domain()
@@ -695,8 +753,8 @@ def _scipy_laplace(xs, values, big_m):
 
 def _ladder_grids():
     """(id, xs, alpha values): every alpha_family grid, then sampled and edge grids."""
-    for kind, params in ALPHA_KINDS:
-        yield (kind, *alpha_family(kind, **params).grid())
+    for name, (kind, params) in zip(ALPHA_IDS, ALPHA_KINDS):
+        yield (name, *alpha_family(kind, **params).grid())
     rng = np.random.default_rng(20260419)
     for i in range(6):
         n = int(rng.integers(50, 3000))

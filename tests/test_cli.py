@@ -618,6 +618,22 @@ class TestUsageErrors:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("boundary", "--r-grid"),
+            ("simulate", "--beta-grid"),
+            ("simulate", "--r-grid"),
+            ("simulate", "--n-list"),
+            ("estimate-gamma", "--n-list"),
+            ("estimate-gamma", "--s-grid"),
+        ],
+    )
+    def test_grid_flags_report_through_argparse(self, capsys, command, flag):
+        code, out, err = run(capsys, command, "--family", "idj", flag, "0:1:a")
+        assert (code, out) == (2, "")
+        assert f"sparse-detect {command}: error: argument {flag}: '0:1:a' holds" in err
+
     def test_non_integral_n_list_exit_2(self, capsys):
         assert _parse_int_list("1e3,1e4") == (1000, 10000)
         code, _, err = run(

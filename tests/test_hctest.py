@@ -373,6 +373,23 @@ class TestHCStatisticsMatrix:
         with pytest.raises(error, match=re.escape(words)):
             call()
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ys: hc_statistic(ys, Gaussian()),
+            lambda ys: hc_test(ys, Gaussian()),
+            lambda ys: max_test(ys),
+            lambda ys: lr_test(ys, Mixture(Gaussian(), Gaussian(1.0, 1.0), 0.1)),
+            lambda ys: vn_statistic(ys, 0.5, Gaussian()),
+        ],
+        ids=["hc_statistic", "hc_test", "max_test", "lr_test", "vn_statistic"],
+    )
+    def test_one_sample_entry_points_name_a_matrix(self, call):
+        with pytest.raises(
+            InvalidParameterError, match=re.escape("sample must be a 1-D array, got shape (3, 50)")
+        ):
+            call(np.zeros((3, 50)))
+
 
 class TestLRStatisticRows:
     """The row-wise epsilon reduction equals lr_statistic on each row, bit for bit."""
