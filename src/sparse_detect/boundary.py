@@ -187,14 +187,14 @@ def _closed(fn, scale: float, axis: str = "u", convolutional: bool = True):
 
 
 def _blockwise(kernel):
-    """Evaluator applying ``kernel`` to 1-D blocks; a one-element input gives a scalar."""
+    """Evaluator applying ``kernel`` to 1-D blocks of the raveled input, in the input's shape."""
 
     def fn(u):
-        u = np.atleast_1d(u)
-        out = np.empty(u.shape)
-        for start in range(0, u.size, _BLOCK):
-            out[start : start + _BLOCK] = kernel(u[start : start + _BLOCK])
-        return out if out.shape != (1,) else out[0]
+        flat = np.ravel(u)
+        out = np.empty(flat.shape)
+        for start in range(0, flat.size, _BLOCK):
+            out[start : start + _BLOCK] = kernel(flat[start : start + _BLOCK])
+        return out.reshape(np.shape(u))[()]
 
     return fn
 
@@ -721,7 +721,7 @@ def boundary_closed_form(family: str, mode: str = "beta-of-r", **params) -> floa
 
     if family == "idj":
         if mode == "beta-of-r":
-            return float(_beta_star_idj(checks.positive(params.get("r"), "r")))
+            return float(_beta_star_idj(checks.nonnegative(params.get("r"), "r")))
         beta = checks.between(params.get("beta"), "beta", 0.5, 1.0, strict=True)
         return beta - 0.5 if beta <= 0.75 else (1.0 - math.sqrt(1.0 - beta)) ** 2
 
@@ -765,11 +765,11 @@ def boundary_closed_form(family: str, mode: str = "beta-of-r", **params) -> floa
 
     if family == "gglocation":
         _require_mode_beta(mode, family)
-        r = checks.positive(params.get("r"), "r")
+        r = checks.nonnegative(params.get("r"), "r")
         tau = checks.positive(params.get("tau"), "tau")
         if r > 1.0:
             return 1.0
-        if tau <= 1.0:
+        if tau <= 1.0 or r == 0.0:  # r = 0 reads 1/2 even where the threshold underflows
             return 0.5 * (1.0 + r)
         threshold = (1.0 - 2.0 ** (1.0 / (1.0 - tau))) ** tau
         if r < threshold:

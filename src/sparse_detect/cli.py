@@ -22,7 +22,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -190,6 +190,9 @@ def _cmd_boundary(args) -> int:
     mode = args.mode or "beta-of-r"
     family = _family(args)
     if args.r_grid is not None:
+        if args.format == "json" or mode == "r-of-beta":
+            flag = "--format json" if args.format == "json" else "--mode r-of-beta"
+            raise _Usage(f"--r-grid prints a beta-of-r CSV table; it does not take {flag}")
         shape = _params(args, *family.shape)
         rows = ["family,params,beta_star,maximizer,method"]
         for value in args.r_grid:
@@ -210,13 +213,12 @@ def _cmd_boundary(args) -> int:
     swept = "beta" if mode == "r-of-beta" else family.swept
     params = _params(args, *family.shape, swept)
     value = bnd.boundary_closed_form(args.family, mode=mode, **params)
+    record = {"family": args.family, "mode": mode, **params, "value": value}
     if args.format == "json":
-        payload = {"family": args.family, "mode": mode, **params, "value": value}
-        _emit(args, json.dumps(payload))
+        _emit(args, json.dumps(record))
     elif args.format == "csv":
-        keys = ",".join(params)
-        vals = ",".join(_fmt(v) for v in params.values())
-        _emit(args, f"family,mode,{keys},value\n{args.family},{mode},{vals},{_fmt(value)}")
+        vals = (v if isinstance(v, str) else _fmt(v) for v in record.values())
+        _emit(args, ",".join(record) + "\n" + ",".join(vals))
     else:
         _emit(args, _fmt(value))
     return 0
@@ -243,16 +245,7 @@ def _cmd_check_alpha(args) -> int:
         raise _Usage("check-alpha requires --family or --input")
     report = bnd.check_admissible(alpha)
     if args.format == "json":
-        _emit(
-            args,
-            json.dumps(
-                {
-                    "admissible": report.admissible,
-                    "violations": list(report.violations),
-                    "ladder_values": list(report.ladder_values),
-                }
-            ),
-        )
+        _emit(args, json.dumps(asdict(report)))
     else:
         lines = ["admissible" if report.admissible else "inadmissible"]
         lines += [f"violation: {v}" for v in report.violations]
@@ -363,17 +356,7 @@ def _cmd_estimate_gamma(args) -> int:
             "non-convergence: n=%d -> n=%d moved by %.4f at s=%s", n_from, n_to, delta, _fmt(s)
         )
     if args.format == "json":
-        _emit(
-            args,
-            json.dumps(
-                {
-                    "n_list": list(diag.n_list),
-                    "s_grid": [float(s) for s in diag.s_grid],
-                    "ratios": diag.ratios.tolist(),
-                    "flags": [list(f) for f in diag.flags],
-                }
-            ),
-        )
+        _emit(args, json.dumps(asdict(diag), default=np.ndarray.tolist))
     else:
         lines = ["n,s,ratio"]
         for i, n in enumerate(diag.n_list):

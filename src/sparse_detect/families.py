@@ -29,7 +29,6 @@ class Family:
     swept: str = "r"
     shape: tuple[str, ...] = ()
     exponent: Optional[str] = None  # None: no exponent function, no boundary
-    no_signal: Optional[float] = None  # boundary at swept = 0, outside the closed form
     builder: Optional[Callable] = None
 
     def alpha(self, value: float, params: dict) -> boundary.ExponentFunction:
@@ -41,8 +40,6 @@ class Family:
         if self.exponent is None:
             return math.nan
         value = checks.nonnegative(value, self.swept)
-        if self.no_signal is not None and value == 0:
-            return self.no_signal
         return boundary.boundary_closed_form(self.name, **self._params(value, params))
 
     def _params(self, value: float, params: dict) -> dict:
@@ -79,14 +76,11 @@ def _custom(params):
 FAMILIES: dict[str, Family] = {
     family.name: family
     for family in (
-        Family("idj", exponent="idj", no_signal=0.5, builder=_idj),
+        Family("idj", exponent="idj", builder=_idj),
         Family("hetero", shape=("sigma2",), exponent="hetero", builder=_hetero),
         Family("dilate", swept="linf", exponent="dilate"),
         Family("ggconv", shape=("tau",), exponent="gen_gaussian_conv"),
-        Family(
-            "gglocation", shape=("tau",), exponent="gen_gaussian_location",
-            no_signal=0.5, builder=_gglocation,
-        ),
+        Family("gglocation", shape=("tau",), exponent="gen_gaussian_location", builder=_gglocation),
         Family("custom", shape=("null", "alt"), builder=_custom),
     )
 }

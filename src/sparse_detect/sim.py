@@ -40,7 +40,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import groupby, product, repeat
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -118,39 +118,38 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """The config of a JSON object; a missing or malformed entry raises ConfigError."""
+        """The config of a JSON object keyed by field names, an absent key at its default;
+        an unknown, missing or malformed key raises ConfigError."""
+        kinds = get_type_hints(cls)  # in field order, so the first malformed field is named
+        unknown = [key for key in data if key not in kinds]
+        if unknown:
+            raise ConfigError(f"config has unknown key {', '.join(map(repr, unknown))}")
         missing = [
             f.name for f in fields(cls)
             if f.default is MISSING and f.default_factory is MISSING and f.name not in data
         ]
         if missing:
             raise ConfigError(f"config is missing {', '.join(map(repr, missing))}")
-        for key in ("beta_grid", "r_grid", "n_list", "tests"):
-            if not isinstance(data[key], (list, tuple)):
-                raise ConfigError(f"{key} must be a list, got {data[key]!r}")
-        params = data.get("family_params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"family_params must be an object, got {params!r}")
-        return cls(
-            family=data["family"],
-            beta_grid=tuple(data["beta_grid"]),
-            r_grid=tuple(data["r_grid"]),
-            n_list=tuple(map(_json_int, data["n_list"])),
-            replicates=_json_int(data["replicates"]),
-            tests=tuple(data["tests"]),
-            seed=_json_int(data["seed"]),
-            delta=data.get("delta", 0.1),
-            family_params=dict(params),
-        )
+        return cls(**{name: _from_json(name, kind, data[name])
+                      for name, kind in kinds.items() if name in data})
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _json_int(value):
-    """An integral float, as JSON may write 25 or 1e3, as the int it names."""
-    return int(value) if isinstance(value, float) and value.is_integer() else value
+def _from_json(name: str, kind, value):
+    """JSON ``value`` as field ``name`` of type ``kind``: a list as a tuple, an object copied,
+    and an integral float, as JSON may write 25 or 1e3, as the int it names."""
+    if get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_from_json(name, get_args(kind)[0], entry) for entry in value)
+    if kind is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be an object, got {value!r}")
+        return dict(value)
+    return int(value) if kind is int and isinstance(value, float) and value.is_integer() else value
 
 
 @dataclass(frozen=True)

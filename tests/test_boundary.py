@@ -157,7 +157,7 @@ class TestClosedForms:
         assert abs(at_one - just_above) <= 1e-9
 
     def test_invalid_parameters_name_the_branch(self):
-        with pytest.raises(InvalidParameterError, match="r must be > 0"):
+        with pytest.raises(InvalidParameterError, match="r must be >= 0"):
             boundary_closed_form("idj", r=-1.0)
         with pytest.raises(InvalidParameterError, match="beta must lie in"):
             boundary_closed_form("idj", mode="r-of-beta", beta=1.2)
@@ -167,6 +167,14 @@ class TestClosedForms:
             boundary_closed_form("dilate", mode="r-of-beta", linf=0.5)
         with pytest.raises(InvalidParameterError):
             boundary_closed_form("nope", r=0.5)
+
+    @pytest.mark.parametrize("family, shape", [("idj", {}), ("gglocation", {"tau": 0.7}),
+                                               ("gglocation", {"tau": 1.5}),
+                                               ("gglocation", {"tau": 200.0})])
+    def test_no_signal_reads_one_half(self, family, shape):
+        # no signal, r = 0, is inside these closed forms; only their exponent functions need r > 0
+        assert boundary_closed_form(family, r=0.0, **shape) == 0.5
+        assert boundary_closed_form(family, r=0, **shape) == 0.5
 
     def test_numeric_string_beta_rejected_like_r(self):
         for family, params in (("idj", {}), ("hetero", {"sigma2": 1.5})):
@@ -182,7 +190,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, "abc", None])
     def test_non_finite_parameters_rejected(self, value):
-        with pytest.raises(InvalidParameterError, match="r must be > 0 and finite"):
+        with pytest.raises(InvalidParameterError, match="r must be >= 0 and finite"):
             boundary_closed_form("idj", r=value)
         with pytest.raises(InvalidParameterError, match="r must be > 0 and finite"):
             alpha_family("idj", r=value)
@@ -320,6 +328,15 @@ class TestAlphaFamilies:
 
 
 class TestExponentFunction:
+    @pytest.mark.parametrize("kind, params", ALPHA_KINDS, ids=ALPHA_IDS)
+    def test_result_keeps_the_input_shape(self, kind, params):
+        alpha = alpha_family(kind, **params)
+        for xs in (np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([0.3]), np.array([[1.9]])):
+            got = alpha.evaluate(xs)
+            want = [np.asarray(alpha.evaluate(float(x))).item() for x in xs.flat]
+            assert got.shape == xs.shape
+            assert got.ravel().tolist() == want
+
     @pytest.mark.parametrize("kind, params", ALPHA_KINDS, ids=ALPHA_IDS)
     def test_scalar_matches_one_element_array(self, kind, params):
         alpha = alpha_family(kind, **params)

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,11 @@ import pytest
 from scipy.special import logsumexp
 
 from sparse_detect import rng
-from sparse_detect.boundary import _LADDER, boundary_closed_form
+from sparse_detect.boundary import _LADDER, AdmissibilityReport, boundary_closed_form
 from sparse_detect.cli import _parse_int_list, main
 from sparse_detect.dists import Gaussian
 from sparse_detect.families import FAMILIES
-from sparse_detect.sim import PhaseTable
+from sparse_detect.sim import ExperimentConfig, GammaDiagnostic, PhaseTable
 
 
 def run(capsys, *argv):
@@ -51,7 +52,7 @@ class TestBoundaryCommand:
     def test_out_of_range_exit_3(self, capsys):
         code, _, err = run(capsys, "boundary", "--family", "idj", "--r", "-1")
         assert code == 3
-        assert "r must be > 0" in err
+        assert "r must be >= 0" in err
 
     def test_r_of_beta_without_an_inverse_exit_3(self, capsys):
         code, _, err = run(
@@ -107,6 +108,23 @@ class TestBoundaryCommand:
         assert [row[1] for row in rows] == ["r=2;tau=2", "r=4;tau=2"]
         assert float(rows[1][2]) == pytest.approx(0.8, abs=1e-9)  # r / (1 + r)
 
+    @pytest.mark.parametrize("flag", [["--format", "json"], ["--mode", "r-of-beta"]])
+    def test_sweep_refuses_what_it_cannot_print_exit_2(self, capsys, flag):
+        code, out, err = run(
+            capsys, "boundary", "--family", "idj", "--r-grid", "0.1,0.2", "--beta", "0.7", *flag
+        )
+        assert (code, out) == (2, "")
+        assert f"--r-grid prints a beta-of-r CSV table; it does not take {' '.join(flag)}" in err
+
+    def test_closed_form_csv_header_is_the_json_keys(self, capsys):
+        argv = ["boundary", "--family", "hetero", "--sigma2", "0.5", "--r", "0.3", "--format"]
+        _, out, _ = run(capsys, *argv, "csv")
+        header, row = out.strip().split("\n")
+        _, out, _ = run(capsys, *argv, "json")
+        payload = json.loads(out)
+        assert header.split(",") == list(payload)
+        assert row == "hetero,beta-of-r,0.5,0.3," + format(payload["value"], ".12g")
+
     def test_family_without_boundary_exit_3(self, capsys):
         code, _, err = run(capsys, "boundary", "--family", "custom", "--r", "0.5")
         assert code == 3
@@ -145,6 +163,7 @@ class TestCheckAlphaCommand:
         code, out, _ = run(capsys, "check-alpha", "--input", str(path), "--format", "json")
         assert code == 0
         payload = json.loads(out)
+        assert list(payload) == [f.name for f in fields(AdmissibilityReport)]
         assert payload["admissible"] is False
         assert payload["violations"]
 
@@ -535,6 +554,16 @@ class TestSimulateCommand:
         code, _, err = run(capsys, "simulate", "--config", str(cfg_path))
         assert code == 3
 
+    def test_unknown_config_key_exit_3(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "family": "idj", "beta_grid": [0.7], "r_grid": [0.4], "n_list": [64],
+            "replicates": 2, "tests": ["max"], "seed": 5, "detla": 0.3,
+        }))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_path))
+        assert (code, out) == (3, "")
+        assert "config has unknown key 'detla'" in err
+
 
 class TestEstimateGammaCommand:
     def test_family_csv(self, capsys):
@@ -578,6 +607,7 @@ class TestEstimateGammaCommand:
         )
         assert code == 0
         payload = json.loads(out)
+        assert list(payload) == [f.name for f in fields(GammaDiagnostic)]
         assert payload["n_list"] == [1000]
         assert len(payload["ratios"][0]) == 2
 
@@ -676,6 +706,14 @@ def test_readme_output_columns_are_the_csv_header():
     section = readme.split("### Output files", 1)[1]
     columns = re.search(r"`(beta,r,\S*)`", section).group(1)
     assert columns == PhaseTable.CSV_HEADER
+
+
+def test_readme_config_example_is_the_config_fields():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Simulation configuration", 1)[1]
+    data = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    assert set(data) == {f.name for f in fields(ExperimentConfig)}
+    assert ExperimentConfig.from_dict(data).to_dict() == data
 
 
 def test_readme_quick_tour_runs(capsys):

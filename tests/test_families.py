@@ -68,8 +68,6 @@ def test_overlay_is_the_closed_form(name):
     for cell in table.cells:
         if family.exponent is None:
             assert math.isnan(cell.beta_star)
-        elif cell.r == 0.0 and family.no_signal is not None:
-            assert cell.beta_star == family.no_signal == 0.5
         else:
             assert cell.beta_star == boundary_closed_form(name, r=cell.r, **params)
 

@@ -171,9 +171,33 @@ class TestConfig:
             ExperimentConfig.from_dict(data)
 
     def test_round_trip_dict(self):
-        cfg = small_config()
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-        assert len(cfg.config_hash()) == 64
+        configs = [small_config(), *(ExperimentConfig(**spec) for spec, _ in GOLDEN_SWEEPS)]
+        configs.append(small_config(
+            family="gglocation", family_params={"tau": 1.5}, delta=0.25, tests=("hc", "max")
+        ))
+        for cfg in configs:
+            again = ExperimentConfig.from_dict(cfg.to_dict())
+            assert again == cfg and again.config_hash() == cfg.config_hash()
+            assert len(cfg.config_hash()) == 64
+
+    @pytest.mark.parametrize("key", ["detla", "Delta", "family_param"])
+    def test_unknown_key_named(self, key):
+        data = dict(small_config(delta=0.2).to_dict(), **{key: 0.3})
+        with pytest.raises(ConfigError, match=f"config has unknown key '{key}'$"):
+            ExperimentConfig.from_dict(data)
+
+    def test_absent_keys_take_the_defaults(self):
+        data = small_config().to_dict()
+        del data["delta"], data["family_params"]
+        cfg = ExperimentConfig.from_dict(data)
+        assert cfg == small_config()
+        assert (cfg.delta, cfg.family_params) == (0.1, {})
+
+    def test_family_params_are_copied(self):
+        data = small_config(family="hetero", family_params={"sigma2": 0.5}).to_dict()
+        cfg = ExperimentConfig.from_dict(data)
+        data["family_params"]["sigma2"] = 3.0
+        assert cfg.family_params == {"sigma2": 0.5}
 
 
 class TestFamilyMixture:
