@@ -657,35 +657,19 @@ def tail_exponent(alpha: ExponentFunction, u: float) -> float:
     return max(candidates)
 
 
-def hc_achievable_boundary(
-    alpha: ExponentFunction, via_sweep: bool = False
-) -> BoundaryResult:
+def hc_achievable_boundary(alpha: ExponentFunction) -> BoundaryResult:
     """Boundary achieved by the higher-criticism test.
 
-    Direct form: 1/2 + 0 v sup_{q>=0} {alpha(q) - q^2 + (q^2 ^ 1)/2},
-    the objective of :func:`beta_sharp` restricted to q >= 0, with which
-    it must coincide (adaptivity).  The ``via_sweep`` flag instead sweeps
-    exceedance levels s in (0, 1] and maximizes (1+s)/2 + sup_{q >= sqrt s}
-    {alpha(q) - q^2}, the form in which each threshold's normalized
-    exceedance count is analyzed.
+    1/2 + 0 v sup_{q>=0} {alpha(q) - q^2 + (q^2 ^ 1)/2}, the objective of
+    :func:`beta_sharp` restricted to q >= 0, with which it must coincide
+    (adaptivity).
     """
     _require_axis(alpha, "u")
     xs, vals = alpha.grid()
     if not np.any(vals > 0):
         raise HCBoundaryUndefinedError("exponent function is nowhere positive")
     _require_admissible(alpha, xs, vals)
-    if not via_sweep:
-        return _boundary(*_sup(alpha, xs, vals, _sharp_objective, lo=0.0), xs)
-
-    mask = xs >= 0.0
-    qs = xs[mask]
-    tail = vals[mask] - qs * qs
-    suffix = np.maximum.accumulate(tail[::-1])[::-1]  # sup over q >= qs[i]
-    s_grid = np.linspace(1e-9, 1.0, 4001)
-    pos = np.searchsorted(qs, np.sqrt(s_grid), side="left")
-    pos = np.minimum(pos, qs.size - 1)
-    sup, arg = ess_sup_grid(s_grid, 0.5 * (1.0 + s_grid) + suffix[pos])
-    return _boundary(sup - 0.5, math.sqrt(arg), xs)
+    return _boundary(*_sup(alpha, xs, vals, _sharp_objective, lo=0.0), xs)
 
 
 # ---------------------------------------------------------------------------

@@ -612,10 +612,8 @@ class TestHCAchievableBoundary:
             alpha_family("dilate", linf=0.9),
         ):
             direct = hc_achievable_boundary(alpha).beta
-            swept = hc_achievable_boundary(alpha, via_sweep=True).beta
             reference = beta_sharp(alpha).beta
             assert direct == pytest.approx(reference, abs=1e-3)
-            assert swept == pytest.approx(reference, abs=1e-3)
 
     @pytest.mark.parametrize(
         "alpha",

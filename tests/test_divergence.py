@@ -31,6 +31,7 @@ from sparse_detect.errors import (
     InvalidDistanceError,
     InvalidParameterError,
     NotSingularError,
+    QuadratureError,
 )
 
 TWO_ATOM_P = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))
@@ -84,6 +85,21 @@ class TestTotalVariation:
         assert total_variation(Gaussian(), mix) == pytest.approx(eps, abs=1e-7)
 
 
+class TestNestedMixedLaw:
+    # P = (1 - w2) [(1 - w1) Q + w1 delta_1] + w2 delta_2.5 keeps a density
+    # part c Q, c = (1 - w1)(1 - w2), and two atoms off Q's support
+    W1, W2 = 0.3, 0.2
+    C = (1 - W1) * (1 - W2)
+    P = Mixture(Mixture(Gaussian(), DELTA1, W1), FiniteDiscrete(((2.5, 1.0),)), W2)
+
+    def test_total_variation(self):
+        assert total_variation(Gaussian(), self.P) == pytest.approx(1 - self.C, abs=1e-12)
+
+    def test_hellinger(self):
+        want = 2 - 2 * math.sqrt(self.C)
+        assert hellinger_sq(Gaussian(), self.P) == pytest.approx(want, abs=1e-12)
+
+
 class TestErrorSum:
     def test_values(self):
         assert error_sum(TWO_ATOM_P, TWO_ATOM_P) == 1.0
@@ -123,11 +139,27 @@ class TestHellinger:
         h2 = hellinger_sq(GenGaussian(1.0), Gaussian())
         assert 0.0 < h2 < 2.0
 
+    @pytest.mark.parametrize(
+        "divergence,p,q",
+        [
+            # quad's error estimate is 1.149
+            (hellinger_sq, GenGaussian(0.3), GenGaussian(0.5)),
+            # quad reads 0.5014 against a true 0.9945, with an error
+            # estimate of 6e-9 that scipy itself distrusts
+            (total_variation, GenGaussian(0.2), GenGaussian(4.0)),
+        ],
+    )
+    def test_failed_quadrature_raises_quadrature_error(self, divergence, p, q):
+        # the suite turns warnings into errors, so a stray IntegrationWarning
+        # would surface here instead
+        with pytest.raises(QuadratureError, match="quadrature failed"):
+            divergence(p, q)
+
 
 class TestTensorize:
     def test_values(self):
         assert hellinger_tensorize(0.5, 2) == pytest.approx(0.875, abs=1e-15)
-        assert hellinger_tensorize(0.0, 17) == 0.0
+        assert hellinger_tensorize(0.0, 17).hex() == "0x0.0p+0"
         assert hellinger_tensorize(2.0, 3) == 2.0
 
     def test_matches_explicit_product(self):
@@ -143,6 +175,13 @@ class TestTensorize:
                     affinity += math.sqrt(pp * qq)
         want = 2.0 - 2.0 * affinity
         assert hellinger_tensorize(h2_single, 3) == pytest.approx(want, abs=1e-14)
+
+    def test_small_h2_keeps_relative_accuracy(self):
+        mpmath = pytest.importorskip("mpmath")
+        h2, n = 1e-12, 10**4
+        with mpmath.workdps(50):
+            want = 2 - 2 * (1 - mpmath.mpf(h2) / 2) ** n
+            assert abs(hellinger_tensorize(h2, n) / want - 1) < 1e-14
 
     def test_range_errors(self):
         with pytest.raises(InvalidDistanceError):
@@ -175,6 +214,13 @@ class TestMixtureIdentities:
         assert mixture_hellinger_singular(0.1, 0.5) == pytest.approx(
             0.656497, abs=5e-7
         )
+
+    def test_small_eps_keeps_relative_accuracy(self):
+        mpmath = pytest.importorskip("mpmath")
+        eps = 1e-12
+        with mpmath.workdps(50):
+            want = 2 * (1 - mpmath.sqrt(1 - mpmath.mpf(eps)))
+            assert abs(mixture_hellinger_singular(0.0, eps) / want - 1) < 1e-14
 
     def test_identity_vs_direct_discrete(self):
         # P and Q0 share support; Q1 sits on fresh points, hence singular
