@@ -19,12 +19,13 @@ Exponent functions live on the u-axis (location scaled by sqrt(2 ln n))
 or the s-axis (tail exponents of null quantiles, s = u^2).  Each
 :func:`alpha_family` kind is one builder, and an :class:`ExponentFunction`
 holds either that builder's vectorized evaluator or a sampled grid.
-Evaluators that build row-by-support arrays run in blocks of ``_BLOCK``
-rows, which bounds their memory and keeps their temporaries near cache.
+Evaluators over a finite support (dilate points, conv_from_f) reduce one
+support point at a time over whole rows: no (rows, support) array is formed.
 
 Admissibility is probed by a ladder of :func:`laplace_log_integral`
 values; the ladder checks its grid and forms the trapezoid weights once,
-then makes one fused log-sum-exp pass per rung.
+then makes one fused log-sum-exp pass per rung.  The gate behind the
+numeric boundaries evaluates only the two rungs its verdict reads.
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ADMISSIBLE_SLACK = 1e-9
 _LADDER = tuple(2.0**k for k in range(4, 13))
 _LADDER_FINAL_TOL = 0.05
-# Rows per evaluator block.  The (rows, support) arrays of dilate points and
-# conv_from_f stay bounded, 8 KB per support point at 1024 rows, however long
-# the input; ggconv's Newton solve holds only per-row arrays.
-_BLOCK = 1024
 _ULPS = 4.0 * np.finfo(float).eps
 _NEWTON_CAP = 64  # ggconv Newton steps per row; about 12 at most in practice
 
@@ -181,22 +178,12 @@ class AdmissibilityReport:
 
 def _closed(fn, scale: float, axis: str = "u", convolutional: bool = True):
     """Closed form ``fn`` on the domain half-width max(5, 2 scale)."""
-    return ExponentFunction(
-        axis=axis, fn=fn, width=max(5.0, 2.0 * scale), convolutional=convolutional
-    )
+    return ExponentFunction(axis, fn, max(5.0, 2.0 * scale), convolutional=convolutional)
 
 
-def _blockwise(kernel):
-    """Evaluator applying ``kernel`` to 1-D blocks of the raveled input, in the input's shape."""
-
-    def fn(u):
-        flat = np.ravel(u)
-        out = np.empty(flat.shape)
-        for start in range(0, flat.size, _BLOCK):
-            out[start : start + _BLOCK] = kernel(flat[start : start + _BLOCK])
-        return out.reshape(np.shape(u))[()]
-
-    return fn
+def _rowwise(kernel):
+    """Evaluator applying ``kernel`` to the raveled input, in the input's shape."""
+    return lambda u: kernel(np.ravel(u)).reshape(np.shape(u))[()]
 
 
 def _idj(params):
@@ -235,12 +222,19 @@ def _dilate(params):
             x = np.clip(u, a, b)  # unconstrained maximizer of 2ux - x^2 is x = u
             return 2.0 * u * x - x * x
 
-        return _closed(_blockwise(kernel), max(abs(a), abs(b)) + 1.0)
+        return _closed(kernel, max(abs(a), abs(b)) + 1.0)
     else:
         raise InvalidParameterError("dilate needs points=, interval= or linf=")
-    support = np.asarray(pts)
-    kernel = lambda u: (2.0 * u[:, None] * support - support**2).max(axis=1)
-    return _closed(_blockwise(kernel), max(abs(p) for p in pts) + 1.0)
+    support, squares = np.asarray(pts), np.asarray(pts) ** 2
+
+    def kernel(u):  # running max of 2 u p - p^2: exact, so equal to the row maximum
+        two_u = 2.0 * u
+        best = two_u * support[0] - squares[0]
+        for p, p2 in zip(support[1:], squares[1:]):
+            np.maximum(best, two_u * p - p2, out=best)
+        return best
+
+    return _closed(_rowwise(kernel), max(abs(p) for p in pts) + 1.0)
 
 
 def _signal_support(ts, fs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,8 +259,14 @@ def _signal_support(ts, fs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _conv_from_f(params):
     ts, fs, finite = _signal_support(params["ts"], params["fs"])
     ts, fs = ts[finite], fs[finite]
-    kernel = lambda u: u * u - ((u[:, None] - ts[None, :]) ** 2 + fs[None, :]).min(axis=1)
-    return _closed(_blockwise(kernel), float(np.max(np.abs(ts))) + 1.0)
+
+    def kernel(u):  # running min of (u - t)^2 + f(t), as in dilate
+        best = (u - ts[0]) ** 2 + fs[0]
+        for t, f in zip(ts[1:], fs[1:]):
+            np.minimum(best, (u - t) ** 2 + f, out=best)
+        return u * u - best
+
+    return _closed(_rowwise(kernel), float(np.max(np.abs(ts))) + 1.0)
 
 
 def _gen_gaussian_conv(params):
@@ -305,7 +305,7 @@ def _gen_gaussian_conv(params):
                 rows = rows[(np.abs(slope) > _ULPS * 2.0 * sqrt_r * ui) & (bi - ai > tol[rows])]
         return u * u - np.minimum((u - sqrt_r * z) ** 2 + z**tau, u * u)
 
-    return _closed(_blockwise(kernel), sqrt_r * 2.0 ** (1.0 / tau) + 1.0)
+    return _closed(_rowwise(kernel), sqrt_r * 2.0 ** (1.0 / tau) + 1.0)
 
 
 def _gen_gaussian_location(params):
@@ -530,13 +530,14 @@ def check_admissible(alpha: ExponentFunction) -> AdmissibilityReport:
     Three conditions: pointwise alpha(u) <= u^2; the normalized
     log-integral of exp(t (alpha - u^2)) moving toward 0 over the last
     step of a geometric ladder of t, with final magnitude <= 0.05; and
-    convexity when the function is flagged convolutional.
+    convexity when the function is flagged convolutional.  The report holds
+    every rung; the gate behind the numeric boundaries reads only the last two.
     """
     _require_axis(alpha, "u")
     return _admissibility(alpha, *alpha.grid())
 
 
-def _admissibility(alpha: ExponentFunction, xs, vals) -> AdmissibilityReport:
+def _admissibility(alpha: ExponentFunction, xs, vals, rungs=_LADDER) -> AdmissibilityReport:
     violations = []
     undefined = np.isnan(vals)
     if np.any(undefined):
@@ -553,7 +554,7 @@ def _admissibility(alpha: ExponentFunction, xs, vals) -> AdmissibilityReport:
             f"(worst at u={xs[worst]:.6g}, excess {margin[worst]:.3g})"
         )
 
-    ladder = _laplace_ladder(xs, margin, _LADDER)
+    ladder = _laplace_ladder(xs, margin, rungs)  # each rung is computed on its own
     mags = [abs(v) for v in ladder]
     # direction check on the last step only: the early rungs are dominated
     # by the domain-width term log(W)/t, whose sign says nothing about alpha
@@ -573,11 +574,7 @@ def _admissibility(alpha: ExponentFunction, xs, vals) -> AdmissibilityReport:
             if np.any(second < -_ADMISSIBLE_SLACK):
                 violations.append("convolutional flag set but alpha is not convex")
 
-    return AdmissibilityReport(
-        admissible=not violations,
-        violations=tuple(violations),
-        ladder_values=ladder,
-    )
+    return AdmissibilityReport(not violations, tuple(violations), ladder)
 
 
 def _require_axis(fn: ExponentFunction, axis: str) -> None:
@@ -588,7 +585,7 @@ def _require_axis(fn: ExponentFunction, axis: str) -> None:
 
 
 def _require_admissible(alpha: ExponentFunction, xs, vals) -> None:
-    report = _admissibility(alpha, xs, vals)
+    report = _admissibility(alpha, xs, vals, _LADDER[-2:])  # the rungs the verdict reads
     if not report.admissible:
         raise AdmissibilityError("; ".join(report.violations))
 
@@ -755,10 +752,13 @@ def boundary_closed_form(family: str, mode: str = "beta-of-r", **params) -> floa
             return 1.0
         if tau <= 1.0 or r == 0.0:  # r = 0 reads 1/2 even where the threshold underflows
             return 0.5 * (1.0 + r)
-        threshold = (1.0 - 2.0 ** (1.0 / (1.0 - tau))) ** tau
+        root, rise = 2.0 ** (1.0 / (1.0 - tau)), 0.5 - 2.0 ** (tau / (1.0 - tau))
+        threshold = (1.0 - root) ** tau
         if r < threshold:
-            slope = (0.5 - 2.0 ** (tau / (1.0 - tau))) / threshold
-            return 0.5 + slope * r
+            if math.isfinite(rise / threshold):
+                return 0.5 + rise / threshold * r
+            # subnormal threshold: the slope overflows, so r / threshold is formed in logs
+            return 0.5 + rise * math.exp(math.log(r) - tau * math.log1p(-root))
         return 1.0 - (1.0 - r ** (1.0 / tau)) ** tau
 
     raise InvalidParameterError(f"unknown boundary family {family!r}")

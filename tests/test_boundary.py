@@ -156,6 +156,23 @@ class TestClosedForms:
         just_above = boundary_closed_form("gglocation", tau=2.0, r=1.0 + 1e-12)
         assert abs(at_one - just_above) <= 1e-9
 
+    def test_gglocation_subnormal_threshold_keeps_the_linear_branch(self):
+        # at tau = 140 the branch point (1 - 2^(1/(1-tau)))^tau is 3.48e-323, subnormal:
+        # slope = (1/2 - c) / threshold overflows, so the ratio r / threshold is formed in logs
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            tau, r = mpmath.mpf(140), mpmath.mpf(1e-323)
+            threshold = (1 - mpmath.power(2, 1 / (1 - tau))) ** tau
+            want = float(0.5 + (0.5 - mpmath.power(2, tau / (1 - tau))) * r / threshold)
+        assert want == pytest.approx(0.50070559461454980, abs=1e-16)
+        assert boundary_closed_form("gglocation", r=1e-323, tau=140.0) == pytest.approx(
+            want, rel=1e-14
+        )
+        # the threshold underflows to 0.0 at tau = 200, and r = 1e-300 is above the
+        # branch point at tau = 100: both read the power branch as before
+        assert boundary_closed_form("gglocation", r=1e-300, tau=200.0) == 0.99838224323874578
+        assert boundary_closed_form("gglocation", r=1e-300, tau=100.0) == 0.5
+
     def test_invalid_parameters_name_the_branch(self):
         with pytest.raises(InvalidParameterError, match="r must be >= 0"):
             boundary_closed_form("idj", r=-1.0)
@@ -307,24 +324,37 @@ class TestAlphaFamilies:
             ("conv_from_f", dict(ts=[-1.0, 0.5, 2.0], fs=[0.2, 0.0, np.inf])),
             ("gen_gaussian_conv", dict(r=1.0, tau=0.5)),
             ("gen_gaussian_conv", dict(r=1.0, tau=1.0)),
+            ("dilate", dict(linf=0.0)),
         ],
         ids=[
             "ggconv", "dilate-points", "dilate-interval", "conv_from_f",
-            "ggconv-tau0.5", "ggconv-tau1",
+            "ggconv-tau0.5", "ggconv-tau1", "dilate-linf0",
         ],
     )
-    def test_blockwise_evaluators_independent_of_block_size(self, monkeypatch, kind, params):
-        # rows are evaluated independently, so the block size moves no bit;
-        # 4099 points leave a ragged last block, and small blocks (slow for
-        # ggconv) are checked on every 8th or 64th of those points
+    def test_evaluators_match_the_row_by_support_formula(self, kind, params):
+        # dilate and conv_from_f reduce over their support one point at a time;
+        # np.maximum and np.minimum are exact, so they equal the reduction of
+        # the (rows, support) array bit for bit, signed zeros included.  ggconv
+        # solves each row on its own, so pieces of 7 rows give the same bits.
         alpha = alpha_family(kind, **params)
         us = np.linspace(*alpha.domain(), 4099)
-        sizes = ((boundary._BLOCK, 1), (7, 8), (1, 64))
-        monkeypatch.setattr(boundary, "_BLOCK", 4096)
-        want = alpha.evaluate(us)
-        for block, step in sizes:
-            monkeypatch.setattr(boundary, "_BLOCK", block)
-            assert alpha.evaluate(us[::step]).tobytes() == want[::step].tobytes(), block
+        if kind == "dilate" and "interval" in params:
+            x = np.clip(us, *params["interval"])
+            want = 2.0 * us * x - x * x
+        elif kind == "dilate":
+            linf = params.get("linf")
+            support = np.asarray(params["points"] if linf is None else (-linf, linf))
+            want = (2.0 * us[:, None] * support - support**2).max(axis=1)
+        elif kind == "conv_from_f":
+            ts, fs = np.asarray(params["ts"]), np.asarray(params["fs"])
+            ts, fs = ts[np.isfinite(fs)], fs[np.isfinite(fs)]
+            want = us * us - ((us[:, None] - ts[None, :]) ** 2 + fs[None, :]).min(axis=1)
+        else:
+            want = np.concatenate([alpha.evaluate(us[i : i + 7]) for i in range(0, us.size, 7)])
+        got = alpha.evaluate(us)
+        assert got.tobytes() == want.tobytes()
+        if params.get("linf") == 0.0:
+            assert np.signbit(got).any() and (got == 0.0).all()
 
 
 class TestExponentFunction:
@@ -796,3 +826,58 @@ def test_ladder_equals_scipy_logsumexp_bit_for_bit(xs, vals):
     one_rung = tuple(laplace_log_integral(xs, margin, m) for m in boundary._LADDER)
     assert np.array(report.ladder_values).tobytes() == np.array(want).tobytes()
     assert np.array(one_rung).tobytes() == np.array(want).tobytes()
+
+
+# (id, xs, alpha values, convolutional flag, the violation the grid must raise)
+VERDICT_GRIDS = [
+    ("excess", U_GRID, U_GRID**2 + 0.1, False, "exceeds u^2"),
+    ("constant-margin-0.06", U_GRID, U_GRID**2 - 0.06, False, "does not decrease"),
+    ("final-magnitude", U_GRID, U_GRID**2 - 0.2 - np.abs(U_GRID), False, "maximum allowed"),
+    ("non-convex", U_GRID, -np.abs(U_GRID), True, "not convex"),
+] + [(name, xs, vals, False, None) for name, xs, vals in LADDER_GRIDS]
+
+
+@pytest.mark.parametrize(
+    "xs, vals, convolutional, violation",
+    [g[1:] for g in VERDICT_GRIDS], ids=[g[0] for g in VERDICT_GRIDS],
+)
+def test_gate_verdict_matches_the_full_report(monkeypatch, xs, vals, convolutional, violation):
+    # the gate evaluates only the last two rungs, which is all its verdict reads
+    alpha = ExponentFunction.from_grid(xs, np.zeros_like(xs), convolutional=convolutional)
+    report = boundary._admissibility(alpha, xs, vals)
+    if violation is not None:
+        assert any(violation in v for v in report.violations), report.violations
+    rungs = []
+    ladder = boundary._laplace_ladder
+    monkeypatch.setattr(
+        boundary, "_laplace_ladder", lambda x, v, m: rungs.append(m) or ladder(x, v, m)
+    )
+    if report.admissible:
+        boundary._require_admissible(alpha, xs, vals)
+    else:
+        with pytest.raises(AdmissibilityError) as raised:
+            boundary._require_admissible(alpha, xs, vals)
+        assert str(raised.value) == "; ".join(report.violations)
+    assert rungs == [boundary._LADDER[-2:]]
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [alpha_family(kind, **params) for kind, params in ALPHA_KINDS]
+    + [ExponentFunction.from_grid(g[1], g[2], convolutional=g[3]) for g in VERDICT_GRIDS[:4]],
+    ids=ALPHA_IDS + [g[0] for g in VERDICT_GRIDS[:4]],
+)
+def test_beta_sharp_rejects_exactly_what_check_admissible_rejects(alpha):
+    if alpha.axis == "s":
+        for fn in (check_admissible, beta_sharp):
+            with pytest.raises(WrongParametrizationError):
+                fn(alpha)
+        return
+    report = check_admissible(alpha)
+    assert len(report.ladder_values) == len(boundary._LADDER)
+    if report.admissible:
+        beta_sharp(alpha)
+    else:
+        with pytest.raises(AdmissibilityError) as raised:
+            beta_sharp(alpha)
+        assert str(raised.value) == "; ".join(report.violations)
