@@ -10,7 +10,9 @@ bit-identical output.
 A null law is always a :class:`Distribution`.  Tail probabilities are
 computed one way: each kind implements ``tails(y) -> (lower, upper)``,
 each tail exact in its own range, and ``cdf`` and ``survival`` read it.
-A new kind implements ``tails`` and joins ``_KINDS``.
+A new kind implements ``tails`` and joins ``_KINDS``.  ``scipy.special``
+loads when a special function is first evaluated (:func:`_special`), so a
+process that computes only boundaries never loads it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv, gammaln, ndtr, ndtri
 
 from . import checks
 from .errors import (
@@ -48,6 +49,13 @@ __all__ = [
 
 _ATOM_MASS_TOL = 1e-12
 _QUANTILE_CDF_TOL = 1e-12
+
+
+def _special():
+    # about half a cold start (numpy.f2py and numpy.testing come with it)
+    import scipy.special
+
+    return scipy.special
 
 
 class Distribution:
@@ -134,10 +142,11 @@ class Gaussian(Distribution):
 
     def tails(self, y):
         z = (np.asarray(y, dtype=float) - self.mean) / self.sd
-        return ndtr(z), ndtr(-z)
+        special = _special()
+        return special.ndtr(z), special.ndtr(-z)
 
     def quantile(self, p: float) -> float:
-        return self.mean + self.sd * float(ndtri(checks.probability(p)))
+        return self.mean + self.sd * float(_special().ndtri(checks.probability(p)))
 
     def support_bounds(self, log_floor: float = -700.0) -> tuple[float, float]:
         half = self.sd * math.sqrt(2 * max(1.0, -log_floor))
@@ -166,7 +175,7 @@ class GenGaussian(Distribution):
 
     @property
     def _log_norm(self) -> float:
-        return math.log(self.tau) - math.log(2.0) - gammaln(1.0 / self.tau)
+        return math.log(self.tau) - math.log(2.0) - _special().gammaln(1.0 / self.tau)
 
     def log_density(self, y):
         y = np.asarray(y, dtype=float)
@@ -177,7 +186,7 @@ class GenGaussian(Distribution):
         # down to underflow instead of cancelling in 1 - gammainc; the law is
         # symmetric, so one pass gives both tails
         y = np.asarray(y, dtype=float)
-        half = 0.5 * gammaincc(1.0 / self.tau, np.abs(y) ** self.tau)
+        half = 0.5 * _special().gammaincc(1.0 / self.tau, np.abs(y) ** self.tau)
         rest = 1.0 - half
         below = y < 0
         lower, upper = np.where(below, half, rest), np.where(below, rest, half)
@@ -188,7 +197,7 @@ class GenGaussian(Distribution):
         # that p far below or above 1/2 keeps its resolution
         p = checks.probability(p)
         tail = 2.0 * min(p, 1.0 - p)
-        mag = float(gammainccinv(1.0 / self.tau, tail)) ** (1.0 / self.tau)
+        mag = float(_special().gammainccinv(1.0 / self.tau, tail)) ** (1.0 / self.tau)
         return -mag if p < 0.5 else mag
 
     def support_bounds(self, log_floor: float = -700.0) -> tuple[float, float]:

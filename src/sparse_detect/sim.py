@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Sequence, Union, get_args, get_origin, ge
 import numpy as np
 
 from . import checks, families, rng
-from .dists import Distribution, Mixture, epsilon_from_beta, log_likelihood_ratio
+from .dists import Distribution, Mixture, _special, epsilon_from_beta, log_likelihood_ratio
 from .errors import ConfigError, InvalidParameterError, InvalidSampleSizeError, SparseDetectError
 from .hctest import TESTS, _subset
 
@@ -354,11 +354,18 @@ class PhaseTable:
         return "\n".join([self.CSV_HEADER, *rows]) + "\n"
 
     def manifest(self) -> dict:
+        import scipy  # its top level loads no submodule
+
+        from . import __version__  # at call time: the package imports this module
+
         return {
             "seed": self.config.seed,
             "config_hash": self.config.config_hash(),
             "wall_time_s": self.wall_time_s,
             "worker_count": self.worker_count,
+            "sparse_detect_version": __version__,
+            "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__,
         }
 
     def overlay_csv(self) -> str:
@@ -392,6 +399,8 @@ def phase_sweep(cfg: ExperimentConfig, workers: int = 1) -> PhaseTable:
     groups = [[cell for cell in cells if cell[3] == n] for n in sorted(set(cfg.n_list))]
     task_groups = [group for group in groups for _ in blocks]
     task_blocks = blocks * len(groups)
+    if used > 1:
+        _special()  # load it once in the parent, for the forked workers to inherit
     start = time.perf_counter()
     null_rejects, misses = [0] * len(cells), [0] * len(cells)  # by cell index
     with ProcessPoolExecutor(used) if used > 1 else contextlib.nullcontext() as pool:

@@ -406,7 +406,10 @@ class TestSimulateCommand:
         assert main(argv + ["--output", str(out_b), "--workers", "4"]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
-        assert set(manifest) == {"seed", "config_hash", "wall_time_s", "worker_count"}
+        assert set(manifest) == {
+            "seed", "config_hash", "wall_time_s", "worker_count",
+            "sparse_detect_version", "numpy_version", "scipy_version",
+        }
 
     def test_config_file_with_inline_override(self, capsys, tmp_path):
         cfg = {

@@ -1,12 +1,6 @@
 """Divergence tests: discrete identities, quadrature accuracy, mixtures."""
 
-import json
 import math
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,54 +284,3 @@ class TestDecomposition:
         overlapping = FiniteDiscrete(((1.0, 1.0),))
         with pytest.raises(NotSingularError):
             decompose_alternative(null, 0.2, null, overlapping, 0.1, 100)
-
-
-# scipy.integrate loads the other three scipy modules with it
-_HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg", "numpy.f2py")
-
-# Runs in a fresh interpreter, so that nothing the test process imported
-# hides a module the package loads on its own.
-_COLD_START = textwrap.dedent(
-    f"""
-    import json, sys
-    import numpy, scipy.special
-    heavy = {_HEAVY!r}
-    baseline = [m for m in heavy if m in sys.modules]
-    import sparse_detect, sparse_detect.cli
-    from sparse_detect import cli, sim
-    from sparse_detect.dists import Gaussian
-    from sparse_detect.divergence import hellinger_sq, total_variation
-
-    cfg = sim.ExperimentConfig(
-        family="idj", beta_grid=(0.6,), r_grid=(0.5,), n_list=(64,),
-        replicates=4, tests=("lr", "max"), seed=3,
-    )
-    assert sim.phase_sweep(cfg, workers=2).worker_count == 2
-    assert cli.main(["boundary", "--family", "idj", "--r", "0.25"]) == 0
-    loaded = [m for m in heavy if m in sys.modules]
-    p, q = Gaussian(), Gaussian(1.0, 1.0)
-    values = [hellinger_sq(p, q).hex(), total_variation(p, q).hex()]
-    print(json.dumps({{
-        "baseline": baseline, "loaded": loaded, "values": values,
-        "after": "scipy.integrate" in sys.modules,
-    }}))
-    """
-)
-
-
-class TestColdStart:
-    def test_quadrature_alone_loads_scipy_integrate(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run(
-            [sys.executable, "-c", _COLD_START],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        report = json.loads(proc.stdout.strip().splitlines()[-1])
-        # scipy.special's array-API shim runs `from numpy import *`, which
-        # may load numpy.f2py; the package itself adds none of _HEAVY
-        assert set(report["baseline"]) <= {"numpy.f2py"}
-        assert report["loaded"] == report["baseline"]
-        p, q = Gaussian(), Gaussian(1.0, 1.0)
-        assert report["values"] == [hellinger_sq(p, q).hex(), total_variation(p, q).hex()]
-        assert report["after"]

@@ -6,7 +6,9 @@ import re
 
 import numpy as np
 import pytest
+import scipy
 
+import sparse_detect
 from sparse_detect import rng, sim
 from sparse_detect.dists import (
     FiniteDiscrete,
@@ -355,6 +357,13 @@ class TestPhaseSweep:
         assert manifest["config_hash"] == cfg.config_hash()
         assert manifest["worker_count"] == 1
         assert manifest["wall_time_s"] > 0
+        assert set(manifest) == {
+            "seed", "config_hash", "wall_time_s", "worker_count",
+            "sparse_detect_version", "numpy_version", "scipy_version",
+        }
+        assert manifest["sparse_detect_version"] == sparse_detect.__version__
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == scipy.__version__
 
     def test_lr_never_clearly_beaten(self):
         # likelihood-ratio optimality up to Monte-Carlo noise
