@@ -19,7 +19,9 @@ log LR, so :func:`lr_rejects` decides it by a certified screen: a
 vectorised softplus sum settles every row whose value clears a proven
 rounding margin, and only rows near 0 pay for the exact
 :func:`lr_statistic`.  Each test a sweep runs is one row of
-:data:`TESTS`, and a testing problem is a :class:`~sparse_detect.dists.Mixture`.
+:data:`TESTS`, which decides all the test's cells on a chunk of a
+replicate's sample matrix (:class:`DecisionRule`), and a testing problem
+is a :class:`~sparse_detect.dists.Mixture`.
 
 The declared null is always a :class:`~sparse_detect.dists.Distribution`;
 its ``tails`` method gives both tail probabilities, each exact in its own
@@ -250,11 +252,6 @@ def hc_decision(statistic: float, n: int, delta: float = 0.1) -> str:
     return "alternative" if statistic > hc_threshold(n, delta) else "null"
 
 
-def _hc_rows(ys, rows, picks, threshold, null, alt, eps) -> np.ndarray:
-    statistics, _ = hc_statistics(ys[rows], null)
-    return statistics[picks] > threshold
-
-
 def hc_test(
     sample, null: Distribution, delta: float = 0.1, restricted: bool = False
 ) -> HCResult:
@@ -296,10 +293,6 @@ def max_rejects(samples: np.ndarray, u: float = 1.0) -> np.ndarray:
     n = checks.integer(samples.shape[1], "n", 2, error=InvalidSampleSizeError)
     threshold = checks.positive(u, "u") * math.sqrt(2.0 * math.log(n))
     return np.maximum(samples.max(axis=-1), -samples.min(axis=-1)) > threshold
-
-
-def _max_rows(ys, rows, picks, threshold, null, alt, eps) -> np.ndarray:
-    return max_rejects(ys[rows], threshold)[picks]
 
 
 def lr_log_ratios(sample, alt: Distribution, null: Distribution) -> np.ndarray | None:
@@ -430,29 +423,6 @@ def lr_rejects(ell: np.ndarray | None, eps):
     return out
 
 
-def _subset(index: np.ndarray, size: int) -> np.ndarray | slice:
-    """``index`` into ``size`` rows, or a full slice when it takes every row in order.
-
-    A slice reads the rows without a copy, which saves one of a 1e5-value row per lr cell.
-    """
-    return slice(None) if np.array_equal(index, np.arange(size)) else index
-
-
-def _lr_rows(ys, rows, picks, threshold, null, alt, eps) -> np.ndarray:
-    """Log ratios once per row read, then the picks in batches of at most ``len(ys)``."""
-    reads = ys[rows]
-    ell = lr_log_ratios(reads, alt, null)
-    if ell is None:  # a singular row: decide row by row, its statistic is +inf
-        return np.array(
-            [lr_rejects(lr_log_ratios(reads[i], alt, null), e) for i, e in zip(picks, eps)]
-        )
-    size = len(ys)
-    return np.concatenate([
-        lr_rejects(ell[_subset(picks[k:k + size], len(ell))], eps[k:k + size])
-        for k in range(0, len(picks), size)
-    ])
-
-
 def lr_test(sample, mix: Mixture) -> tuple[float, str]:
     """Likelihood-ratio test of the null ``mix.first`` against the mixture ``mix``.
 
@@ -490,27 +460,80 @@ def vn_statistic(sample, s: float, null: Distribution) -> float:
     return math.sqrt(n) * (f_up - count_above / n) / math.sqrt(f_low * f_up)
 
 
+def _per_cell(rejected: np.ndarray, lo: int, mixes) -> tuple[np.ndarray | None, np.ndarray]:
+    """One decision a row of a chunk from row ``lo``, as ``DecisionRule.rejects`` returns it."""
+    if lo:
+        return None, rejected
+    return np.full(len(mixes) * len(mixes[0]), rejected[0]), rejected[1:]
+
+
+def _hc_rows(ys, lo, null, mixes, delta):
+    statistics, _ = hc_statistics(ys, null)
+    return _per_cell(statistics > hc_threshold(ys.shape[1], delta), lo, mixes)
+
+
+def _max_rows(ys, lo, null, mixes, delta):
+    return _per_cell(max_rejects(ys), lo, mixes)
+
+
+def _subset(index: list[int], size: int) -> list[int] | slice:
+    """``index`` into ``size`` rows, or a full slice, which copies no row, when it takes all."""
+    return slice(None) if index == list(range(size)) else index
+
+
+def _lr_rows(ys, lo, null, mixes, delta):
+    """lr on a chunk, one r at a time: log ratios once per row that r reads, then its
+    decisions, one per cell, in batches of at most ``len(ys)`` rows.  Row k of the
+    chunk, k >= 1 - lo, is the alternative row of cell lo + k - 1."""
+    size, width, held = len(ys), len(mixes[0]), int(lo == 0)  # held: the chunk has row 0
+    nulls = held * len(mixes)  # the decisions on row 0, one per beta
+    on_null = np.zeros(len(mixes) * width, dtype=bool) if held else None
+    on_alt = np.zeros(size - held, dtype=bool)
+    for j in range(width):
+        mine = range(held + (j + 1 - lo - held) % width, size, width)  # the rows of r_j
+        if not (held or mine):
+            continue
+        picks = [0] * nulls + list(range(held, held + len(mine)))  # into the rows read
+        eps = ([row[j].weight for row in mixes] * held
+               + [mixes[(lo + k - 1) // width][j].weight for k in mine])
+        alt = mixes[0][j].second
+        reads = ys[_subset([0] * held + list(mine), size)]
+        ell = lr_log_ratios(reads, alt, null)
+        if ell is None:  # a singular row: decide row by row, its statistic is +inf
+            decided = np.array(
+                [lr_rejects(lr_log_ratios(reads[i], alt, null), e) for i, e in zip(picks, eps)]
+            )
+        else:
+            decided = np.concatenate([
+                lr_rejects(ell[_subset(picks[k:k + size], len(ell))], eps[k:k + size])
+                for k in range(0, len(picks), size)
+            ])
+        if held:
+            on_null[j::width] = decided[:nulls]
+        on_alt[mine.start - held::width] = decided[nulls:]
+    return on_null, on_alt
+
+
 @dataclass(frozen=True)
 class DecisionRule:
     """A test of a phase sweep, one row of :data:`TESTS`.
 
-    ``rejects(ys, rows, picks, threshold, null, alt, eps)`` says for each
-    k whether the test rejects ``null`` on row ``picks[k]`` of ``ys[rows]``
-    at ``threshold(n, delta)``: hc's log-log threshold, max's multiple u
-    of sqrt(2 ln n), and lr's 0 for log LR, which ``lr_rejects`` applies.
-    With ``uses_mixture`` it decides against ``alt`` with weight
-    ``eps[k]``, so its null decision depends on (beta, r); otherwise both
-    are None.  ``min_n`` is the smallest n it takes.
+    ``rejects(ys, lo, null, mixes, delta)`` decides the test on the chunk
+    ``ys`` of rows lo, lo + 1, ... of a replicate's sample matrix, whose
+    row 0 is a sample of ``null`` and row 1 + b |r| + j a draw of
+    ``mixes[b][j]``, the mixture of cell (beta_b, r_j).  It returns
+    whether the test, at its own threshold for (n, ``delta``), rejects on
+    row 0 in every cell b |r| + j (None when the chunk lacks row 0), and
+    on each alternative row, in row order, in its own cell.  ``min_n`` is
+    the smallest n it takes.
     """
 
-    rejects: Callable[..., np.ndarray]
-    threshold: Callable[[int, float], float]
-    uses_mixture: bool
+    rejects: Callable[..., tuple[np.ndarray | None, np.ndarray]]
     min_n: int
 
 
 TESTS: dict[str, DecisionRule] = {
-    "hc": DecisionRule(_hc_rows, hc_threshold, uses_mixture=False, min_n=16),
-    "lr": DecisionRule(_lr_rows, lambda n, delta: 0.0, uses_mixture=True, min_n=2),
-    "max": DecisionRule(_max_rows, lambda n, delta: 1.0, uses_mixture=False, min_n=2),
+    "hc": DecisionRule(_hc_rows, min_n=16),
+    "lr": DecisionRule(_lr_rows, min_n=2),
+    "max": DecisionRule(_max_rows, min_n=2),
 }

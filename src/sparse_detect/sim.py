@@ -9,16 +9,15 @@ Engine: one unit of work is a block of replicates at one sample size n
 Replicate k's samples are the rows of one sample matrix: the null
 sample, on which every cell at n decides, then one alternative sample
 per (beta, r), on which every requested test of that (beta, r) decides.
-A test is a row of :data:`~sparse_detect.hctest.TESTS`, and it decides
-on the matrix at once: hc runs one pruned scan over the sorted rows,
-max takes two row reductions, and lr, which uses the mixture, decides
-once per r: it computes the log-likelihood ratios on the rows that need
-that r, then reduces each cell's row with the cell's epsilon in one
-pass.  The matrix is drawn and decided in chunks of whole rows of at
-most 2**17 values (one row when n is larger), so at n = 1e5 a task
-holds one sample at a time and its memory does not grow with the grid.
-``phase_sweep`` sums the blocks' counts and folds them into one row per
-cell with ``run_cell``.
+The matrix is drawn in chunks of whole rows of at most 2**17 values (one
+row when n is larger), so at n = 1e5 a task holds one sample at a time
+and its memory does not grow with the grid.  Each test is a row of
+:data:`~sparse_detect.hctest.TESTS` and decides all its cells on a chunk
+at once (see :class:`~sparse_detect.hctest.DecisionRule`): hc runs one
+pruned scan over the sorted rows, max takes two row reductions, and lr
+computes the log-likelihood ratios once per r.  The engine only draws
+and adds; ``phase_sweep`` sums the blocks' counts and folds them into
+one row per cell with ``run_cell``.
 
 Reproducibility: every sample is drawn from a counter-based stream.  The
 null sample of replicate k at sample size n is keyed by (seed, n, k).
@@ -39,7 +38,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from itertools import groupby, product, repeat
+from itertools import product, repeat
 from typing import Callable, Iterable, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -47,7 +46,7 @@ import numpy as np
 from . import checks, families, rng
 from .dists import Distribution, Mixture, _special, epsilon_from_beta, log_likelihood_ratio
 from .errors import ConfigError, InvalidParameterError, InvalidSampleSizeError, SparseDetectError
-from .hctest import TESTS, _subset
+from .hctest import TESTS
 
 __all__ = [
     "ExperimentConfig",
@@ -99,6 +98,11 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         for name, value in checked.items():
             object.__setattr__(self, name, value)
+        for name in ("beta_grid", "r_grid", "n_list", "tests"):
+            values = getattr(self, name)
+            repeated = [v for k, v in enumerate(values) if v in values[:k]]
+            if repeated:
+                raise ConfigError(f"{name} repeats {repeated[0]!r}")
         if not self.tests or not all(isinstance(t, str) and t in TESTS for t in self.tests):
             raise ConfigError(
                 f"tests must be a non-empty subset of {tuple(TESTS)}, got {list(self.tests)}"
@@ -193,109 +197,55 @@ def family_mixture(
     return Mixture(null, alt(r, n), eps)
 
 
-def _decision_steps(
-    rows: np.ndarray, cells: Sequence[tuple], mixes: dict, size: int
-) -> list[tuple]:
-    """How each cell ``cells[j]`` decides on row ``rows[j]`` of a ``size``-row sample matrix.
-
-    One step per test, and per r for a test that uses the mixture: (its
-    ``TESTS`` row, the positions j it decides, the rows it reads, each
-    position's index among them, and the alternative law and each
-    position's epsilon, or None).  ``mixes`` maps (beta, r) to its mixture.
-    """
-    steps = []
-    for name in dict.fromkeys(cell[4] for cell in cells):
-        test = TESTS.get(name)
-        if test is None:
-            raise InvalidParameterError(f"unknown test {name!r}")
-        groups = {}
-        for j, cell in enumerate(cells):
-            if cell[4] == name:
-                groups.setdefault(cell[2] if test.uses_mixture else None, []).append(j)
-        for at in groups.values():
-            need, picks = np.unique(rows[at], return_inverse=True)
-            alt = eps = None
-            if test.uses_mixture:
-                alt = mixes[cells[at[0]][1:3]].second
-                eps = np.array([mixes[cells[j][1:3]].weight for j in at])
-            steps.append((test, np.array(at), _subset(need, size), picks, alt, eps))
-    return steps
-
-
-def _decisions(
-    ys: np.ndarray, steps: list[tuple], size: int, null: Distribution, delta: float
-) -> np.ndarray:
-    """Whether each of ``size`` cells rejects the null on the sample matrix ``ys``."""
-    out = np.zeros(size, dtype=bool)
-    for test, at, rows, picks, alt, eps in steps:
-        threshold = test.threshold(ys.shape[1], delta)
-        out[at] = test.rejects(ys, rows, picks, threshold, null, alt, eps)
-    return out
-
-
 def _block_counts(
-    cfg: ExperimentConfig, cells: Sequence[tuple], reps: Iterable[int]
-) -> tuple[list[int], list[int]]:
-    """Null rejections and alternative misses of each cell over replicates ``reps``.
+    cfg: ExperimentConfig, n: int, reps: Iterable[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Null rejections and alternative misses of the cells at ``n`` over replicates ``reps``.
 
-    Every cell has the same n.  Replicate k's samples are the rows of one
-    sample matrix: row 0 is the null sample, keyed by (seed, n, k), on
-    which every cell decides; then each (beta, r) among the cells has one
-    alternative sample, keyed by (seed, beta index, r index, n, k), on
-    which every test of that (beta, r) decides.  Cells of one (beta, r)
-    share the row when they are adjacent, as in ``cfg.cells()``.  The
-    matrix is drawn and decided in chunks of whole rows, at most
-    ``_CHUNK_VALUES`` values or one row, so a task's memory does not grow
-    with the grid.  All draws come from one generator, re-keyed for each
-    sample.
+    Replicate k's sample matrix has the null sample, keyed by (seed, n,
+    k), as row 0 and the alternative sample of (beta_b, r_j), keyed by
+    (seed, b, j, n, k), as row 1 + b |r| + j.  It is drawn in chunks of
+    whole rows, at most ``_CHUNK_VALUES`` values or one row, from one
+    generator re-keyed for each sample, and each test decides all its
+    cells on a chunk (see :class:`~sparse_detect.hctest.DecisionRule`).
+    Both counts are (|beta| |r|, |tests|) arrays in the order of
+    ``cfg.cells()``.
     """
-    n = cells[0][3]
     betas, rs = sorted(cfg.beta_grid), sorted(cfg.r_grid)
-    mixes = {
-        (beta, r): family_mixture(cfg.family, cfg.family_params, r, beta, n)
-        for beta, r in dict.fromkeys(cell[1:3] for cell in cells)
-    }
-    null = mixes[cells[0][1:3]].first
-    laws, keys, alt_rows = [null], [(n,)], []  # per matrix row; each cell's alternative row
-    for (beta, r), group in groupby(cells, key=lambda cell: cell[1:3]):
-        laws.append(mixes[beta, r])
-        keys.append((betas.index(beta), rs.index(r), n))
-        alt_rows += [len(laws) - 1] * len(list(group))
-    # the decisions a replicate counts: each cell on row 0, then on its alternative row
-    rows = np.array([0] * len(cells) + alt_rows)
-    positions = np.tile(np.arange(len(cells)), 2)
+    mixes = [[family_mixture(cfg.family, cfg.family_params, r, beta, n) for r in rs]
+             for beta in betas]
+    null = mixes[0][0].first
+    laws = [null, *(mix for row in mixes for mix in row)]
+    keys = [(n,), *product(range(len(betas)), range(len(rs)), [n])]
+    tests = [test for name, test in TESTS.items() if name in cfg.tests]
     per_chunk = max(1, _CHUNK_VALUES // n)
-    chunks = []  # (first row, rows, steps of its decisions, which are null ones, their cells)
-    for lo in range(0, len(laws), per_chunk):
-        size = min(per_chunk, len(laws) - lo)
-        at = np.flatnonzero((rows >= lo) & (rows < lo + size))
-        steps = _decision_steps(rows[at] - lo, [cells[i] for i in positions[at]], mixes, size)
-        chunks.append((lo, size, steps, rows[at] == 0, positions[at]))
     bit_generator = np.random.Philox(0)
     stream = np.random.Generator(bit_generator)
-    null_rejects, misses = np.zeros(len(cells), dtype=int), np.zeros(len(cells), dtype=int)
+    null_rejects = np.zeros((len(laws) - 1, len(tests)), dtype=int)
+    misses = np.zeros_like(null_rejects)
     for rep in reps:
-        for lo, size, steps, on_null, cell_of in chunks:
+        for lo in range(0, len(laws), per_chunk):
             samples = []
-            for row in range(lo, lo + size):
+            for row in range(lo, min(lo + per_chunk, len(laws))):
                 bit_generator.state = rng.philox_state(cfg.seed, *keys[row], rep)
                 samples.append(laws[row].sample(n, stream))
-            ys = np.stack(samples) if size > 1 else samples[0][None]
+            ys = np.stack(samples) if len(samples) > 1 else samples[0][None]
             del samples
             try:
-                rejected = _decisions(ys, steps, cell_of.size, null, cfg.delta)
+                decided = [test.rejects(ys, lo, null, mixes, cfg.delta) for test in tests]
             except SparseDetectError:
                 # raise the error of the first row that fails, as deciding
                 # the rows one at a time in order would
-                for row in range(lo, lo + size):
-                    mine = np.flatnonzero(rows == row)
-                    row_cells = [cells[i] for i in positions[mine]]
-                    row_steps = _decision_steps(rows[mine] - row, row_cells, mixes, 1)
-                    _decisions(ys[row - lo:row - lo + 1], row_steps, mine.size, null, cfg.delta)
+                for row in range(len(ys)):
+                    for test in tests:
+                        test.rejects(ys[row:row + 1], lo + row, null, mixes, cfg.delta)
                 raise
-            null_rejects[cell_of[on_null]] += rejected[on_null]
-            misses[cell_of[~on_null]] += ~rejected[~on_null]
-    return null_rejects.tolist(), misses.tolist()
+            first = max(lo, 1) - 1  # the cell of the chunk's first alternative row
+            for t, (on_null, on_alt) in enumerate(decided):
+                if on_null is not None:
+                    null_rejects[:, t] += on_null
+                misses[first:first + on_alt.size, t] += ~on_alt
+    return null_rejects, misses
 
 
 def run_cell(
@@ -311,13 +261,19 @@ def run_cell(
     replicates, as :func:`phase_sweep` sums them from its blocks; each
     must lie in [0, replicates].  When both are omitted, the cell
     computes them with the sweep's block function over every replicate,
-    from the same streams, so the row equals the sweep's.  The result is
-    a pure function of the configuration and the cell.
+    from the same streams, so the row equals the sweep's; the cell must
+    then be one of ``cfg.cells()``.  The result is a pure function of the
+    configuration and the cell.
     """
-    _, beta, r, n, test = cell
+    index, beta, r, n, test = cell
     m = cfg.replicates
     if null_rejects is None and misses is None:
-        (null_rejects,), (misses,) = _block_counts(cfg, [cell], range(m))
+        if tuple(cell) not in cfg.cells():
+            raise InvalidParameterError(f"cell {tuple(cell)!r} is not one of the config's cells")
+        nulls, alts = _block_counts(cfg, n, range(m))
+        # cfg.cells() runs over (beta, r), then n, then test
+        at = index // (len(cfg.n_list) * len(cfg.tests)), index % len(cfg.tests)
+        null_rejects, misses = int(nulls[at]), int(alts[at])
     halfwidth = wilson_halfwidth(null_rejects, m) + wilson_halfwidth(misses, m)
     type1 = null_rejects / m
     type2 = misses / m
@@ -396,23 +352,23 @@ def phase_sweep(cfg: ExperimentConfig, workers: int = 1) -> PhaseTable:
     used = min(checks.integer(workers, "workers", 1), len(cells))
     m = cfg.replicates
     blocks = [range(m * b // used, m * (b + 1) // used) for b in range(used)]
-    groups = [[cell for cell in cells if cell[3] == n] for n in sorted(set(cfg.n_list))]
-    task_groups = [group for group in groups for _ in blocks]
-    task_blocks = blocks * len(groups)
+    ns = sorted(cfg.n_list)
+    task_ns = [n for n in ns for _ in blocks]
     if used > 1:
         _special()  # load it once in the parent, for the forked workers to inherit
     start = time.perf_counter()
-    null_rejects, misses = [0] * len(cells), [0] * len(cells)  # by cell index
+    # by (beta, r), n and test, which is the order of cfg.cells()
+    shape = (len(cfg.beta_grid) * len(cfg.r_grid), len(ns), len(cfg.tests))
+    null_rejects, misses = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int)
     with ProcessPoolExecutor(used) if used > 1 else contextlib.nullcontext() as pool:
         mapper = pool.map if pool else map
-        task_counts = mapper(_block_counts, repeat(cfg), task_groups, task_blocks)
-        for group, (nulls, alts) in zip(task_groups, task_counts):
-            for cell, null_count, miss_count in zip(group, nulls, alts):
-                null_rejects[cell[0]] += null_count
-                misses[cell[0]] += miss_count
+        task_counts = mapper(_block_counts, repeat(cfg), task_ns, blocks * len(ns))
+        for n, (nulls, alts) in zip(task_ns, task_counts):
+            null_rejects[:, ns.index(n)] += nulls
+            misses[:, ns.index(n)] += alts
     results = [
         run_cell(cfg, cell, nulls, alts)
-        for cell, nulls, alts in zip(cells, null_rejects, misses)
+        for cell, nulls, alts in zip(cells, null_rejects.ravel().tolist(), misses.ravel().tolist())
     ]
     wall = time.perf_counter() - start
     return PhaseTable(config=cfg, cells=tuple(results), wall_time_s=wall, worker_count=used)

@@ -557,6 +557,14 @@ class TestSimulateCommand:
         code, _, err = run(capsys, "simulate", "--config", str(cfg_path))
         assert code == 3
 
+    def test_repeated_grid_value_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--family", "idj", "--beta-grid", "0.6,0.6", "--r-grid", "0.5",
+            "--n-list", "64,64", "--replicates", "2", "--tests", "max", "--seed", "1",
+        )
+        assert (code, out) == (3, "")
+        assert "beta_grid repeats 0.6" in err
+
     def test_unknown_config_key_exit_3(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({

@@ -9,7 +9,7 @@ import pytest
 import scipy
 
 import sparse_detect
-from sparse_detect import rng, sim
+from sparse_detect import hctest, rng, sim
 from sparse_detect.dists import (
     FiniteDiscrete,
     Gaussian,
@@ -25,7 +25,15 @@ from sparse_detect.errors import (
     InvalidParameterError,
     InvalidSampleSizeError,
 )
-from sparse_detect.hctest import TESTS, hc_statistic, hc_test, hc_threshold, lr_test, max_test
+from sparse_detect.hctest import (
+    TESTS,
+    DecisionRule,
+    hc_statistic,
+    hc_test,
+    hc_threshold,
+    lr_test,
+    max_test,
+)
 from sparse_detect.sim import (
     ExperimentConfig,
     estimate_gamma,
@@ -70,6 +78,19 @@ class TestConfig:
             small_config(replicates=0)
         with pytest.raises(ConfigError):
             small_config(tests=("hc", "bogus"))
+
+    @pytest.mark.parametrize(
+        "field, values, shown",
+        [
+            ("beta_grid", (0.6, 0.9, 0.6), "0.6"),
+            ("r_grid", (0.0, 0.5, -0.0), "-0.0"),
+            ("n_list", (64, 128, 64, 128), "64"),
+            ("tests", ("hc", "max", "hc"), "'hc'"),
+        ],
+    )
+    def test_repeated_entries_refused(self, field, values, shown):
+        with pytest.raises(ConfigError, match=re.escape(f"{field} repeats {shown}")):
+            small_config(**{field: values})
 
     def test_cell_order_is_beta_r_n_test(self):
         cfg = ExperimentConfig(
@@ -256,6 +277,20 @@ class TestWilson:
 
 
 class TestRunCell:
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            (0, 0.33, 0.5, 64, "max"),  # a beta off the grid
+            (0, 0.6, 0.5, 65, "hc"),  # an n off the list
+            (1, 0.6, 0.5, 64, "max"),  # a test the config does not run
+            (2, 0.6, 0.5, 64, "hc"),  # another cell's index
+        ],
+    )
+    def test_cell_outside_the_config_refused(self, cell):
+        cfg = small_config(tests=("hc", "lr"))
+        with pytest.raises(InvalidParameterError, match=re.escape(f"cell {cell!r} is not one")):
+            run_cell(cfg, cell)
+
     def test_identical_seeds_identical_cells(self):
         cfg = small_config()
         cell = cfg.cells()[0]
@@ -537,19 +572,29 @@ class TestSharedNull:
         assert csv == phase_sweep(cfg, workers=1).to_csv()
 
     def test_no_task_holds_more_than_the_chunk_cap(self, monkeypatch):
-        shapes = []
-        real = sim._decisions
+        shapes, batches = [], []  # each chunk a test decides; each matrix lr_rejects reads
+        for name, test in TESTS.items():
+            def recording(ys, *args, real=test.rejects):
+                shapes.append(ys.shape)
+                return real(ys, *args)
 
-        def recording(ys, *args):
-            shapes.append(ys.shape)
-            return real(ys, *args)
+            monkeypatch.setitem(TESTS, name, DecisionRule(recording, test.min_n))
+        real_lr = hctest.lr_rejects
 
-        monkeypatch.setattr(sim, "_decisions", recording)
+        def recording_lr(ell, eps):
+            batches.append(np.shape(ell))
+            return real_lr(ell, eps)
+
+        monkeypatch.setattr(hctest, "lr_rejects", recording_lr)
         cfg = self.grid(n_list=(16, 20000, 70000), replicates=2)  # 7 sample rows a replicate
         phase_sweep(cfg)
-        assert max(m * n for m, n in shapes) <= sim._CHUNK_VALUES == 2**17
+        assert max(m * n for m, n in shapes + batches) <= sim._CHUNK_VALUES == 2**17
         rows = {n: sorted({m for m, size in shapes if size == n}) for n in cfg.n_list}
         assert rows == {16: [7], 20000: [1, 6], 70000: [1]}
+        # lr decides a chunk's 3 null and 3 alternative cells of one r in one
+        # batch, and a one-row chunk's null cells one batch a cell
+        lr_rows = {n: max(m for m, size in batches if size == n) for n in cfg.n_list}
+        assert lr_rows == {16: 6, 20000: 6, 70000: 1}
 
     @pytest.mark.parametrize(
         "family, params, r, n",
@@ -561,12 +606,14 @@ class TestSharedNull:
         ],
     )
     def test_matrix_decisions_equal_single_sample_tests(self, family, params, r, n):
-        # beta 0 gives eps 1 and beta 400 eps 0; each row serves every beta
+        # beta 0 gives eps 1 and beta 400 eps 0; two columns of the same r
+        # give each beta two alternative rows
         betas = (0.0, 0.5, 400.0)
-        mixes = {(beta, r): family_mixture(family, params, r, beta, n) for beta in betas}
-        null = mixes[betas[0], r].first
-        laws = (null, mixes[0.5, r])  # null and alternative rows, as in a sweep
-        ys = np.stack([laws[k % 2].sample(n, rng.stream(54, k)) for k in range(8)])
+        mixes = [[family_mixture(family, params, r, beta, n)] * 2 for beta in betas]
+        cell_mixes = [mix for row in mixes for mix in row]
+        null = mixes[0][0].first
+        laws = (null, mixes[1][0])  # null and alternative laws, as in a sweep
+        samples = np.stack([laws[k % 2].sample(n, rng.stream(54, k)) for k in range(8)])
         # every row of the test table against its public single-sample test
         reference = {
             "hc": lambda y, mix: hc_test(y, mix.first, delta=0.1).decision,
@@ -574,18 +621,52 @@ class TestSharedNull:
             "max": lambda y, mix: max_test(y),
         }
         assert list(reference) == list(TESTS)
-        tests = [name for name, test in TESTS.items() if n >= test.min_n]
-        cells = [(0, beta, r, n, test) for beta in betas for test in tests] * len(ys)
-        rows = np.repeat(np.arange(len(ys)), len(betas) * len(tests))
-        steps = sim._decision_steps(rows, cells, mixes, len(ys))
-        got = sim._decisions(ys, steps, len(cells), null, 0.1)
-        want = [
-            reference[test](ys[row], mixes[beta, r]) == "alternative"
-            for row, (_, beta, _, _, test) in zip(rows, cells)
-        ]
-        assert got.tolist() == want
+        wants = set()
+        for name, test in TESTS.items():
+            if n < test.min_n:
+                continue
+            for lo, ys in ((0, samples[:7]), (1, samples[2:])):  # 7 and 6 rows
+                on_null, on_alt = test.rejects(ys, lo, null, mixes, 0.1)
+                alt_rows = ys[1:] if lo == 0 else ys
+                want = [reference[name](y, mix) == "alternative"
+                        for y, mix in zip(alt_rows, cell_mixes[max(lo, 1) - 1:])]
+                assert on_alt.tolist() == want, (name, lo)
+                if lo == 0:
+                    want_null = [reference[name](ys[0], mix) == "alternative" for mix in cell_mixes]
+                    assert on_null.tolist() == want_null, name
+                    want += want_null
+                else:
+                    assert on_null is None
+                wants.update(want)
         if family == "custom":
-            assert len(set(want)) == 2  # some rows singular, some not
+            assert wants == {False, True}  # some rows singular, some not
+
+    @pytest.mark.parametrize(
+        "family, params, tests",
+        [
+            ("idj", {}, tuple(TESTS)),
+            ("gglocation", {"tau": 1.5}, tuple(TESTS)),
+            ("custom", GOLDEN_SWEEPS[3][0]["family_params"], ("lr", "max")),  # singular rows
+        ],
+    )
+    def test_chunk_decisions_equal_row_by_row(self, family, params, tests):
+        n, betas, rs = 64, (0.0, 0.5, 0.8), (0.0, 0.4)
+        mixes = [[family_mixture(family, params, r, beta, n) for r in rs] for beta in betas]
+        null = mixes[0][0].first
+        laws = [null, *(mix for row in mixes for mix in row)]
+        ys = np.stack([law.sample(n, rng.stream(3, k)) for k, law in enumerate(laws)])
+        for name in tests:
+            rejects = TESTS[name].rejects
+            alone = [rejects(ys[k:k + 1], k, null, mixes, 0.1) for k in range(len(ys))]
+            assert alone[0][1].size == 0 and all(on_null is None for on_null, _ in alone[1:])
+            alt_alone = np.concatenate([on_alt for _, on_alt in alone[1:]]).tolist()
+            for lo, hi in ((0, 7), (0, 3), (2, 5), (3, 7)):
+                on_null, on_alt = rejects(ys[lo:hi], lo, null, mixes, 0.1)
+                assert on_alt.tolist() == alt_alone[max(lo, 1) - 1:hi - 1], (name, lo, hi)
+                if lo == 0:
+                    assert on_null.tolist() == alone[0][0].tolist(), name
+                else:
+                    assert on_null is None
 
     def test_errors_keep_the_row_by_row_order(self):
         # the null row passes hc and fails lr; an alternative row fails hc.
@@ -597,11 +678,13 @@ class TestSharedNull:
                            r_grid=(0.0,), n_list=(50,), replicates=2, tests=("hc", "lr"))
         with pytest.raises(IncompatibleLawsError):
             phase_sweep(cfg)
-        mixes = {(0.0, 0.0): family_mixture("custom", params, 0.0, 0.0, 50)}
+        mixes = [[family_mixture("custom", params, 0.0, 0.0, 50)]]
         ys = np.stack([Gaussian().sample(50, rng.stream(1)), alt.sample(50, rng.stream(2))])
-        steps = sim._decision_steps(np.array([0, 0, 1, 1]), cfg.cells() * 2, mixes, 2)
+        TESTS["hc"].rejects(ys[:1], 0, Gaussian(), mixes, 0.1)
+        with pytest.raises(IncompatibleLawsError):
+            TESTS["lr"].rejects(ys[:1], 0, Gaussian(), mixes, 0.1)
         with pytest.raises(InfiniteWeightError):
-            sim._decisions(ys, steps, 4, Gaussian(), 0.1)
+            TESTS["hc"].rejects(ys, 0, Gaussian(), mixes, 0.1)
 
     @pytest.mark.parametrize(
         "spec, digest",
