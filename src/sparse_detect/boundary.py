@@ -21,11 +21,15 @@ or the s-axis (tail exponents of null quantiles, s = u^2).  Each
 holds either that builder's vectorized evaluator or a sampled grid.
 Evaluators over a finite support (dilate points, conv_from_f) reduce one
 support point at a time over whole rows: no (rows, support) array is formed.
+ggconv's Newton solve runs only on unsettled rows, compacted, in place.
 
 Admissibility is probed by a ladder of :func:`laplace_log_integral`
-values; the ladder checks its grid and forms the trapezoid weights once,
-then makes one fused log-sum-exp pass per rung.  The gate behind the
-numeric boundaries evaluates only the two rungs its verdict reads.
+values; the ladder checks its grid and forms the trapezoid log-weights
+once, in one buffer, then makes one fused log-sum-exp pass per rung.  The
+gate behind the numeric boundaries evaluates only the two rungs its
+verdict reads, on the margin alpha(u) - u^2 it forms once and hands on
+as a row the boundary may overwrite.  Row buffers belong to one call: no
+call writes into an array it was given or keeps state between calls.
 """
 
 from __future__ import annotations
@@ -282,27 +286,40 @@ def _gen_gaussian_conv(params):
 
     def kernel(u):
         u = np.abs(u)  # the exponent is even in u
-        a, b = np.full(u.shape, lo), u / sqrt_r  # c'(a) < 0 <= c'(b) on the rows solved
-        tol = _ULPS * b
+        with np.errstate(over="ignore"):
+            rows = np.flatnonzero(2.0 * sqrt_r * u > slope_lo)
+        ui = u[rows]
+        a, b = np.full(rows.shape, lo), ui / sqrt_r  # c'(a) < 0 <= c'(b) on the rows solved
+        z = np.zeros(u.shape)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if tau > 1.0:  # c' >= tau z^(tau-1) - 2 sqrt(r) u gives a nearer upper end
-                b = np.minimum(b, (2.0 * sqrt_r * u / tau) ** (1.0 / (tau - 1.0)))
-            rows = np.flatnonzero(2.0 * sqrt_r * u > slope_lo)
-            z = np.zeros(u.shape)
-            z[rows] = b[rows]
-            # Newton from b, bisecting when a step leaves the bracket; each row stops
-            # once c' is zero to its rounding error or its bracket is a few ulps wide
+                b = np.minimum(b, (2.0 * sqrt_r * ui / tau) ** (1.0 / (tau - 1.0)))
+            x = b.copy()
+            # Newton from b, bisecting when a step leaves the bracket; a row stops once
+            # c' is zero to its rounding error or its bracket is a few ulps wide.  Only
+            # the unsettled rows are solved, compacted, with three scratch rows a step.
             for _ in range(_NEWTON_CAP):
                 if rows.size == 0:
                     break
-                x, ui, ai, bi = z[rows], u[rows], a[rows], b[rows]
                 power = x ** (tau - 2.0)
-                slope = 2.0 * r * x - 2.0 * sqrt_r * ui + tau * power * x
-                ai, bi = np.where(slope < 0.0, x, ai), np.where(slope < 0.0, bi, x)
-                step = x - slope / (2.0 * r + tau * (tau - 1.0) * power)
-                z[rows] = np.where((step >= ai) & (step <= bi), step, 0.5 * (ai + bi))
-                a[rows], b[rows] = ai, bi
-                rows = rows[(np.abs(slope) > _ULPS * 2.0 * sqrt_r * ui) & (bi - ai > tol[rows])]
+                slope = np.multiply(x, 2.0 * r)  # c'(x), term by term
+                slope -= (work := np.multiply(ui, 2.0 * sqrt_r))
+                slope += np.multiply(np.multiply(power, tau, out=work), x, out=work)
+                left = slope < 0.0
+                np.copyto(a, x, where=left)
+                np.copyto(b, x, where=~left)
+                power *= tau * (tau - 1.0)  # c''(x), then the step x - c'(x) / c''(x)
+                power += 2.0 * r
+                step = np.subtract(x, np.divide(slope, power, out=power), out=power)
+                go = np.abs(slope, out=slope) > np.multiply(ui, _ULPS * 2.0 * sqrt_r, out=work)
+                np.multiply(np.add(a, b, out=x), 0.5, out=x)
+                np.copyto(x, step, where=(step >= a) & (step <= b))
+                z[rows] = x
+                tol = np.multiply(np.divide(ui, sqrt_r, out=slope), _ULPS, out=slope)
+                go &= np.subtract(b, a, out=work) > tol  # the bracket is a few ulps wide
+                del power, slope, work, step, tol
+                rows, x = rows[go], x[go]
+                ui, a, b = ui[go], a[go], b[go]
         return u * u - np.minimum((u - sqrt_r * z) ** 2 + z**tau, u * u)
 
     return _closed(_rowwise(kernel), sqrt_r * 2.0 ** (1.0 / tau) + 1.0)
@@ -421,14 +438,15 @@ def ess_sup_grid(
     return best_v, best_x
 
 
-def _sup(fn: ExponentFunction, xs, vals, objective: Callable, lo: float = -np.inf):
-    """ess_sup_grid of the vectorized objective(x, fn(x)) over grid points x >= lo.
+def _sup(fn: ExponentFunction, xs, row, objective: Callable, lo: float = -np.inf):
+    """ess_sup_grid of ``row``, objective(x, fn(x)) on the grid, over the points x >= lo.
 
+    The grid increases, so those points are a slice: no mask and no copy.
     Closed forms refine through ``fn.evaluate``; sampled grids keep the grid maximum.
     """
-    keep = xs >= lo
+    start = int(np.searchsorted(xs, lo))
     refine = (lambda x: objective(x, fn.evaluate(x))) if fn.has_closed_form else None
-    return ess_sup_grid(xs[keep], objective(xs, vals)[keep], refine)
+    return ess_sup_grid(xs[start:], row[start:], refine)
 
 
 def _boundary(excess: float, arg: float, xs) -> BoundaryResult:
@@ -477,9 +495,10 @@ def _laplace_ladder(xs, values, ladder) -> tuple[float, ...]:
     The inputs are checked and the trapezoid log-weights formed once.
     Each rung then evaluates scipy's log-sum-exp formula in one reused
     buffer a = M f + log w: with top its maximum, attained k times, the
-    maxima leave the sum, exp(a - top) runs only where a - top > -746
-    (exp is exactly 0.0 below -745.13, so the skipped entries hold 0.0),
-    and the full-length row is summed in numpy's pairwise order.  The
+    maxima leave the sum, exp(a - top) runs in place only where
+    a - top > -746 (exp is exactly 0.0 below -745.13, so the skipped
+    entries are set to 0.0), and the full-length row is summed in numpy's
+    pairwise order.  The
     result (log1p(s/k) + log k + top) / M is therefore
     ``scipy.special.logsumexp(a) / M`` bit for bit, without its
     per-call conversions and its second, unshifted exp pass.
@@ -491,15 +510,15 @@ def _laplace_ladder(xs, values, ladder) -> tuple[float, ...]:
         raise InvalidParameterError("grid xs and values must be equal-length 1-D")
     if xs.size < 2:
         raise EmptySupportError("laplace integral needs at least two grid points")
-    dx = np.diff(xs)
-    if not np.all(dx > 0):
+    half = np.diff(xs)
+    if not np.all(half > 0):
         raise InvalidParameterError("grid abscissae must be strictly increasing")
-    weights = np.zeros_like(xs)
-    weights[:-1] += 0.5 * dx
-    weights[1:] += 0.5 * dx
-    log_w = np.log(weights)
+    half *= 0.5
+    log_w = np.append(half, 0.0)  # w_i = dx_i / 2 + dx_(i-1) / 2, zero terms left out
+    log_w[1:] += half
+    del half
+    np.log(log_w, out=log_w)
     a = np.empty_like(xs)
-    terms = np.empty_like(xs)
     out = []
     for m in ladder:
         np.multiply(values, m, out=a)
@@ -513,9 +532,10 @@ def _laplace_ladder(xs, values, ladder) -> tuple[float, ...]:
         k = np.count_nonzero(hit)
         a[hit] = -np.inf
         a -= top
-        terms.fill(0.0)
-        np.exp(a, out=terms, where=a > -746.0)
-        out.append(float(np.log1p(terms.sum() / k) + np.log(k) + top) / m)
+        keep = a > -746.0  # exp is exactly 0.0 below -745.13
+        np.exp(a, out=a, where=keep)
+        np.putmask(a, ~keep, 0.0)
+        out.append(float(np.log1p(a.sum() / k) + np.log(k) + top) / m)
     return tuple(out)
 
 
@@ -534,10 +554,13 @@ def check_admissible(alpha: ExponentFunction) -> AdmissibilityReport:
     every rung; the gate behind the numeric boundaries reads only the last two.
     """
     _require_axis(alpha, "u")
-    return _admissibility(alpha, *alpha.grid())
+    return _admissibility(alpha, *alpha.grid())[0]
 
 
-def _admissibility(alpha: ExponentFunction, xs, vals, rungs=_LADDER) -> AdmissibilityReport:
+def _admissibility(
+    alpha: ExponentFunction, xs, vals, rungs=_LADDER
+) -> tuple[AdmissibilityReport, np.ndarray]:
+    """The report, and the margin alpha(u) - u^2 on the grid, a fresh row the caller owns."""
     violations = []
     undefined = np.isnan(vals)
     if np.any(undefined):
@@ -545,7 +568,8 @@ def _admissibility(alpha: ExponentFunction, xs, vals, rungs=_LADDER) -> Admissib
             f"alpha(u) is NaN at {int(undefined.sum())} grid points "
             f"(first at u={xs[np.argmax(undefined)]:.6g})"
         )
-    margin = vals - xs * xs
+    margin = np.multiply(xs, xs)
+    np.subtract(vals, margin, out=margin)
     bad = margin > _ADMISSIBLE_SLACK
     if np.any(bad):
         worst = int(np.nanargmax(margin))
@@ -568,13 +592,15 @@ def _admissibility(alpha: ExponentFunction, xs, vals, rungs=_LADDER) -> Admissib
 
     if alpha.convolutional:
         finite = np.isfinite(vals)
-        if finite.sum() >= 3:
-            v = vals[finite]
-            second = v[2:] - 2.0 * v[1:-1] + v[:-2]
+        v = vals if finite.all() else vals[finite]
+        if v.size >= 3:
+            second = np.multiply(v[1:-1], 2.0)  # v[2:] - 2 v[1:-1] + v[:-2], in one row
+            np.subtract(v[2:], second, out=second)
+            second += v[:-2]
             if np.any(second < -_ADMISSIBLE_SLACK):
                 violations.append("convolutional flag set but alpha is not convex")
 
-    return AdmissibilityReport(not violations, tuple(violations), ladder)
+    return AdmissibilityReport(not violations, tuple(violations), ladder), margin
 
 
 def _require_axis(fn: ExponentFunction, axis: str) -> None:
@@ -584,10 +610,12 @@ def _require_axis(fn: ExponentFunction, axis: str) -> None:
         )
 
 
-def _require_admissible(alpha: ExponentFunction, xs, vals) -> None:
-    report = _admissibility(alpha, xs, vals, _LADDER[-2:])  # the rungs the verdict reads
+def _require_admissible(alpha: ExponentFunction, xs, vals) -> np.ndarray:
+    """The margin alpha(u) - u^2 of an admissible alpha, checked on the verdict's two rungs."""
+    report, margin = _admissibility(alpha, xs, vals, _LADDER[-2:])
     if not report.admissible:
         raise AdmissibilityError("; ".join(report.violations))
+    return margin
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +627,19 @@ def beta_sharp(alpha: ExponentFunction) -> BoundaryResult:
     """Detection boundary 1/2 + 0 v sup_u {alpha(u) - u^2 + (u^2 ^ 1)/2}."""
     _require_axis(alpha, "u")
     xs, vals = alpha.grid()
-    _require_admissible(alpha, xs, vals)
-    return _boundary(*_sup(alpha, xs, vals, _sharp_objective), xs)
+    row = _sharpen(xs, _require_admissible(alpha, xs, vals))
+    return _boundary(*_sup(alpha, xs, row, _sharp_objective), xs)
 
 
 def _sharp_objective(u, value):
     return value - u * u + 0.5 * np.minimum(u * u, 1.0)
+
+
+def _sharpen(xs, margin):
+    """``margin`` = alpha(u) - u^2 turned in place into :func:`_sharp_objective`."""
+    half = np.multiply(xs, xs)
+    margin += np.multiply(np.minimum(half, 1.0, out=half), 0.5, out=half)
+    return margin
 
 
 def beta_star_general(gamma: ExponentFunction) -> BoundaryResult:
@@ -617,8 +652,9 @@ def beta_star_general(gamma: ExponentFunction) -> BoundaryResult:
         raise AdmissibilityError(
             f"gamma(s) exceeds s at s={xs[worst]:.6g} by {margin[worst]:.3g}"
         )
+    margin += 0.5 * np.minimum(xs, 1.0)  # the objective below, in place
     objective = lambda s, value: value - s + 0.5 * np.minimum(s, 1.0)
-    return _boundary(*_sup(gamma, xs, vals, objective), xs)
+    return _boundary(*_sup(gamma, xs, margin, objective), xs)
 
 
 def hellinger_exponent(alpha: ExponentFunction, beta: float) -> float:
@@ -635,7 +671,7 @@ def hellinger_exponent(alpha: ExponentFunction, beta: float) -> float:
     xs, vals = alpha.grid()
     _require_admissible(alpha, xs, vals)
     objective = lambda u, value: np.minimum(2.0 * (value - beta), value - beta) - u * u
-    return _sup(alpha, xs, vals, objective)[0]
+    return _sup(alpha, xs, objective(xs, vals), objective)[0]
 
 
 def tail_exponent(alpha: ExponentFunction, u: float) -> float:
@@ -644,9 +680,9 @@ def tail_exponent(alpha: ExponentFunction, u: float) -> float:
     u = checks.nonnegative(u, "u")
     xs, vals = alpha.grid()
     candidates = []
-    if np.any(xs >= u):
+    if xs[-1] >= u:
         objective = lambda q, value: value - q * q
-        candidates.append(_sup(alpha, xs, vals, objective, lo=u)[0])
+        candidates.append(_sup(alpha, xs, vals - xs * xs, objective, lo=u)[0])
     if alpha.has_closed_form:
         candidates.append(float(alpha.evaluate(u)) - u * u)
     if not candidates:
@@ -665,8 +701,8 @@ def hc_achievable_boundary(alpha: ExponentFunction) -> BoundaryResult:
     xs, vals = alpha.grid()
     if not np.any(vals > 0):
         raise HCBoundaryUndefinedError("exponent function is nowhere positive")
-    _require_admissible(alpha, xs, vals)
-    return _boundary(*_sup(alpha, xs, vals, _sharp_objective, lo=0.0), xs)
+    row = _sharpen(xs, _require_admissible(alpha, xs, vals))
+    return _boundary(*_sup(alpha, xs, row, _sharp_objective, lo=0.0), xs)
 
 
 # ---------------------------------------------------------------------------

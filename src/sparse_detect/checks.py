@@ -67,11 +67,12 @@ def integer(value, name, low=None, high=None, error=InvalidParameterError) -> in
     return int(value)
 
 
-def _entries(values, name) -> tuple:
+def entries(values, name) -> tuple:
+    """The entries of a non-empty list, tuple or other iterable; a string or a scalar raises."""
     listed = isinstance(values, Iterable) and not isinstance(values, (str, bytes))
-    if not (listed and (entries := tuple(values))):
+    if not (listed and (items := tuple(values))):
         raise InvalidParameterError(f"{name} must come in a non-empty list, got {values!r}")
-    return entries
+    return items
 
 
 def grid(values, name, check=number) -> tuple[float, ...]:
@@ -79,16 +80,16 @@ def grid(values, name, check=number) -> tuple[float, ...]:
 
     An entry that is not a number is named as such before any range is checked.
     """
-    entries = _entries(values, name)
-    for value in entries:
+    items = entries(values, name)
+    for value in items:
         if not _is_number(value):
             raise InvalidParameterError(f"{name} must be a number, got {value!r}")
-    return tuple(check(value, name) for value in entries)
+    return tuple(check(value, name) for value in items)
 
 
 def integers(values, name, low=None) -> tuple[int, ...]:
     """Each entry of a non-empty list through :func:`integer` with ``low``."""
-    return tuple(integer(value, name, low) for value in _entries(values, name))
+    return tuple(integer(value, name, low) for value in entries(values, name))
 
 
 def array(values, name, nan=True) -> np.ndarray:

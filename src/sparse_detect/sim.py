@@ -91,7 +91,7 @@ class ExperimentConfig:
                 # one 64-bit Philox key word, so that no two seeds alias
                 "seed": checks.integer(self.seed, "seed", 0, 2**64 - 1),
                 "delta": checks.positive(self.delta, "delta"),
-                "tests": tuple(self.tests),
+                "tests": checks.entries(self.tests, "tests"),
             }
             families.build(self.family, self.family_params)
         except InvalidParameterError as exc:
@@ -103,7 +103,7 @@ class ExperimentConfig:
             repeated = [v for k, v in enumerate(values) if v in values[:k]]
             if repeated:
                 raise ConfigError(f"{name} repeats {repeated[0]!r}")
-        if not self.tests or not all(isinstance(t, str) and t in TESTS for t in self.tests):
+        if not all(isinstance(t, str) and t in TESTS for t in self.tests):
             raise ConfigError(
                 f"tests must be a non-empty subset of {tuple(TESTS)}, got {list(self.tests)}"
             )

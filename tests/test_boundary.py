@@ -1,6 +1,7 @@
 """Boundary-engine tests: closed forms, grid suprema, and their agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -822,7 +823,9 @@ LADDER_GRIDS = list(_ladder_grids())
 def test_ladder_equals_scipy_logsumexp_bit_for_bit(xs, vals):
     margin = vals - xs * xs
     want = tuple(_scipy_laplace(xs, margin, m) for m in boundary._LADDER)
-    report = boundary._admissibility(ExponentFunction.from_grid(xs, np.zeros_like(xs)), xs, vals)
+    alpha = ExponentFunction.from_grid(xs, np.zeros_like(xs))
+    report, gate_margin = boundary._admissibility(alpha, xs, vals)
+    assert gate_margin.tobytes() == margin.tobytes()
     one_rung = tuple(laplace_log_integral(xs, margin, m) for m in boundary._LADDER)
     assert np.array(report.ladder_values).tobytes() == np.array(want).tobytes()
     assert np.array(one_rung).tobytes() == np.array(want).tobytes()
@@ -844,7 +847,7 @@ VERDICT_GRIDS = [
 def test_gate_verdict_matches_the_full_report(monkeypatch, xs, vals, convolutional, violation):
     # the gate evaluates only the last two rungs, which is all its verdict reads
     alpha = ExponentFunction.from_grid(xs, np.zeros_like(xs), convolutional=convolutional)
-    report = boundary._admissibility(alpha, xs, vals)
+    report = boundary._admissibility(alpha, xs, vals)[0]
     if violation is not None:
         assert any(violation in v for v in report.violations), report.violations
     rungs = []
@@ -881,3 +884,80 @@ def test_beta_sharp_rejects_exactly_what_check_admissible_rejects(alpha):
         with pytest.raises(AdmissibilityError) as raised:
             beta_sharp(alpha)
         assert str(raised.value) == "; ".join(report.violations)
+
+
+def _unwritten_inputs():
+    """(id, exponent function): sampled grids on both axes, and a closed form."""
+    s_grid = np.linspace(0.0, 4.0, 20001)
+    u_vals = np.where(U_GRID < -4.0, -np.inf, 2.0 * U_GRID * math.sqrt(0.3) - 0.3)
+    yield "u-grid", ExponentFunction.from_grid(U_GRID.copy(), u_vals)
+    yield "s-grid", ExponentFunction.from_grid(s_grid, s_grid - np.abs(s_grid - 0.5), axis="s")
+    yield "ggconv", alpha_family("gen_gaussian_conv", r=1.0, tau=1.5)
+
+
+UNWRITTEN_INPUTS = list(_unwritten_inputs())
+# every entry point that reaches the row buffers of the gate, the ladder or the supremum
+BOUNDARY_CALLS = {
+    "beta_sharp": beta_sharp,
+    "hc_achievable_boundary": hc_achievable_boundary,
+    "hellinger_exponent": lambda alpha: hellinger_exponent(alpha, 0.75),
+    "tail_exponent": lambda alpha: tail_exponent(alpha, 0.5),
+    "check_admissible": check_admissible,
+    "beta_star_general": lambda fn: beta_star_general(
+        fn if fn.axis == "s" else gamma_from_alpha(fn)
+    ),
+    "laplace_log_integral": lambda fn: laplace_log_integral(*fn.grid(), 2048.0),
+    "ess_sup_grid": lambda fn: ess_sup_grid(*fn.grid()),
+}
+
+
+# the s-axis grid goes only to the calls that take one; the others refuse its axis first
+UNWRITTEN_CASES = [
+    (name, fn, call)
+    for name, fn in UNWRITTEN_INPUTS
+    for call in BOUNDARY_CALLS
+    if fn.axis == "u" or call in ("beta_star_general", "laplace_log_integral", "ess_sup_grid")
+]
+
+
+@pytest.mark.parametrize(
+    "fn, call", [c[1:] for c in UNWRITTEN_CASES], ids=[f"{c[0]}-{c[2]}" for c in UNWRITTEN_CASES]
+)
+def test_boundaries_never_write_into_their_inputs(fn, call):
+    before = [a.copy() for a in fn.grid()]
+    if not fn.has_closed_form:
+        assert fn.grid()[0] is fn.xs and fn.grid()[1] is fn.values
+    first = BOUNDARY_CALLS[call](fn)
+    assert [a.tobytes() for a in fn.grid()] == [a.tobytes() for a in before]
+    assert repr(BOUNDARY_CALLS[call](fn)) == repr(first)
+    u = before[0].copy()
+    fn.evaluate(u)
+    assert u.tobytes() == before[0].tobytes()
+
+
+def _traced_peak(fn) -> int:
+    fn()  # warm: the first call may import or cache
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "call, bound",
+    [
+        # one 20001-point row is 160 kB; each bound is the measured peak plus 1.5 rows.
+        # The unblocked Newton kernel peaked at 2.88 MB, the compacted one at 1.86 MB
+        (alpha_family("gen_gaussian_conv", r=1.0, tau=1.5).grid, 2_100_000),
+        # 1.36 MB before one margin served the gate and the supremum, 0.90 MB after
+        (lambda: beta_sharp(alpha_family("idj", r=0.3)), 1_140_000),
+    ],
+    ids=["ggconv-grid", "idj-beta_sharp"],
+)
+def test_peak_memory_of_one_boundary_call(call, bound):
+    peak = _traced_peak(call)
+    assert peak < bound, peak

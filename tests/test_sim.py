@@ -92,6 +92,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{field} repeats {shown}")):
             small_config(**{field: values})
 
+    @pytest.mark.parametrize("tests", ["max", 5, ()])
+    def test_tests_must_come_in_a_list(self, tests):
+        # a string is not split into characters, and a scalar is named, not iterated
+        words = f"tests must come in a non-empty list, got {tests!r}"
+        with pytest.raises(ConfigError, match=re.escape(words) + "$"):
+            small_config(tests=tests)
+
     def test_cell_order_is_beta_r_n_test(self):
         cfg = ExperimentConfig(
             family="idj",

@@ -9,9 +9,13 @@ imported in a fresh interpreter, which evaluates:
   points and interval forms, conv_from_f with +inf off-support markers and
   with 301 support points, ggconv at tau 0.5, 1, 1.5 and 3) on its grid, on
   a Python float, on 0-d arrays and on 1-D and 2-D arrays holding +-0.0;
-* ``beta_sharp``, ``hc_achievable_boundary``, ``hellinger_exponent`` and
-  the full ``check_admissible`` report for each kind, and for sampled
-  grids that fail each admissibility check;
+* ``beta_sharp``, ``hc_achievable_boundary``, ``hellinger_exponent``,
+  ``tail_exponent`` at u inside and beyond the grid, ``beta_star_general``
+  of ``gamma_from_alpha`` and the full ``check_admissible`` report for each
+  kind, and for sampled grids that fail each admissibility check;
+* ``laplace_log_integral`` of each kind's margin alpha(u) - u^2 at every
+  ladder rung, ``beta_star_general`` on sampled s-grids, and
+  ``ess_sup_grid`` on grids with -inf entries;
 * ``boundary_closed_form`` over an (r, tau) grid for gglocation and ggconv;
 * the stdout of ``sparse-detect boundary --r-grid`` for the curves of
   ``perfbench/workloads.py``, and of ``check-alpha --format json``.
@@ -67,6 +71,7 @@ KINDS = {
 }
 for tau in (0.5, 1.0, 1.5, 3.0):
     KINDS[f"gen_gaussian_conv-{tau}"] = dict(r=1.0, tau=tau)
+TAIL_POINTS = (0.0, 0.45, 1.7, 4.999, 6.0, 50.0)  # the sampled grids end at u = 5
 INPUTS = {
     "float": 0.3, "0d": np.array(0.7), "0d-neg-zero": np.array(-0.0),
     "1d": np.array([-2.0, -0.0, 0.0, 0.25, 1.0, 3.5]),
@@ -84,6 +89,13 @@ for name, params in KINDS.items():
     records[f"{name}.hc_achievable_boundary"] = run(b.hc_achievable_boundary, alpha)
     records[f"{name}.hellinger_exponent"] = run(b.hellinger_exponent, alpha, 0.75)
     records[f"{name}.check_admissible"] = run(b.check_admissible, alpha)
+    for q in TAIL_POINTS:
+        records[f"{name}.tail_exponent({q!r})"] = run(b.tail_exponent, alpha, q)
+    gamma = alpha if alpha.axis == "s" else b.gamma_from_alpha(alpha)
+    records[f"{name}.beta_star_general"] = run(b.beta_star_general, gamma)
+    xs, vals = alpha.grid()
+    for m in b._LADDER:
+        records[f"{name}.laplace_log_integral(M={m:g})"] = run(b.laplace_log_integral, xs, vals - xs * xs, m)
 
 u = np.linspace(-5.0, 5.0, 20001)
 GRIDS = {
@@ -97,6 +109,31 @@ for name, alpha in BAD.items():
     for fn in (b.beta_sharp, b.hc_achievable_boundary, b.check_admissible):
         records[f"grid-{name}.{fn.__name__}"] = run(fn, alpha)
     records[f"grid-{name}.hellinger_exponent"] = run(b.hellinger_exponent, alpha, 0.75)
+    for q in TAIL_POINTS:
+        records[f"grid-{name}.tail_exponent({q!r})"] = run(b.tail_exponent, alpha, q)
+
+s = np.linspace(0.0, 4.0, 20001)
+S_GRIDS = {
+    "gglocation-tau1": s - np.abs(s - 0.5), "half": 0.5 * s,
+    "off-support": np.where(s < 0.3, -np.inf, 0.9 * s - 0.2), "excess": s + 1e-6,
+    "short": np.array([0.0, 0.1, 0.3, 0.2, 0.0]),
+}
+for name, vals in S_GRIDS.items():
+    xs = s if vals.size == s.size else np.linspace(0.0, 1.0, vals.size)
+    gamma = b.ExponentFunction.from_grid(xs, vals, axis="s")
+    records[f"s-grid-{name}.beta_star_general"] = run(b.beta_star_general, gamma)
+    for m in b._LADDER:
+        records[f"s-grid-{name}.laplace_log_integral(M={m:g})"] = run(b.laplace_log_integral, xs, vals - xs, m)
+
+SUP_GRIDS = {
+    "inner": [-np.inf, 0.5, 2.0, 1.0, -np.inf], "edge": [3.0, -np.inf, 1.0],
+    "tie": [-np.inf, 1.0, 1.0, -np.inf], "all-inf": [-np.inf] * 3,
+    "nan": [-np.inf, np.nan, 0.0], "plus-inf": [0.0, np.inf, -np.inf],
+}
+for name, vals in SUP_GRIDS.items():
+    xs = np.linspace(-1.0, 1.0, len(vals))
+    records[f"ess_sup_grid({name})"] = run(b.ess_sup_grid, xs, vals)
+    records[f"ess_sup_grid({name}, refine)"] = run(b.ess_sup_grid, xs, vals, lambda x: 2.1 - (x - 0.1) ** 2)
 
 for tau in (0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0, 100.0, 135.0, 140.0, 200.0):
     for r in (0.0, 5e-324, 1e-323, 1e-310, 1e-300, 1e-3, 0.05, 0.25, 0.5, 0.9, 1.0, 1.5):
