@@ -251,29 +251,18 @@ def _block_counts(
 def run_cell(
     cfg: ExperimentConfig,
     cell: tuple[int, float, float, int, str],
-    null_rejects: int | None = None,
-    misses: int | None = None,
+    null_rejects: int,
+    misses: int,
 ) -> PhaseCell:
     """Fold a cell's counts over all replicates into its row.
 
     ``null_rejects`` and ``misses`` are the cell's counts of null
     rejections and alternative misses over the ``cfg.replicates``
     replicates, as :func:`phase_sweep` sums them from its blocks; each
-    must lie in [0, replicates].  When both are omitted, the cell
-    computes them with the sweep's block function over every replicate,
-    from the same streams, so the row equals the sweep's; the cell must
-    then be one of ``cfg.cells()``.  The result is a pure function of the
-    configuration and the cell.
+    must lie in [0, replicates].
     """
-    index, beta, r, n, test = cell
+    _, beta, r, n, test = cell
     m = cfg.replicates
-    if null_rejects is None and misses is None:
-        if tuple(cell) not in cfg.cells():
-            raise InvalidParameterError(f"cell {tuple(cell)!r} is not one of the config's cells")
-        nulls, alts = _block_counts(cfg, n, range(m))
-        # cfg.cells() runs over (beta, r), then n, then test
-        at = index // (len(cfg.n_list) * len(cfg.tests)), index % len(cfg.tests)
-        null_rejects, misses = int(nulls[at]), int(alts[at])
     halfwidth = wilson_halfwidth(null_rejects, m) + wilson_halfwidth(misses, m)
     type1 = null_rejects / m
     type2 = misses / m

@@ -13,7 +13,7 @@ from scipy.special import logsumexp
 
 from sparse_detect import rng
 from sparse_detect.boundary import _LADDER, AdmissibilityReport, boundary_closed_form
-from sparse_detect.cli import _parse_int_list, main
+from sparse_detect.cli import _parse_grid, _parse_int_list, main
 from sparse_detect.dists import Gaussian
 from sparse_detect.families import FAMILIES
 from sparse_detect.sim import ExperimentConfig, GammaDiagnostic, PhaseTable
@@ -658,6 +658,22 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "--r-grid=0:1:1e-300",  # 1e300 steps
+            "--r-grid=-1e308:1e308:1",  # hi - lo overflows to inf
+            "--r-grid=0:1000001:1",
+        ],
+    )
+    def test_grid_of_too_many_steps_exit_2(self, capsys, grid):
+        code, out, err = run(capsys, "boundary", "--family", "idj", grid)
+        assert (code, out) == (2, "")
+        assert "has more than 1000000 steps" in err
+
+    def test_grid_of_the_most_steps_parses(self):
+        assert len(_parse_grid("0:1000000:1")) == 10**6 + 1
 
     @pytest.mark.parametrize(
         "command, flag",

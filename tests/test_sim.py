@@ -284,24 +284,9 @@ class TestWilson:
 
 
 class TestRunCell:
-    @pytest.mark.parametrize(
-        "cell",
-        [
-            (0, 0.33, 0.5, 64, "max"),  # a beta off the grid
-            (0, 0.6, 0.5, 65, "hc"),  # an n off the list
-            (1, 0.6, 0.5, 64, "max"),  # a test the config does not run
-            (2, 0.6, 0.5, 64, "hc"),  # another cell's index
-        ],
-    )
-    def test_cell_outside_the_config_refused(self, cell):
-        cfg = small_config(tests=("hc", "lr"))
-        with pytest.raises(InvalidParameterError, match=re.escape(f"cell {cell!r} is not one")):
-            run_cell(cfg, cell)
-
     def test_identical_seeds_identical_cells(self):
         cfg = small_config()
-        cell = cfg.cells()[0]
-        assert run_cell(cfg, cell) == run_cell(cfg, cell)
+        assert phase_sweep(cfg).cells == phase_sweep(cfg).cells
 
     @pytest.mark.parametrize("counts", [(-1, 0), (0, 26), (26, 0), (2.0, 3), (None, 4)])
     def test_counts_outside_the_replicates_rejected(self, counts):
@@ -318,9 +303,7 @@ class TestRunCell:
     def test_different_seed_changes_rates(self):
         cfg_a = small_config(replicates=40)
         cfg_b = small_config(replicates=40, seed=999)
-        cell = cfg_a.cells()[1]
-        a = run_cell(cfg_a, cell)
-        b = run_cell(cfg_b, cfg_b.cells()[1])
+        a, b = phase_sweep(cfg_a).cells[1], phase_sweep(cfg_b).cells[1]
         assert (a.type1_rate, a.type2_rate) != (b.type1_rate, b.type2_rate)
 
     def test_singular_custom_family_separates_exactly(self):
@@ -339,7 +322,7 @@ class TestRunCell:
                 "alt": to_spec(FiniteDiscrete(((2.0, 1.0),))),
             },
         )
-        cell = run_cell(cfg, cfg.cells()[0])
+        [cell] = phase_sweep(cfg).cells
         assert cell.total_error == 0.0
 
     def test_beyond_beta_one_is_undetectable(self):
@@ -353,7 +336,7 @@ class TestRunCell:
             tests=("lr",),
             seed=42,
         )
-        cell = run_cell(cfg, cfg.cells()[0])
+        [cell] = phase_sweep(cfg).cells
         assert cell.total_error >= 0.9
 
 
@@ -520,12 +503,6 @@ class TestSharedNull:
         )
         base.update(overrides)
         return small_config(**base)
-
-    def test_run_cell_alone_equals_sweep_row(self):
-        cfg = self.grid()
-        table = phase_sweep(cfg, workers=2)
-        for cell, row in zip(cfg.cells(), table.cells):
-            assert run_cell(cfg, cell) == row
 
     def test_hc_and_max_type1_equal_across_beta_r(self):
         cfg = self.grid(replicates=30)

@@ -1,9 +1,6 @@
-"""Compare the boundary engine's results between two source trees.
+"""The ``boundary`` suite of ``tools/compare.py``: the boundary engine's results.
 
-Usage: python tools/compare_boundary.py OLD_SRC NEW_SRC
-
-OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  Each is
-imported in a fresh interpreter, which evaluates:
+Run with ``PYTHONPATH`` set to a ``src`` tree, it evaluates:
 
 * every ``alpha_family`` kind (dilate at linf 0, 0.3 and 1.5 and in its
   points and interval forms, conv_from_f with +inf off-support markers and
@@ -21,23 +18,24 @@ imported in a fresh interpreter, which evaluates:
   ``perfbench/workloads.py``, and of ``check-alpha --format json``.
 
 Each result is recorded as its class, dtype, shape and ``float.hex``
-values, or as the class and message of the error it raised.  The script
-prints the case count and every case whose record differs; it exits 1 if
-one differs."""
+values, or as the class and message of the error it raised.  It prints the
+records as one JSON object.
+"""
 
-from __future__ import annotations
-
+import contextlib
+import io
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
-_EVALUATE = r"""
-import contextlib, io, json, sys
 import numpy as np
+
 from sparse_detect import boundary as b
 from sparse_detect.cli import main as cli_main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import CURVES
+
 
 def record(value):
     if isinstance(value, (b.BoundaryResult, b.AdmissibilityReport)):
@@ -51,11 +49,13 @@ def record(value):
         return [type(value).__name__, str(arr.dtype), arr.shape, [float(x).hex() for x in arr.flat]]
     return repr(value)
 
+
 def run(fn, *args, **kwargs):
     try:
         return record(fn(*args, **kwargs))
     except Exception as exc:
         return [type(exc).__name__, str(exc)]
+
 
 rng = np.random.default_rng(20261019)
 ts = np.linspace(-3.0, 3.0, 301)
@@ -143,52 +143,17 @@ for tau in (0.5, 1.0, 1.5, 2.0, 3.0):
     for r in (0.05, 0.5, 1.0, 2.5, 4.0):
         records[f"ggconv(r={r!r}, tau={tau!r})"] = run(b.boundary_closed_form, "ggconv", r=r, tau=tau)
 
-for argv in json.loads(sys.argv[1]):
+CLI = [
+    ["boundary", "--family", family, *extra, "--r-grid", grid, "--format", "csv"]
+    for family, extra, grid in CURVES
+] + [
+    ["check-alpha", "--family", "idj", "--r", "0.3", "--format", "json"],
+    ["check-alpha", "--family", "dilate", "--linf", "0.0", "--format", "json"],
+    ["check-alpha", "--family", "ggconv", "--r", "1", "--tau", "1.5", "--format", "json"],
+]
+for argv in CLI:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli_main(argv)
     records[" ".join(argv)] = [code, out.getvalue()]
 json.dump(records, sys.stdout)
-"""
-
-
-def cli_argv() -> list[list[str]]:
-    """``boundary --r-grid`` for the benchmark's curves, and ``check-alpha --format json``."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    from workloads import CURVES
-
-    return [
-        ["boundary", "--family", family, *extra, "--r-grid", grid, "--format", "csv"]
-        for family, extra, grid in CURVES
-    ] + [
-        ["check-alpha", "--family", "idj", "--r", "0.3", "--format", "json"],
-        ["check-alpha", "--family", "dilate", "--linf", "0.0", "--format", "json"],
-        ["check-alpha", "--family", "ggconv", "--r", "1", "--tau", "1.5", "--format", "json"],
-    ]
-
-
-def evaluate(src: str, argv: list[list[str]]) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-c", _EVALUATE, json.dumps(argv)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-    )
-    if proc.returncode:
-        raise SystemExit(f"evaluating {src} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout)
-
-
-def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__.splitlines()[2], file=sys.stderr)
-        return 2
-    cli = cli_argv()
-    old, new = (evaluate(src, cli) for src in argv)
-    differ = [key for key in old if old[key] != new.get(key)]
-    print(f"{len(old)} cases")
-    for key in differ:
-        print(f"differs: {key}\n  old {json.dumps(old[key])[:300]}\n  new {json.dumps(new.get(key))[:300]}")
-    return 1 if differ else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
