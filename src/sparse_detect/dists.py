@@ -10,6 +10,8 @@ bit-identical output.
 A null law is always a :class:`Distribution`.  Tail probabilities are
 computed one way: each kind implements ``tails(y) -> (lower, upper)``,
 each tail exact in its own range, and ``cdf`` and ``survival`` read it.
+The elementwise evaluators ``tails`` and ``log_density`` do not check
+their points: a NaN point gives NaN, and no warning.
 A new kind implements ``tails`` and joins ``_KINDS``.  ``scipy.special``
 loads when a special function is first evaluated (:func:`_special`), so a
 process that computes only boundaries never loads it.
@@ -74,10 +76,11 @@ class Distribution:
         return not self.is_discrete
 
     def log_density(self, y):
+        """Log density at y, elementwise; NaN where y is NaN."""
         raise NotImplementedError
 
     def tails(self, y):
-        """(P(Y <= y), P(Y > y)), each exact in its own tail."""
+        """(P(Y <= y), P(Y > y)), each exact in its own tail; both NaN where y is NaN."""
         raise NotImplementedError
 
     def cdf(self, y):
@@ -337,8 +340,10 @@ class FiniteDiscrete(Distribution):
         masses = self.masses
         below = np.concatenate(([0.0], np.cumsum(masses)))
         above = np.concatenate((np.cumsum(masses[::-1])[::-1], [0.0]))
-        idx = np.searchsorted(self.points, np.asarray(y, dtype=float), side="right")
-        lower, upper = below[idx], above[idx]
+        y = np.asarray(y, dtype=float)
+        idx = np.searchsorted(self.points, y, side="right")  # NaN sorts above every point
+        nan = np.isnan(y)
+        lower, upper = np.where(nan, np.nan, below[idx]), np.where(nan, np.nan, above[idx])
         return (lower, upper) if lower.shape else (float(lower), float(upper))
 
     def quantile(self, p: float) -> float:
@@ -392,7 +397,8 @@ class Mixture(Distribution):
             return self.second.log_density(y)
         a = math.log1p(-w) + self.first.log_density(y)
         b = math.log(w) + self.second.log_density(y)
-        return np.logaddexp(a, b)
+        with np.errstate(invalid="ignore"):  # only a NaN y is invalid here, and gives NaN
+            return np.logaddexp(a, b)
 
     def tails(self, y):
         w = self.weight

@@ -18,10 +18,11 @@ likewise decide every row of a matrix in one pass (:func:`max_rejects`,
 log LR, so :func:`lr_rejects` decides it by a certified screen: a
 vectorised softplus sum settles every row whose value clears a proven
 rounding margin, and only rows near 0 pay for the exact
-:func:`lr_statistic`.  Each test a sweep runs is one row of
-:data:`TESTS`, which decides all the test's cells on a chunk of a
-replicate's sample matrix (:class:`DecisionRule`), and a testing problem
-is a :class:`~sparse_detect.dists.Mixture`.
+:func:`lr_statistic`.  A testing problem is a
+:class:`~sparse_detect.dists.Mixture`, and each test a sweep runs is one
+row of :data:`TESTS`, which decides a list of (row, mixture) pairs on a
+sample matrix (:class:`DecisionRule`); how a sweep lays out its rows is
+for the sweep alone to know.
 
 The declared null is always a :class:`~sparse_detect.dists.Distribution`;
 its ``tails`` method gives both tail probabilities, each exact in its own
@@ -79,14 +80,6 @@ class HCResult:
         return asdict(self)
 
 
-def _null_tail_values(null: Distribution, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper tail probabilities, each exact in its own tail."""
-    if not isinstance(null, Distribution):
-        raise InvalidParameterError(f"the null must be a Distribution, got {null!r}")
-    lower, upper = null.tails(ys)
-    return np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-
-
 def _block_width(n: int, samples: int = 1) -> int:
     """Rows per pruning block in a scan of ``samples`` samples of size n.
 
@@ -99,11 +92,15 @@ def _block_width(n: int, samples: int = 1) -> int:
 
 
 def _checked_tails(null: Distribution, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Null tails at sample points; the weight 1/sqrt(F (1 - F)) must be finite.
+    """Null tails at points ``ys``, each exact in its own tail, where the weight
+    1/sqrt(F (1 - F)) must be finite.
 
-    A NaN point raises InvalidParameterError, a tail of 0 InfiniteWeightError.
+    A null that is not a Distribution or a NaN point raises
+    InvalidParameterError, a tail of 0 InfiniteWeightError.
     """
-    lower, upper = _null_tail_values(null, ys)
+    if not isinstance(null, Distribution):
+        raise InvalidParameterError(f"the null must be a Distribution, got {null!r}")
+    lower, upper = (np.asarray(tail, dtype=float) for tail in null.tails(ys))
     if not min(lower.min(initial=1.0), upper.min(initial=1.0)) > 0.0:  # 0 or NaN
         checks.array(ys, "sample", nan=False)
         raise InfiniteWeightError(
@@ -445,35 +442,26 @@ def vn_statistic(sample, s: float, null: Distribution) -> float:
 
     sqrt(n) (F_n(t) - F(t)) / sqrt(F(t)(1 - F(t))) with t = sqrt(2 s ln n)
     and n the sample size; its absolute value never exceeds the
-    higher-criticism statistic.
+    higher-criticism statistic.  A null tail of 0 at t raises
+    InfiniteWeightError.
     """
     s = checks.between(s, "s", 0, 1, strict=True)
     ys = checks.vector(sample, "sample", nan=False)
     n = checks.integer(ys.size, "n", 16, error=InvalidSampleSizeError)
     t = math.sqrt(2.0 * s * math.log(n))
-    f_low, f_up = _null_tail_values(null, np.array([t]))
-    f_low, f_up = float(f_low[0]), float(f_up[0])
-    if f_low <= 0.0 or f_up <= 0.0:
-        raise InfiniteWeightError("null CDF hit 0 or 1 at the exceedance threshold")
+    f_low, f_up = (float(tail[0]) for tail in _checked_tails(null, np.array([t])))
     count_above = n - int(np.searchsorted(np.sort(ys), t, side="right"))
     # F_n(t) - F(t) = S(t) - S_n(t); the survival form stays exact when F ~ 1
     return math.sqrt(n) * (f_up - count_above / n) / math.sqrt(f_low * f_up)
 
 
-def _per_cell(rejected: np.ndarray, lo: int, mixes) -> tuple[np.ndarray | None, np.ndarray]:
-    """One decision a row of a chunk from row ``lo``, as ``DecisionRule.rejects`` returns it."""
-    if lo:
-        return None, rejected
-    return np.full(len(mixes) * len(mixes[0]), rejected[0]), rejected[1:]
+def _hc_rows(ys, pairs, delta):
+    statistics, _ = hc_statistics(ys, pairs[0][1].first)
+    return (statistics > hc_threshold(ys.shape[1], delta))[[row for row, _ in pairs]]
 
 
-def _hc_rows(ys, lo, null, mixes, delta):
-    statistics, _ = hc_statistics(ys, null)
-    return _per_cell(statistics > hc_threshold(ys.shape[1], delta), lo, mixes)
-
-
-def _max_rows(ys, lo, null, mixes, delta):
-    return _per_cell(max_rejects(ys), lo, mixes)
+def _max_rows(ys, pairs, delta):
+    return max_rejects(ys)[[row for row, _ in pairs]]
 
 
 def _subset(index: list[int], size: int) -> list[int] | slice:
@@ -481,54 +469,44 @@ def _subset(index: list[int], size: int) -> list[int] | slice:
     return slice(None) if index == list(range(size)) else index
 
 
-def _lr_rows(ys, lo, null, mixes, delta):
-    """lr on a chunk, one r at a time: log ratios once per row that r reads, then its
-    decisions, one per cell, in batches of at most ``len(ys)`` rows.  Row k of the
-    chunk, k >= 1 - lo, is the alternative row of cell lo + k - 1."""
-    size, width, held = len(ys), len(mixes[0]), int(lo == 0)  # held: the chunk has row 0
-    nulls = held * len(mixes)  # the decisions on row 0, one per beta
-    on_null = np.zeros(len(mixes) * width, dtype=bool) if held else None
-    on_alt = np.zeros(size - held, dtype=bool)
-    for j in range(width):
-        mine = range(held + (j + 1 - lo - held) % width, size, width)  # the rows of r_j
-        if not (held or mine):
-            continue
-        picks = [0] * nulls + list(range(held, held + len(mine)))  # into the rows read
-        eps = ([row[j].weight for row in mixes] * held
-               + [mixes[(lo + k - 1) // width][j].weight for k in mine])
-        alt = mixes[0][j].second
-        reads = ys[_subset([0] * held + list(mine), size)]
-        ell = lr_log_ratios(reads, alt, null)
+def _lr_rows(ys, pairs, delta):
+    """lr on pairs, one alternative law at a time: log ratios once per row its pairs
+    read, then their decisions in batches of at most ``len(ys)`` rows."""
+    null, size = pairs[0][1].first, len(ys)
+    groups: dict[Distribution, list[int]] = {}  # the pairs of each alternative law
+    for k, (_, mix) in enumerate(pairs):
+        groups.setdefault(mix.second, []).append(k)
+    out = np.zeros(len(pairs), dtype=bool)
+    for alt, mine in groups.items():
+        reads: dict[int, int] = {}  # each row read, in order of first use, to its place
+        picks = [reads.setdefault(pairs[k][0], len(reads)) for k in mine]
+        eps = [pairs[k][1].weight for k in mine]
+        rows = ys[_subset(list(reads), size)]
+        ell = lr_log_ratios(rows, alt, null)
         if ell is None:  # a singular row: decide row by row, its statistic is +inf
-            decided = np.array(
-                [lr_rejects(lr_log_ratios(reads[i], alt, null), e) for i, e in zip(picks, eps)]
-            )
+            out[mine] = [lr_rejects(lr_log_ratios(rows[i], alt, null), e)
+                         for i, e in zip(picks, eps)]
         else:
-            decided = np.concatenate([
+            out[mine] = np.concatenate([
                 lr_rejects(ell[_subset(picks[k:k + size], len(ell))], eps[k:k + size])
                 for k in range(0, len(picks), size)
             ])
-        if held:
-            on_null[j::width] = decided[:nulls]
-        on_alt[mine.start - held::width] = decided[nulls:]
-    return on_null, on_alt
+    return out
 
 
 @dataclass(frozen=True)
 class DecisionRule:
     """A test of a phase sweep, one row of :data:`TESTS`.
 
-    ``rejects(ys, lo, null, mixes, delta)`` decides the test on the chunk
-    ``ys`` of rows lo, lo + 1, ... of a replicate's sample matrix, whose
-    row 0 is a sample of ``null`` and row 1 + b |r| + j a draw of
-    ``mixes[b][j]``, the mixture of cell (beta_b, r_j).  It returns
-    whether the test, at its own threshold for (n, ``delta``), rejects on
-    row 0 in every cell b |r| + j (None when the chunk lacks row 0), and
-    on each alternative row, in row order, in its own cell.  ``min_n`` is
-    the smallest n it takes.
+    ``rejects(ys, pairs, delta)`` decides the test on rows of the sample
+    matrix ``ys``.  ``pairs`` is a non-empty list of (row, mix), whose
+    mixtures share one null ``mix.first``; the result holds, one bool a
+    pair in order, whether the test rejects that null on ``ys[row]`` at
+    its own threshold for (n, ``delta``).  ``min_n`` is the smallest n
+    it takes.
     """
 
-    rejects: Callable[..., tuple[np.ndarray | None, np.ndarray]]
+    rejects: Callable[..., np.ndarray]
     min_n: int
 
 

@@ -11,13 +11,15 @@ sample, on which every cell at n decides, then one alternative sample
 per (beta, r), on which every requested test of that (beta, r) decides.
 The matrix is drawn in chunks of whole rows of at most 2**17 values (one
 row when n is larger), so at n = 1e5 a task holds one sample at a time
-and its memory does not grow with the grid.  Each test is a row of
-:data:`~sparse_detect.hctest.TESTS` and decides all its cells on a chunk
-at once (see :class:`~sparse_detect.hctest.DecisionRule`): hc runs one
-pruned scan over the sorted rows, max takes two row reductions, and lr
-computes the log-likelihood ratios once per r.  The engine only draws
-and adds; ``phase_sweep`` sums the blocks' counts and folds them into
-one row per cell with ``run_cell``.
+and its memory does not grow with the grid.  This layout is known here
+alone.  Each test is a row of :data:`~sparse_detect.hctest.TESTS` and
+decides a chunk's (row, mixture) pairs at once (see
+:class:`~sparse_detect.hctest.DecisionRule`), the null row in every
+cell's mixture and an alternative row in its own: hc runs one pruned
+scan over the sorted rows, max takes two row reductions, and lr computes
+the log-likelihood ratios once per alternative law.  The engine draws,
+lays out the pairs and adds; ``phase_sweep`` sums the blocks' counts and
+folds them into one row per cell with ``run_cell``.
 
 Reproducibility: every sample is drawn from a counter-based stream.  The
 null sample of replicate k at sample size n is keyed by (seed, n, k).
@@ -206,45 +208,46 @@ def _block_counts(
     k), as row 0 and the alternative sample of (beta_b, r_j), keyed by
     (seed, b, j, n, k), as row 1 + b |r| + j.  It is drawn in chunks of
     whole rows, at most ``_CHUNK_VALUES`` values or one row, from one
-    generator re-keyed for each sample, and each test decides all its
-    cells on a chunk (see :class:`~sparse_detect.hctest.DecisionRule`).
-    Both counts are (|beta| |r|, |tests|) arrays in the order of
-    ``cfg.cells()``.
+    generator re-keyed for each sample.  Each test decides a chunk's
+    (row, mixture) pairs (see :class:`~sparse_detect.hctest.DecisionRule`):
+    row 0 in every cell's mixture, an alternative row in its own.  Both
+    counts are (|beta| |r|, |tests|) arrays in the order of ``cfg.cells()``.
     """
-    betas, rs = sorted(cfg.beta_grid), sorted(cfg.r_grid)
-    mixes = [[family_mixture(cfg.family, cfg.family_params, r, beta, n) for r in rs]
-             for beta in betas]
-    null = mixes[0][0].first
-    laws = [null, *(mix for row in mixes for mix in row)]
-    keys = [(n,), *product(range(len(betas)), range(len(rs)), [n])]
+    mixes = [family_mixture(cfg.family, cfg.family_params, r, beta, n)
+             for beta, r in product(sorted(cfg.beta_grid), sorted(cfg.r_grid))]
+    laws = [mixes[0].first, *mixes]
+    keys = [(n,), *product(range(len(cfg.beta_grid)), range(len(cfg.r_grid)), [n])]
+    own = [mixes, *([mix] for mix in mixes)]  # the mixtures each row is decided in
     tests = [test for name, test in TESTS.items() if name in cfg.tests]
     per_chunk = max(1, _CHUNK_VALUES // n)
     bit_generator = np.random.Philox(0)
     stream = np.random.Generator(bit_generator)
-    null_rejects = np.zeros((len(laws) - 1, len(tests)), dtype=int)
+    null_rejects = np.zeros((len(mixes), len(tests)), dtype=int)
     misses = np.zeros_like(null_rejects)
     for rep in reps:
         for lo in range(0, len(laws), per_chunk):
+            rows = range(lo, min(lo + per_chunk, len(laws)))
             samples = []
-            for row in range(lo, min(lo + per_chunk, len(laws))):
+            for row in rows:
                 bit_generator.state = rng.philox_state(cfg.seed, *keys[row], rep)
                 samples.append(laws[row].sample(n, stream))
             ys = np.stack(samples) if len(samples) > 1 else samples[0][None]
             del samples
+            pairs = [(row - lo, mix) for row in rows for mix in own[row]]
             try:
-                decided = [test.rejects(ys, lo, null, mixes, cfg.delta) for test in tests]
+                decided = np.array([test.rejects(ys, pairs, cfg.delta) for test in tests]).T
             except SparseDetectError:
                 # raise the error of the first row that fails, as deciding
                 # the rows one at a time in order would
-                for row in range(len(ys)):
+                for k, row in enumerate(rows):
                     for test in tests:
-                        test.rejects(ys[row:row + 1], lo + row, null, mixes, cfg.delta)
+                        test.rejects(ys[k:k + 1], [(0, mix) for mix in own[row]], cfg.delta)
                 raise
+            if lo == 0:  # the null row's pairs come first, one a cell
+                null_rejects += decided[:len(mixes)]
+                decided = decided[len(mixes):]
             first = max(lo, 1) - 1  # the cell of the chunk's first alternative row
-            for t, (on_null, on_alt) in enumerate(decided):
-                if on_null is not None:
-                    null_rejects[:, t] += on_null
-                misses[first:first + on_alt.size, t] += ~on_alt
+            misses[first:first + len(decided)] += ~decided
     return null_rejects, misses
 
 
@@ -337,11 +340,9 @@ def phase_sweep(cfg: ExperimentConfig, workers: int = 1) -> PhaseTable:
     over the blocks and calls ``run_cell`` once per cell, in cell order,
     to fold them into the cell's row.  ``workers`` must be an integer >= 1.
     """
-    cells = cfg.cells()
+    cells, ns, m = cfg.cells(), sorted(cfg.n_list), cfg.replicates
     used = min(checks.integer(workers, "workers", 1), len(cells))
-    m = cfg.replicates
     blocks = [range(m * b // used, m * (b + 1) // used) for b in range(used)]
-    ns = sorted(cfg.n_list)
     task_ns = [n for n in ns for _ in blocks]
     if used > 1:
         _special()  # load it once in the parent, for the forked workers to inherit

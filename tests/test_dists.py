@@ -4,12 +4,13 @@ import itertools
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import binom, chisquare, kstest
 
-from sparse_detect import rng
+from sparse_detect import dists, rng
 from sparse_detect.dists import (
     Dilated,
     FiniteDiscrete,
@@ -162,6 +163,34 @@ class TestDiscreteTails:
         lower, upper = d.tails(np.array([-1.0, 0.0, 1.0]))
         np.testing.assert_array_equal(lower, [0.0, 1.0, 1.0])
         np.testing.assert_array_equal(upper, [1.0, 1e-17, 0.0])
+
+
+# one law of every kind; the mixture has a density, so both evaluators apply
+_ONE_OF_EACH_KIND = {
+    "gaussian": Gaussian(0.5, 2.0),
+    "gen_gaussian": GenGaussian(1.5),
+    "dilated": Dilated(GenGaussian(0.7), 2.0),
+    "shifted": Shifted(Gaussian(), -1.0),
+    "finite_discrete": FiniteDiscrete(((0.0, 0.5), (1.0, 0.5))),
+    "mixture": Mixture(Gaussian(), Shifted(GenGaussian(1.0), 2.0), 0.3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(dists._KINDS))
+def test_nan_in_nan_out(kind):
+    # the elementwise evaluators pass NaN through, without a warning
+    law = _ONE_OF_EACH_KIND[kind]
+    assert law.kind == kind
+    points = np.array([math.nan, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(math.isnan(tail) for tail in law.tails(math.nan))
+        for tail in law.tails(points):
+            assert math.isnan(tail[0]) and math.isfinite(tail[1])
+        if law.has_density:
+            assert math.isnan(law.log_density(math.nan))
+            logs = law.log_density(points)
+            assert math.isnan(logs[0]) and math.isfinite(logs[1])
 
 
 class TestQuantile:

@@ -590,13 +590,9 @@ class TestSharedNull:
         ],
     )
     def test_matrix_decisions_equal_single_sample_tests(self, family, params, r, n):
-        # beta 0 gives eps 1 and beta 400 eps 0; two columns of the same r
-        # give each beta two alternative rows
-        betas = (0.0, 0.5, 400.0)
-        mixes = [[family_mixture(family, params, r, beta, n)] * 2 for beta in betas]
-        cell_mixes = [mix for row in mixes for mix in row]
-        null = mixes[0][0].first
-        laws = (null, mixes[1][0])  # null and alternative laws, as in a sweep
+        # beta 0 gives eps 1 and beta 400 eps 0; every row is decided in every mixture
+        mixes = [family_mixture(family, params, r, beta, n) for beta in (0.0, 0.5, 400.0)]
+        laws = (mixes[0].first, mixes[1])  # null and alternative laws, as in a sweep
         samples = np.stack([laws[k % 2].sample(n, rng.stream(54, k)) for k in range(8)])
         # every row of the test table against its public single-sample test
         reference = {
@@ -609,21 +605,22 @@ class TestSharedNull:
         for name, test in TESTS.items():
             if n < test.min_n:
                 continue
-            for lo, ys in ((0, samples[:7]), (1, samples[2:])):  # 7 and 6 rows
-                on_null, on_alt = test.rejects(ys, lo, null, mixes, 0.1)
-                alt_rows = ys[1:] if lo == 0 else ys
-                want = [reference[name](y, mix) == "alternative"
-                        for y, mix in zip(alt_rows, cell_mixes[max(lo, 1) - 1:])]
-                assert on_alt.tolist() == want, (name, lo)
-                if lo == 0:
-                    want_null = [reference[name](ys[0], mix) == "alternative" for mix in cell_mixes]
-                    assert on_null.tolist() == want_null, name
-                    want += want_null
-                else:
-                    assert on_null is None
+            for ys in (samples[:7], samples[2:]):  # 7 and 6 rows
+                pairs = [(row, mix) for row in range(len(ys)) for mix in mixes]
+                want = [reference[name](ys[row], mix) == "alternative" for row, mix in pairs]
+                assert test.rejects(ys, pairs, 0.1).tolist() == want, (name, len(ys))
                 wants.update(want)
         if family == "custom":
             assert wants == {False, True}  # some rows singular, some not
+
+    @staticmethod
+    def sweep_rows(family, params, n=64, betas=(0.0, 0.5, 0.8), rs=(0.0, 0.4)):
+        """One replicate's sample matrix as a sweep lays it out, and the mixtures each
+        row is decided in: row 0 in every cell's, row 1 + b |r| + j in cell (b, j)'s."""
+        mixes = [family_mixture(family, params, r, beta, n) for beta in betas for r in rs]
+        laws = [mixes[0].first, *mixes]
+        ys = np.stack([law.sample(n, rng.stream(3, k)) for k, law in enumerate(laws)])
+        return ys, [mixes, *([mix] for mix in mixes)]
 
     @pytest.mark.parametrize(
         "family, params, tests",
@@ -634,23 +631,61 @@ class TestSharedNull:
         ],
     )
     def test_chunk_decisions_equal_row_by_row(self, family, params, tests):
-        n, betas, rs = 64, (0.0, 0.5, 0.8), (0.0, 0.4)
-        mixes = [[family_mixture(family, params, r, beta, n) for r in rs] for beta in betas]
-        null = mixes[0][0].first
-        laws = [null, *(mix for row in mixes for mix in row)]
-        ys = np.stack([law.sample(n, rng.stream(3, k)) for k, law in enumerate(laws)])
+        ys, own = self.sweep_rows(family, params)
         for name in tests:
             rejects = TESTS[name].rejects
-            alone = [rejects(ys[k:k + 1], k, null, mixes, 0.1) for k in range(len(ys))]
-            assert alone[0][1].size == 0 and all(on_null is None for on_null, _ in alone[1:])
-            alt_alone = np.concatenate([on_alt for _, on_alt in alone[1:]]).tolist()
+            alone = [rejects(ys[k:k + 1], [(0, mix) for mix in own[k]], 0.1).tolist()
+                     for k in range(len(ys))]
             for lo, hi in ((0, 7), (0, 3), (2, 5), (3, 7)):
-                on_null, on_alt = rejects(ys[lo:hi], lo, null, mixes, 0.1)
-                assert on_alt.tolist() == alt_alone[max(lo, 1) - 1:hi - 1], (name, lo, hi)
-                if lo == 0:
-                    assert on_null.tolist() == alone[0][0].tolist(), name
-                else:
-                    assert on_null is None
+                pairs = [(k - lo, mix) for k in range(lo, hi) for mix in own[k]]
+                want = [d for k in range(lo, hi) for d in alone[k]]
+                assert rejects(ys[lo:hi], pairs, 0.1).tolist() == want, (name, lo, hi)
+
+    @pytest.mark.parametrize(
+        "family, params, tests",
+        [
+            ("idj", {}, tuple(TESTS)),
+            ("gglocation", {"tau": 1.5}, tuple(TESTS)),
+            ("custom", GOLDEN_SWEEPS[3][0]["family_params"], ("lr", "max")),  # singular rows
+        ],
+    )
+    def test_permuted_rows_and_pairs_permute_the_decisions(self, family, params, tests):
+        ys, own = self.sweep_rows(family, params)
+        pairs = [(k, mix) for k in range(len(ys)) for mix in own[k]]
+        shuffle = np.random.default_rng(28)
+        for name in tests:
+            rejects = TESTS[name].rejects
+            decided = rejects(ys, pairs, 0.1).tolist()
+            for _ in range(3):
+                rows = shuffle.permutation(len(ys))  # new row i is old row rows[i]
+                where = np.argsort(rows).tolist()  # old row k is new row where[k]
+                order = shuffle.permutation(len(pairs)).tolist()
+                moved = [(where[pairs[i][0]], pairs[i][1]) for i in order]
+                got = rejects(ys[rows], moved, 0.1).tolist()
+                assert got == [decided[i] for i in order], name
+
+    def test_one_lr_group_for_an_alternative_law_shared_by_two_r(self, monkeypatch):
+        # a custom family's alternative ignores r, so its two r columns share one law
+        params = {"null": to_spec(Gaussian()), "alt": to_spec(Gaussian(2.5, 1.0))}
+        rs = (0.0, 1.0)
+        ys, own = self.sweep_rows("custom", params, betas=(0.3, 0.6), rs=rs)
+        assert own[1][0].second == own[2][0].second
+        reads = []
+        real = hctest.lr_log_ratios
+        monkeypatch.setattr(hctest, "lr_log_ratios",
+                            lambda sample, *laws: reads.append(len(sample)) or real(sample, *laws))
+        pairs = [(k, mix) for k in range(len(ys)) for mix in own[k]]
+        together = TESTS["lr"].rejects(ys, pairs, 0.1).tolist()
+        assert reads == [len(ys)]  # one read of every row, for one law
+        # each r alone: the null row's pairs of its cells, then its cells' rows
+        cells = [*range(len(own[0])), *range(len(own[0]))]  # the cell of each pair
+        apart = [None] * len(pairs)
+        for j in range(len(rs)):
+            mine = [i for i, cell in enumerate(cells) if cell % len(rs) == j]
+            for i, d in zip(mine, TESTS["lr"].rejects(ys, [pairs[i] for i in mine], 0.1)):
+                apart[i] = bool(d)
+        assert together == apart
+        assert set(together) == {False, True}
 
     def test_errors_keep_the_row_by_row_order(self):
         # the null row passes hc and fails lr; an alternative row fails hc.
@@ -662,13 +697,13 @@ class TestSharedNull:
                            r_grid=(0.0,), n_list=(50,), replicates=2, tests=("hc", "lr"))
         with pytest.raises(IncompatibleLawsError):
             phase_sweep(cfg)
-        mixes = [[family_mixture("custom", params, 0.0, 0.0, 50)]]
+        mix = family_mixture("custom", params, 0.0, 0.0, 50)
         ys = np.stack([Gaussian().sample(50, rng.stream(1)), alt.sample(50, rng.stream(2))])
-        TESTS["hc"].rejects(ys[:1], 0, Gaussian(), mixes, 0.1)
+        TESTS["hc"].rejects(ys[:1], [(0, mix)], 0.1)
         with pytest.raises(IncompatibleLawsError):
-            TESTS["lr"].rejects(ys[:1], 0, Gaussian(), mixes, 0.1)
+            TESTS["lr"].rejects(ys[:1], [(0, mix)], 0.1)
         with pytest.raises(InfiniteWeightError):
-            TESTS["hc"].rejects(ys, 0, Gaussian(), mixes, 0.1)
+            TESTS["hc"].rejects(ys, [(0, mix), (1, mix)], 0.1)
 
     @pytest.mark.parametrize(
         "spec, digest",

@@ -8,21 +8,61 @@ workers 1, 2, 3 and 7, on:
 * the config of ``test_errors_keep_the_row_by_row_order``, whose rows fail.
 
 A sweep is recorded as its CSV and overlay text and its manifest without
-``wall_time_s``, and a failure as the class and message of its error.  It
-prints the records as one JSON object.
+``wall_time_s``.  So that a change to a statistic shows even where no
+sweep decision flips, it also records the rules themselves, through the
+public API, on seeded sample matrices (a null row, then one alternative
+row per (beta, r)) of idj, gglocation and the singular custom pair of
+``GOLDEN_SWEEPS``, at n = 64 and 5000: ``hc_statistics`` (values and
+thresholds), ``max_rejects``, ``lr_rejects`` and ``lr_statistic`` of each
+row under each mixture, and ``hc_threshold`` over a grid of (n, delta).
+Floats are recorded as ``float.hex``, and a failure as the class and
+message of its error.  It prints the records as one JSON object.
 """
 
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
 from test_sim import GOLDEN_SWEEPS
 from workloads import SWEEPS, derive_seed
 
-from sparse_detect import cli, sim
+from sparse_detect import cli, hctest, rng, sim
 from sparse_detect.dists import FiniteDiscrete, Gaussian, Mixture, to_spec
+
+
+def attempt(compute):
+    try:
+        return compute()
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def rule_records(family, params, n):
+    """The rules on one seeded sample matrix of ``family`` at ``n``."""
+    mixes = [sim.family_mixture(family, params, r, beta, n)
+             for beta in (0.0, 0.5, 0.8) for r in (0.0, 0.4)]
+    laws = [mixes[0].first, *mixes]
+    ys = np.stack([law.sample(n, rng.stream(28, n, k)) for k, law in enumerate(laws)])
+    out = {
+        "hc_statistics": attempt(lambda: [hexes(v) for v in hctest.hc_statistics(ys, laws[0])]),
+        "max_rejects": attempt(lambda: hctest.max_rejects(ys).tolist()),
+    }
+    for c, mix in enumerate(mixes):
+        ell = attempt(lambda: hctest.lr_log_ratios(ys, mix.second, mix.first))
+        rows = [attempt(lambda: hctest.lr_log_ratios(y, mix.second, mix.first)) for y in ys]
+        out[f"lr cell {c}"] = [
+            attempt(lambda: np.ravel(hctest.lr_rejects(ell, [mix.weight] * len(ys))).tolist()),
+            [attempt(lambda: hexes(hctest.lr_statistic(e, mix.weight))) for e in rows],
+        ]
+    return {f"rules {family} n={n} {name}": value for name, value in out.items()}
 
 
 def sweep(cfg, workers):
@@ -48,6 +88,13 @@ configs["errors"] = sim.ExperimentConfig(
     family_params={"null": to_spec(Gaussian()), "alt": to_spec(alt)})
 
 records = {}
+for family, params in (("idj", {}), ("gglocation", {"tau": 1.5}),
+                       ("custom", GOLDEN_SWEEPS[3][0]["family_params"])):
+    for n in (64, 5000):
+        records.update(rule_records(family, params, n))
+for n in (16, 100, 1000, 10**5, 10**9):
+    for delta in (0.1, 0.5, 2.0):
+        records[f"rules hc_threshold n={n} delta={delta}"] = hexes(hctest.hc_threshold(n, delta))
 for name, cfg in configs.items():
     for workers in (1, 2, 3, 7):
         records[f"{name} workers={workers}"] = sweep(cfg, workers)
