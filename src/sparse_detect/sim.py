@@ -336,13 +336,16 @@ def phase_sweep(cfg: ExperimentConfig, workers: int = 1) -> PhaseTable:
 
     The work is one task per (n, replicate block): the cells at n over
     one block of replicates, both the null and the alternative half
-    (see :func:`_block_counts`).  The parent sums each cell's counts
+    (see :func:`_block_counts`).  The pool has p = min(``workers``,
+    |n| replicates) processes, and each n is split into min(p, replicates)
+    blocks, so no block is empty and no process idles.  The parent sums each cell's counts
     over the blocks and calls ``run_cell`` once per cell, in cell order,
     to fold them into the cell's row.  ``workers`` must be an integer >= 1.
     """
     cells, ns, m = cfg.cells(), sorted(cfg.n_list), cfg.replicates
-    used = min(checks.integer(workers, "workers", 1), len(cells))
-    blocks = [range(m * b // used, m * (b + 1) // used) for b in range(used)]
+    used = min(checks.integer(workers, "workers", 1), len(ns) * m)
+    per_n = min(used, m)  # replicate blocks a sample size, none of them empty
+    blocks = [range(m * b // per_n, m * (b + 1) // per_n) for b in range(per_n)]
     task_ns = [n for n in ns for _ in blocks]
     if used > 1:
         _special()  # load it once in the parent, for the forked workers to inherit

@@ -514,10 +514,21 @@ class TestSharedNull:
 
     @pytest.mark.parametrize("replicates", [2, 5, 13])
     def test_csv_identical_across_worker_counts(self, replicates):
-        # 2 and 5 replicates leave some of the 3 or 7 replicate blocks empty
+        # 2 and 5 replicates are fewer than 3 or 7 workers: each n then
+        # takes one block a replicate, and the pool runs fewer workers
         cfg = self.grid(replicates=replicates)
         csvs = {w: phase_sweep(cfg, workers=w).to_csv() for w in (1, 2, 3, 7)}
         assert csvs[1] == csvs[2] == csvs[3] == csvs[7]
+
+    def test_one_cell_sweep_uses_every_worker(self, monkeypatch):
+        cfg = small_config(beta_grid=(0.6,), n_list=(200,), replicates=9, tests=("hc",))
+        csv = phase_sweep(cfg).to_csv()
+        table = phase_sweep(cfg, workers=2)
+        assert (table.worker_count, table.to_csv()) == (2, csv)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "tasks", [])
+        phase_sweep(cfg, workers=2)
+        assert [len(reps) for _, _, reps in _InlinePool.tasks] == [4, 5]
 
     def test_one_run_cell_call_per_cell(self, monkeypatch):
         # per-cell run_cell spans are what the benchmark's traced run reads

@@ -56,20 +56,17 @@ def rule_records(family, params, n):
         "max_rejects": attempt(lambda: hctest.max_rejects(ys).tolist()),
     }
     for c, mix in enumerate(mixes):
-        ell = attempt(lambda: hctest.lr_log_ratios(ys, mix.second, mix.first))
-        rows = [attempt(lambda: hctest.lr_log_ratios(y, mix.second, mix.first)) for y in ys]
+        ratios = lambda sample: hctest.lr_log_ratios(sample, mix.second, mix.first)
+        eps = [mix.weight] * len(ys)
         out[f"lr cell {c}"] = [
-            attempt(lambda: np.ravel(hctest.lr_rejects(ell, [mix.weight] * len(ys))).tolist()),
-            [attempt(lambda: hexes(hctest.lr_statistic(e, mix.weight))) for e in rows],
+            attempt(lambda: np.ravel(hctest.lr_rejects(ratios(ys), eps)).tolist()),
+            [attempt(lambda: hexes(hctest.lr_statistic(ratios(y), mix.weight))) for y in ys],
         ]
     return {f"rules {family} n={n} {name}": value for name, value in out.items()}
 
 
 def sweep(cfg, workers):
-    try:
-        table = sim.phase_sweep(cfg, workers=workers)
-    except Exception as exc:
-        return [type(exc).__name__, str(exc)]
+    table = sim.phase_sweep(cfg, workers=workers)
     manifest = {k: v for k, v in table.manifest().items() if k != "wall_time_s"}
     return [table.to_csv(), table.overlay_csv(), manifest]
 
@@ -97,5 +94,5 @@ for n in (16, 100, 1000, 10**5, 10**9):
         records[f"rules hc_threshold n={n} delta={delta}"] = hexes(hctest.hc_threshold(n, delta))
 for name, cfg in configs.items():
     for workers in (1, 2, 3, 7):
-        records[f"{name} workers={workers}"] = sweep(cfg, workers)
+        records[f"{name} workers={workers}"] = attempt(lambda: sweep(cfg, workers))
 json.dump(records, sys.stdout)
