@@ -23,17 +23,26 @@ Evaluators over a finite support (dilate points, conv_from_f) reduce one
 support point at a time over whole rows: no (rows, support) array is formed.
 ggconv's Newton solve runs only on unsettled rows, compacted, in place.
 
+A closed form is evaluated on the GRID_POINTS grid of its domain.  That
+grid is a :class:`_Grid` record, built once per domain and cached
+(:func:`_domain`): its abscissae, and the trapezoid log-weights and the
+fixed rows of the objectives (u^2 and (u^2 ^ 1)/2 on the u-axis,
+(s ^ 1)/2 on the s-axis), each formed on first use, are read-only, so
+every row of a boundary curve on that domain shares them.  A sampled grid
+forms the rows it reads per call.
+
 Admissibility is probed by a ladder of :func:`laplace_log_integral`
-values; the ladder checks its grid and forms the trapezoid log-weights
-once, in one buffer, then makes one fused log-sum-exp pass per rung.  The
-gate behind the numeric boundaries evaluates only the two rungs its
+values: one fused log-sum-exp pass per rung over the grid's log-weights.
+The gate behind the numeric boundaries evaluates only the two rungs its
 verdict reads, on the margin alpha(u) - u^2 it forms once and hands on
 as a row the boundary may overwrite.  Row buffers belong to one call: no
-call writes into an array it was given or keeps state between calls.
+call writes into an array it was given, and the domain cache is the only
+state kept between calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -147,12 +156,69 @@ class ExponentFunction:
         return self.fn(x)
 
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sampled grids as given; closed forms on GRID_POINTS points of the domain."""
+        """Sampled grids as given; closed forms on GRID_POINTS points of the domain.
+
+        A closed form's abscissae are its domain's cached, read-only row.
+        """
         if self.fn is None:
             return self.xs, self.values
-        lo, hi = self.domain()
-        xs = np.linspace(lo, hi, GRID_POINTS)
+        xs = _domain(*self.domain(), self.axis).xs
         return xs, np.asarray(self.evaluate(xs), dtype=float)
+
+    def _on_grid(self) -> tuple["_Grid", np.ndarray]:
+        """:meth:`grid` with the record of its abscissae; closed forms share their domain's.
+
+        It goes through :meth:`grid`, so a profiler wrapping that method
+        (perfbench's ``boundary.grid`` span) counts the grid of every boundary.
+        """
+        xs, values = self.grid()
+        if self.fn is None:
+            return _Grid(xs, self.axis), values
+        return _domain(*self.domain(), self.axis), values
+
+
+class _Grid:
+    """Abscissae ``xs`` and the rows the boundary objectives read on them.
+
+    Each row is formed on first use, by the expression its objective
+    writes, and is read-only: ``log_w`` the trapezoid log-weights,
+    ``square`` x^2, and ``sharp`` the sharp term (u^2 ^ 1)/2 on the u-axis,
+    (s ^ 1)/2 on the s-axis.
+    """
+
+    def __init__(self, xs: np.ndarray, axis: str):
+        self.xs, self.axis = xs, axis
+
+    @functools.cached_property
+    def log_w(self) -> np.ndarray:
+        return _frozen(_log_weights(self.xs))
+
+    @functools.cached_property
+    def square(self) -> np.ndarray:
+        return _frozen(np.multiply(self.xs, self.xs))
+
+    @functools.cached_property
+    def sharp(self) -> np.ndarray:
+        if self.axis == "u":
+            return _frozen(np.multiply(np.minimum(self.square, 1.0), 0.5))
+        return _frozen(0.5 * np.minimum(self.xs, 1.0))
+
+
+# A u-axis record holds four GRID_POINTS rows, 640 kB, and an s-axis one at most
+# three, so the cache holds at most 2.6 MB.  A family's domain is [-5, 5] (or
+# [0, 5]) until its scale passes 2.5, so a boundary curve over small r reads one record.
+_DOMAINS_CACHED = 4
+
+
+@functools.lru_cache(maxsize=_DOMAINS_CACHED)
+def _domain(lo: float, hi: float, axis: str) -> _Grid:
+    """The record of the GRID_POINTS grid of [lo, hi], shared by every closed form on it."""
+    return _Grid(_frozen(np.linspace(lo, hi, GRID_POINTS)), axis)
+
+
+def _frozen(row: np.ndarray) -> np.ndarray:
+    row.flags.writeable = False
+    return row
 
 
 @dataclass(frozen=True)
@@ -486,28 +552,16 @@ def laplace_log_integral(xs, values, big_m: float) -> float:
     must be positive and finite, ``xs`` strictly increasing and ``values``
     free of NaN.  This is the one-rung case of the admissibility ladder.
     """
-    return _laplace_ladder(xs, checks.array(values, "values", nan=False), (big_m,))[0]
-
-
-def _laplace_ladder(xs, values, ladder) -> tuple[float, ...]:
-    """:func:`laplace_log_integral` at each M of ``ladder``, one fused pass per rung.
-
-    The inputs are checked and the trapezoid log-weights formed once.
-    Each rung then evaluates scipy's log-sum-exp formula in one reused
-    buffer a = M f + log w: with top its maximum, attained k times, the
-    maxima leave the sum, exp(a - top) runs in place only where
-    a - top > -746 (exp is exactly 0.0 below -745.13, so the skipped
-    entries are set to 0.0), and the full-length row is summed in numpy's
-    pairwise order.  The
-    result (log1p(s/k) + log k + top) / M is therefore
-    ``scipy.special.logsumexp(a) / M`` bit for bit, without its
-    per-call conversions and its second, unshifted exp pass.
-    """
-    ladder = tuple(checks.positive(m, "M") for m in ladder)
+    values = checks.array(values, "values", nan=False)
+    big_m = checks.positive(big_m, "M")
     xs = checks.array(xs, "xs")
-    values = checks.array(values, "values")
     if xs.ndim != 1 or xs.shape != values.shape:
         raise InvalidParameterError("grid xs and values must be equal-length 1-D")
+    return _laplace_ladder(values, _log_weights(xs), (big_m,))[0]
+
+
+def _log_weights(xs: np.ndarray) -> np.ndarray:
+    """Trapezoid log-weights of a 1-D grid, formed in one buffer; the grid is checked."""
     if xs.size < 2:
         raise EmptySupportError("laplace integral needs at least two grid points")
     half = np.diff(xs)
@@ -517,8 +571,23 @@ def _laplace_ladder(xs, values, ladder) -> tuple[float, ...]:
     log_w = np.append(half, 0.0)  # w_i = dx_i / 2 + dx_(i-1) / 2, zero terms left out
     log_w[1:] += half
     del half
-    np.log(log_w, out=log_w)
-    a = np.empty_like(xs)
+    return np.log(log_w, out=log_w)
+
+
+def _laplace_ladder(values, log_w, ladder) -> tuple[float, ...]:
+    """:func:`laplace_log_integral` at each M of ``ladder``, given the grid's ``log_w``.
+
+    Each rung evaluates scipy's log-sum-exp formula in one reused
+    buffer a = M f + log w: with top its maximum, attained k times, the
+    maxima leave the sum, exp(a - top) runs in place only where
+    a - top > -746 (exp is exactly 0.0 below -745.13, so the skipped
+    entries are set to 0.0), and the full-length row is summed in numpy's
+    pairwise order.  The
+    result (log1p(s/k) + log k + top) / M is therefore
+    ``scipy.special.logsumexp(a) / M`` bit for bit, without its
+    per-call conversions and its second, unshifted exp pass.
+    """
+    a = np.empty_like(values)
     out = []
     for m in ladder:
         np.multiply(values, m, out=a)
@@ -554,13 +623,14 @@ def check_admissible(alpha: ExponentFunction) -> AdmissibilityReport:
     every rung; the gate behind the numeric boundaries reads only the last two.
     """
     _require_axis(alpha, "u")
-    return _admissibility(alpha, *alpha.grid())[0]
+    return _admissibility(alpha, *alpha._on_grid())[0]
 
 
 def _admissibility(
-    alpha: ExponentFunction, xs, vals, rungs=_LADDER
+    alpha: ExponentFunction, grid: _Grid, vals, rungs=_LADDER
 ) -> tuple[AdmissibilityReport, np.ndarray]:
     """The report, and the margin alpha(u) - u^2 on the grid, a fresh row the caller owns."""
+    xs = grid.xs
     violations = []
     undefined = np.isnan(vals)
     if np.any(undefined):
@@ -568,8 +638,7 @@ def _admissibility(
             f"alpha(u) is NaN at {int(undefined.sum())} grid points "
             f"(first at u={xs[np.argmax(undefined)]:.6g})"
         )
-    margin = np.multiply(xs, xs)
-    np.subtract(vals, margin, out=margin)
+    margin = np.subtract(vals, grid.square)
     bad = margin > _ADMISSIBLE_SLACK
     if np.any(bad):
         worst = int(np.nanargmax(margin))
@@ -578,7 +647,7 @@ def _admissibility(
             f"(worst at u={xs[worst]:.6g}, excess {margin[worst]:.3g})"
         )
 
-    ladder = _laplace_ladder(xs, margin, rungs)  # each rung is computed on its own
+    ladder = _laplace_ladder(margin, grid.log_w, rungs)  # each rung is computed on its own
     mags = [abs(v) for v in ladder]
     # direction check on the last step only: the early rungs are dominated
     # by the domain-width term log(W)/t, whose sign says nothing about alpha
@@ -610,9 +679,9 @@ def _require_axis(fn: ExponentFunction, axis: str) -> None:
         )
 
 
-def _require_admissible(alpha: ExponentFunction, xs, vals) -> np.ndarray:
+def _require_admissible(alpha: ExponentFunction, grid: _Grid, vals) -> np.ndarray:
     """The margin alpha(u) - u^2 of an admissible alpha, checked on the verdict's two rungs."""
-    report, margin = _admissibility(alpha, xs, vals, _LADDER[-2:])
+    report, margin = _admissibility(alpha, grid, vals, _LADDER[-2:])
     if not report.admissible:
         raise AdmissibilityError("; ".join(report.violations))
     return margin
@@ -626,33 +695,28 @@ def _require_admissible(alpha: ExponentFunction, xs, vals) -> np.ndarray:
 def beta_sharp(alpha: ExponentFunction) -> BoundaryResult:
     """Detection boundary 1/2 + 0 v sup_u {alpha(u) - u^2 + (u^2 ^ 1)/2}."""
     _require_axis(alpha, "u")
-    xs, vals = alpha.grid()
-    row = _sharpen(xs, _require_admissible(alpha, xs, vals))
-    return _boundary(*_sup(alpha, xs, row, _sharp_objective), xs)
+    grid, vals = alpha._on_grid()
+    row = _require_admissible(alpha, grid, vals)
+    row += grid.sharp  # the margin alpha(u) - u^2 turned into the objective, in place
+    return _boundary(*_sup(alpha, grid.xs, row, _sharp_objective), grid.xs)
 
 
 def _sharp_objective(u, value):
     return value - u * u + 0.5 * np.minimum(u * u, 1.0)
 
 
-def _sharpen(xs, margin):
-    """``margin`` = alpha(u) - u^2 turned in place into :func:`_sharp_objective`."""
-    half = np.multiply(xs, xs)
-    margin += np.multiply(np.minimum(half, 1.0, out=half), 0.5, out=half)
-    return margin
-
-
 def beta_star_general(gamma: ExponentFunction) -> BoundaryResult:
     """Boundary 1/2 + 0 v sup_{s>=0} {gamma(s) - s + (s ^ 1)/2} on the s-axis."""
     _require_axis(gamma, "s")
-    xs, vals = gamma.grid()
+    grid, vals = gamma._on_grid()
+    xs = grid.xs
     margin = vals - xs
     if np.any(margin > _ADMISSIBLE_SLACK):
         worst = int(np.argmax(margin))
         raise AdmissibilityError(
             f"gamma(s) exceeds s at s={xs[worst]:.6g} by {margin[worst]:.3g}"
         )
-    margin += 0.5 * np.minimum(xs, 1.0)  # the objective below, in place
+    margin += grid.sharp  # the objective below, in place
     objective = lambda s, value: value - s + 0.5 * np.minimum(s, 1.0)
     return _boundary(*_sup(gamma, xs, margin, objective), xs)
 
@@ -668,21 +732,22 @@ def hellinger_exponent(alpha: ExponentFunction, beta: float) -> float:
     beta = checks.number(beta, "beta")
     if beta < 0.5:
         raise OutOfRegimeError(f"beta must be >= 1/2, got {beta}")
-    xs, vals = alpha.grid()
-    _require_admissible(alpha, xs, vals)
+    grid, vals = alpha._on_grid()
+    _require_admissible(alpha, grid, vals)
     objective = lambda u, value: np.minimum(2.0 * (value - beta), value - beta) - u * u
-    return _sup(alpha, xs, objective(xs, vals), objective)[0]
+    row = np.minimum(2.0 * (vals - beta), vals - beta) - grid.square  # objective on the grid
+    return _sup(alpha, grid.xs, row, objective)[0]
 
 
 def tail_exponent(alpha: ExponentFunction, u: float) -> float:
     """sup over q >= u of alpha(q) - q^2; nonincreasing in u."""
     _require_axis(alpha, "u")
     u = checks.nonnegative(u, "u")
-    xs, vals = alpha.grid()
+    grid, vals = alpha._on_grid()
     candidates = []
-    if xs[-1] >= u:
+    if grid.xs[-1] >= u:
         objective = lambda q, value: value - q * q
-        candidates.append(_sup(alpha, xs, vals - xs * xs, objective, lo=u)[0])
+        candidates.append(_sup(alpha, grid.xs, vals - grid.square, objective, lo=u)[0])
     if alpha.has_closed_form:
         candidates.append(float(alpha.evaluate(u)) - u * u)
     if not candidates:
@@ -698,11 +763,12 @@ def hc_achievable_boundary(alpha: ExponentFunction) -> BoundaryResult:
     (adaptivity).
     """
     _require_axis(alpha, "u")
-    xs, vals = alpha.grid()
+    grid, vals = alpha._on_grid()
     if not np.any(vals > 0):
         raise HCBoundaryUndefinedError("exponent function is nowhere positive")
-    row = _sharpen(xs, _require_admissible(alpha, xs, vals))
-    return _boundary(*_sup(alpha, xs, row, _sharp_objective, lo=0.0), xs)
+    row = _require_admissible(alpha, grid, vals)
+    row += grid.sharp  # as in beta_sharp
+    return _boundary(*_sup(alpha, grid.xs, row, _sharp_objective, lo=0.0), grid.xs)
 
 
 # ---------------------------------------------------------------------------

@@ -295,15 +295,22 @@ def max_rejects(samples: np.ndarray, u: float = 1.0) -> np.ndarray:
 def lr_log_ratios(sample, alt: Distribution, null: Distribution) -> np.ndarray | None:
     """The log-likelihood ratios l(Y_i) = log dG/dQ (Y_i) of a sample.
 
-    ``sample`` may also be a matrix of samples, one a row.  None when a
-    sample point carries alternative mass off the null support, which
-    makes log LR = +inf whatever the mixture weight; for a matrix, when
-    any row has such a point.
+    None when a sample point carries alternative mass off the null
+    support, which makes log LR = +inf whatever the mixture weight.
+    ``sample`` may also be a matrix of samples, one a row; each row holds
+    its own ratios, and a row with such a point holds +inf throughout.
     """
     try:
         return np.asarray(log_likelihood_ratio(alt, null, sample), dtype=float)
     except SingularPointError:
-        return None
+        if np.ndim(sample) < 2:
+            return None
+    out = np.full(np.shape(sample), np.inf)  # a singular row keeps +inf
+    for row, y in zip(out, sample):
+        ell = lr_log_ratios(y, alt, null)
+        if ell is not None:
+            row[...] = ell
+    return out
 
 
 def lr_statistic(ell: np.ndarray | None, eps):
@@ -312,7 +319,11 @@ def lr_statistic(ell: np.ndarray | None, eps):
     sum_i log(1 + eps (exp(l(Y_i)) - 1)), evaluated in log space as
     logaddexp(log(1 - eps), log eps + l) for stability.  A singular
     sample (``ell`` None) gives +inf, even at eps = 0, where every other
-    sample gives 0.
+    sample gives 0.  At eps = 0 any row holding a +inf log ratio counts
+    as singular and gives +inf, the value the statistic takes at every
+    eps > 0: a singular row of a matrix holds +inf throughout, and so
+    does a finite ratio that overflows (a Gaussian pair of unequal sd
+    far out in the tail).
 
     ``ell`` may also be a (m, n) matrix of one sample's log ratios a row,
     with ``eps`` one weight per row; the result is then the m statistics,
@@ -326,10 +337,13 @@ def lr_statistic(ell: np.ndarray | None, eps):
         return float(lr_statistic(np.reshape(ell, (1, -1)), [checks.between(eps, "eps", 0, 1)])[0])
     eps = np.asarray(eps, dtype=float)
     out = np.zeros(eps.shape)
+    zero = eps == 0.0
+    if zero.any():
+        out[zero] = np.where(np.isposinf(ell[zero]).any(axis=-1), math.inf, 0.0)
     whole = eps == 1.0
     if whole.any():
         out[whole] = ell[whole].sum(axis=-1)
-    part = (eps != 0.0) & ~whole
+    part = ~zero & ~whole
     if part.any():
         w = eps[part]
         a = np.array([math.log1p(-x) for x in w])[:, None]
@@ -483,14 +497,10 @@ def _lr_rows(ys, pairs, delta):
         eps = [pairs[k][1].weight for k in mine]
         rows = ys[_subset(list(reads), size)]
         ell = lr_log_ratios(rows, alt, null)
-        if ell is None:  # a singular row: decide row by row, its statistic is +inf
-            out[mine] = [lr_rejects(lr_log_ratios(rows[i], alt, null), e)
-                         for i, e in zip(picks, eps)]
-        else:
-            out[mine] = np.concatenate([
-                lr_rejects(ell[_subset(picks[k:k + size], len(ell))], eps[k:k + size])
-                for k in range(0, len(picks), size)
-            ])
+        out[mine] = np.concatenate([
+            lr_rejects(ell[_subset(picks[k:k + size], len(ell))], eps[k:k + size])
+            for k in range(0, len(picks), size)
+        ])
     return out
 
 

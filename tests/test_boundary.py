@@ -824,7 +824,7 @@ def test_ladder_equals_scipy_logsumexp_bit_for_bit(xs, vals):
     margin = vals - xs * xs
     want = tuple(_scipy_laplace(xs, margin, m) for m in boundary._LADDER)
     alpha = ExponentFunction.from_grid(xs, np.zeros_like(xs))
-    report, gate_margin = boundary._admissibility(alpha, xs, vals)
+    report, gate_margin = boundary._admissibility(alpha, boundary._Grid(xs, "u"), vals)
     assert gate_margin.tobytes() == margin.tobytes()
     one_rung = tuple(laplace_log_integral(xs, margin, m) for m in boundary._LADDER)
     assert np.array(report.ladder_values).tobytes() == np.array(want).tobytes()
@@ -847,7 +847,8 @@ VERDICT_GRIDS = [
 def test_gate_verdict_matches_the_full_report(monkeypatch, xs, vals, convolutional, violation):
     # the gate evaluates only the last two rungs, which is all its verdict reads
     alpha = ExponentFunction.from_grid(xs, np.zeros_like(xs), convolutional=convolutional)
-    report = boundary._admissibility(alpha, xs, vals)[0]
+    grid = boundary._Grid(xs, "u")
+    report = boundary._admissibility(alpha, grid, vals)[0]
     if violation is not None:
         assert any(violation in v for v in report.violations), report.violations
     rungs = []
@@ -856,10 +857,10 @@ def test_gate_verdict_matches_the_full_report(monkeypatch, xs, vals, convolution
         boundary, "_laplace_ladder", lambda x, v, m: rungs.append(m) or ladder(x, v, m)
     )
     if report.admissible:
-        boundary._require_admissible(alpha, xs, vals)
+        boundary._require_admissible(alpha, grid, vals)
     else:
         with pytest.raises(AdmissibilityError) as raised:
-            boundary._require_admissible(alpha, xs, vals)
+            boundary._require_admissible(alpha, grid, vals)
         assert str(raised.value) == "; ".join(report.violations)
     assert rungs == [boundary._LADDER[-2:]]
 
@@ -935,8 +936,93 @@ def test_boundaries_never_write_into_their_inputs(fn, call):
     assert u.tobytes() == before[0].tobytes()
 
 
-def _traced_peak(fn) -> int:
+def _cache_outcomes(alpha) -> list[str]:
+    """Every boundary of ``alpha`` on its grid, as repr (exact for floats) or its error."""
+    u_axis = alpha.axis == "u"
+    calls = [
+        lambda: beta_sharp(alpha),
+        lambda: hc_achievable_boundary(alpha),
+        lambda: hellinger_exponent(alpha, 0.75),
+        *(lambda q=q: tail_exponent(alpha, q) for q in (0.0, 0.45, 1.7, 4.999, 6.0)),
+        lambda: beta_star_general(gamma_from_alpha(alpha) if u_axis else alpha),
+        lambda: check_admissible(alpha),
+    ]
+    out = []
+    for call in calls:
+        try:
+            out.append(repr(call()))
+        except Exception as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+# other domains of both axes: (-5, 5) and (0, 5) share a width, and five
+# domains are more than the cache holds
+CACHE_FILLERS = [
+    alpha_family("idj", r=0.3), alpha_family("gen_gaussian_location", r=0.5, tau=2.0),
+    alpha_family("idj", r=4.0), alpha_family("gen_gaussian_location", r=2.5, tau=2.0),
+    alpha_family("idj", r=9.0),
+]
+
+
+def test_cache_covers_every_family_kind_on_both_axes():
+    assert {kind for kind, _ in ALPHA_KINDS} == set(boundary._ALPHA_FAMILIES)
+    axes = {alpha_family(kind, **params).axis for kind, params in ALPHA_KINDS}
+    assert axes == {"u", "s"}
+
+
+@pytest.fixture(scope="module")
+def cold_fillers():
+    """The outcomes of each of CACHE_FILLERS on an empty cache."""
+    outcomes = []
+    for alpha in CACHE_FILLERS:
+        boundary._domain.cache_clear()
+        outcomes.append(_cache_outcomes(alpha))
+    return outcomes
+
+
+@pytest.mark.parametrize("kind, params", ALPHA_KINDS, ids=ALPHA_IDS)
+def test_cold_and_warm_domains_give_the_same_bits(kind, params, cold_fillers):
+    alpha = alpha_family(kind, **params)
+    boundary._domain.cache_clear()
+    cold = _cache_outcomes(alpha)
+    assert _cache_outcomes(alpha) == cold  # the record just built
+    boundary._domain.cache_clear()
+    for count in (2, len(CACHE_FILLERS)):  # the cache holds other domains, then evicts
+        for other, want in zip(CACHE_FILLERS[:count], cold_fillers):
+            assert _cache_outcomes(other) == want
+        assert boundary._domain.cache_info().currsize <= boundary._DOMAINS_CACHED
+        assert _cache_outcomes(alpha) == cold
+
+
+def test_closed_forms_on_one_domain_share_a_read_only_grid():
+    idj, hetero = alpha_family("idj", r=0.3), alpha_family("hetero", r=0.3, sigma2=0.5)
+    gglocation = alpha_family("gen_gaussian_location", r=0.5, tau=2.0)
+    assert idj.domain() == hetero.domain() == (-5.0, 5.0) and gglocation.domain() == (0.0, 5.0)
+    xs, values = idj.grid()
+    assert hetero.grid()[0] is xs
+    assert gglocation.grid()[0] is not xs
+    for row in (xs, gglocation.grid()[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
+    assert values.flags.writeable and idj.grid()[1] is not values  # values are the caller's
+
+
+def test_domain_cache_holds_at_most_its_bound():
+    # from r = 2.25 on, every idj r has its own domain [-2 (sqrt r + 1), 2 (sqrt r + 1)]
+    domains = set()
+    for r in np.linspace(2.25, 100.0, 40):
+        alpha = alpha_family("idj", r=float(r))
+        beta_sharp(alpha)
+        domains.add(alpha.domain())
+        assert boundary._domain.cache_info().currsize <= boundary._DOMAINS_CACHED == 4
+    assert len(domains) == 40
+
+
+def _traced_peak(fn, cold=True) -> int:
     fn()  # warm: the first call may import or cache
+    if cold:  # a cold call builds its domain's record, which the cache then keeps
+        boundary._domain.cache_clear()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -961,3 +1047,12 @@ def _traced_peak(fn) -> int:
 def test_peak_memory_of_one_boundary_call(call, bound):
     peak = _traced_peak(call)
     assert peak < bound, peak
+
+
+def test_peak_memory_of_a_warm_boundary_call():
+    # the second call on a domain reads its cached rows: one idj beta_sharp
+    # peaked at 0.90 MB before the cache, and at 0.58 MB warm; the bound adds 1.5 rows
+    boundary._domain.cache_clear()
+    peak = _traced_peak(lambda: beta_sharp(alpha_family("idj", r=0.3)), cold=False)
+    assert boundary._domain.cache_info().misses == 1  # the traced call built no row
+    assert peak < 820_000, peak

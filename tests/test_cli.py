@@ -700,6 +700,37 @@ class TestUsageErrors:
         assert "non-integral" in err
 
 
+class TestRepeatedMain:
+    """Calls of main in one process leave no trace in the next."""
+
+    CALLS = [
+        ["boundary", "--family", "idj", "--r-grid", "0.1,0.5,0.9", "--format", "csv"],
+        ["simulate", "--family", "idj", "--beta-grid", "0.6", "--r-grid", "0.5",
+         "--n-list", "200", "--replicates", "4", "--tests", "hc,max", "--seed", "3",
+         "--workers", "1"],
+        ["hc", "--input", "{sample}", "--delta", "0.2"],
+    ]
+    # usage errors from argparse and from a flag's value, then help pages
+    BETWEEN = [
+        (["boundary", "--family", "idj", "--r-grid", "0.1,x"], 2),
+        (["hc", "--delta", "0.3"], 2),
+        (["simulate", "--family", "idj", "--n-list", "64"], 2),
+        (["--help"], 0),
+        (["boundary", "--help"], 0),
+    ]
+
+    def test_repeated_calls_print_what_the_first_printed(self, capsys, sample_file):
+        path = sample_file(Gaussian().sample(100, rng.stream(5, 0)))
+        calls = [[arg.format(sample=path) for arg in argv] for argv in self.CALLS]
+        first = [run(capsys, *argv)[:2] for argv in calls]
+        assert [code for code, _ in first] == [0, 0, 0]
+        assert all(out for _, out in first)
+        assert [run(capsys, *argv)[:2] for argv in calls] == first
+        for argv, code in self.BETWEEN:
+            assert run(capsys, *argv)[0] == code, argv
+            assert [run(capsys, *argv)[:2] for argv in calls] == first, argv
+
+
 def _readme_commands():
     """README command-line lines that run a family through boundary, exponent or check-alpha."""
     readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -419,14 +419,30 @@ class TestLRStatisticRows:
         assert got.tolist() == want
 
     def test_singular_rows(self):
-        # one singular row makes the matrix's log ratios None, and each
-        # row reduced alone keeps its own outcome
+        # a singular row holds +inf log ratios, every other row its own, and
+        # each row of the matrix reduces as it does alone
         q = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))
         g = FiniteDiscrete(((2.0, 1.0),))
         ys = np.array([[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
-        assert lr_log_ratios(ys, g, q) is None
-        assert lr_log_ratios(ys[:1], g, q).tolist() == [[-math.inf] * 3]
-        assert [lr_statistic(lr_log_ratios(row, g, q), 0.0) for row in ys] == [0.0, math.inf]
+        ell = lr_log_ratios(ys, g, q)
+        assert ell.tolist() == [[-math.inf] * 3, [math.inf] * 3]
+        assert lr_log_ratios(ys[1], g, q) is None
+        assert lr_statistic(ell, [0.0, 0.0]).tolist() == [0.0, math.inf]
+        for eps in (0.0, 0.5, 1.0):
+            want = [lr_statistic(lr_log_ratios(row, g, q), eps) for row in ys]
+            assert lr_statistic(ell, [eps, eps]).tolist() == want
+
+    def test_overflowing_ratio_counts_as_singular_at_eps_zero(self):
+        # l(1.5e154) overflows to +inf for sd 2 against sd 1 without a singular
+        # point; eps = 0 then gives +inf, as every eps > 0 does
+        null, alt = Gaussian(), Gaussian(0.0, 2.0)
+        ys = np.array([1.5e154, 0.0])
+        with np.errstate(over="ignore"):  # the square of the sd-1 term overflows
+            ell = lr_log_ratios(ys, alt, null)
+            tests = [lr_test(ys, Mixture(null, alt, eps)) for eps in (0.0, 0.3, 1.0)]
+        assert math.isinf(ell[0]) and ell[0] > 0 and math.isfinite(ell[1])
+        assert tests == [(math.inf, "alternative")] * 3
+        assert lr_statistic(lr_log_ratios(np.zeros(2), alt, null), 0.0) == 0.0
 
 
 class TestLRRejects:
@@ -500,6 +516,24 @@ class TestLRRejects:
         assert lr_rejects(None, 0.0) is True
         assert lr_rejects(np.array([1.0, np.inf]), 0.2) is True
         assert lr_rejects(np.zeros((2, 0)), [0.3, 1.0]).tolist() == [True, True]
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_singular_pair_rows_equal_lr_test(self, n):
+        # rows of the null and of the mixture, whose atom off the null support
+        # makes a row singular; eps 0 keeps the singular row's +inf
+        q = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))
+        g = FiniteDiscrete(((2.0, 1.0),))
+        ys = np.stack([Mixture(q, g, w).sample(n, rng.stream(71, n, k))
+                       for k, w in enumerate((0.0, 0.3, 0.0, 0.6, 0.05))])
+        ell = lr_log_ratios(ys, g, q)
+        decided = set()
+        for eps in (0.0, 1e-3, 0.3, 1.0):
+            tests = [lr_test(y, Mixture(q, g, eps)) for y in ys]
+            assert lr_statistic(ell, [eps] * len(ys)).tolist() == [t[0] for t in tests]
+            got = lr_rejects(ell, [eps] * len(ys)).tolist()
+            assert got == [t[1] == "alternative" for t in tests], eps
+            decided.update(got)
+        assert decided == {False, True}
 
     def test_rows_near_zero_fall_back(self, monkeypatch):
         # l == 0 gives a statistic of rounding size, and a bisected eps one

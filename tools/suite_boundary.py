@@ -17,6 +17,10 @@ Run with ``PYTHONPATH`` set to a ``src`` tree, it evaluates:
 * the stdout of ``sparse-detect boundary --r-grid`` for the curves of
   ``perfbench/workloads.py``, and of ``check-alpha --format json``.
 
+The closed-form cases and the CLI commands then run a second time, under
+keys starting with ``warm``, after every other case: so a grid cached
+under a key that does not tell two domains apart shows as a difference.
+
 Each result is recorded as its class, dtype, shape and ``float.hex``
 values, or as the class and message of the error it raised.  It prints the
 records as one JSON object.
@@ -78,24 +82,31 @@ INPUTS = {
     "2d": np.array([[0.0, -0.0, 0.5], [-1.5, 2.0, 4.0]]),
 }
 
-records = {}
-for name, params in KINDS.items():
-    kind = name.split("-")[0]
-    alpha = b.alpha_family(kind, **params)
-    records[f"{name}.grid"] = record(alpha.grid())
-    for label, x in INPUTS.items():
-        records[f"{name}.evaluate({label})"] = run(alpha.evaluate, x)
-    records[f"{name}.beta_sharp"] = run(b.beta_sharp, alpha)
-    records[f"{name}.hc_achievable_boundary"] = run(b.hc_achievable_boundary, alpha)
-    records[f"{name}.hellinger_exponent"] = run(b.hellinger_exponent, alpha, 0.75)
-    records[f"{name}.check_admissible"] = run(b.check_admissible, alpha)
-    for q in TAIL_POINTS:
-        records[f"{name}.tail_exponent({q!r})"] = run(b.tail_exponent, alpha, q)
-    gamma = alpha if alpha.axis == "s" else b.gamma_from_alpha(alpha)
-    records[f"{name}.beta_star_general"] = run(b.beta_star_general, gamma)
-    xs, vals = alpha.grid()
-    for m in b._LADDER:
-        records[f"{name}.laplace_log_integral(M={m:g})"] = run(b.laplace_log_integral, xs, vals - xs * xs, m)
+
+def kind_records(prefix=""):
+    """The records of every closed-form case of KINDS."""
+    out = {}
+    for name, params in KINDS.items():
+        kind, name = name.split("-")[0], prefix + name
+        alpha = b.alpha_family(kind, **params)
+        out[f"{name}.grid"] = record(alpha.grid())
+        for label, x in INPUTS.items():
+            out[f"{name}.evaluate({label})"] = run(alpha.evaluate, x)
+        out[f"{name}.beta_sharp"] = run(b.beta_sharp, alpha)
+        out[f"{name}.hc_achievable_boundary"] = run(b.hc_achievable_boundary, alpha)
+        out[f"{name}.hellinger_exponent"] = run(b.hellinger_exponent, alpha, 0.75)
+        out[f"{name}.check_admissible"] = run(b.check_admissible, alpha)
+        for q in TAIL_POINTS:
+            out[f"{name}.tail_exponent({q!r})"] = run(b.tail_exponent, alpha, q)
+        gamma = alpha if alpha.axis == "s" else b.gamma_from_alpha(alpha)
+        out[f"{name}.beta_star_general"] = run(b.beta_star_general, gamma)
+        xs, vals = alpha.grid()
+        for m in b._LADDER:
+            out[f"{name}.laplace_log_integral(M={m:g})"] = run(b.laplace_log_integral, xs, vals - xs * xs, m)
+    return out
+
+
+records = kind_records()
 
 u = np.linspace(-5.0, 5.0, 20001)
 GRIDS = {
@@ -151,9 +162,20 @@ CLI = [
     ["check-alpha", "--family", "dilate", "--linf", "0.0", "--format", "json"],
     ["check-alpha", "--family", "ggconv", "--r", "1", "--tau", "1.5", "--format", "json"],
 ]
-for argv in CLI:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli_main(argv)
-    records[" ".join(argv)] = [code, out.getvalue()]
+
+
+def cli_records(prefix=""):
+    """The exit code and stdout of every CLI command."""
+    out = {}
+    for argv in CLI:
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = cli_main(argv)
+        out[prefix + " ".join(argv)] = [code, text.getvalue()]
+    return out
+
+
+records.update(cli_records())
+records.update(kind_records("warm "))
+records.update(cli_records("warm "))
 json.dump(records, sys.stdout)
