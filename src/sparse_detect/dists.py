@@ -448,27 +448,31 @@ def mu_from_r(n: int, r: float) -> float:
 
 
 def log_likelihood_ratio(g: Distribution, q: Distribution, y):
-    """log of the density (or mass) ratio dG/dQ at y.
+    """log of the density (or mass) ratio dG/dQ at y, an extended real.
 
     Gaussian pairs use the exact closed form
     log(q.sd / g.sd) + 0.5 ((y - q.mean) / q.sd)^2 - 0.5 ((y - g.mean) / g.sd)^2;
-    in the equal-variance location case this is mu*y - mu^2/2.  Returns
-    -inf where the numerator vanishes but the reference law does not.
+    in the equal-variance location case this is mu*y - mu^2/2.  A square
+    that overflows reads +inf, and at an infinite y the form gives NaN
+    (inf - inf), both without a warning.  Other pairs return -inf where
+    only the reference law has mass and +inf where only g has it (a
+    singular point).  Where neither law has mass no ratio exists, and
+    UndefinedPointError is raised; an atomic law against an atomless one
+    has no density ratio at all, and raises SingularPointError.
     """
     scalar = np.isscalar(y) or np.ndim(y) == 0
     if isinstance(g, Gaussian) and isinstance(q, Gaussian):
         yy = np.atleast_1d(np.asarray(y, dtype=float))
-        out = _half_square(yy, q)
-        log_sd = math.log(q.sd / g.sd)
-        if log_sd != 0.0:  # a half-square is >= +0.0, so adding +0.0 changes nothing
-            out += log_sd
-        out -= _half_square(yy, g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _half_square(yy, q)
+            log_sd = math.log(q.sd / g.sd)
+            if log_sd != 0.0:  # a half-square is >= +0.0, so adding +0.0 changes nothing
+                out += log_sd
+            out -= _half_square(yy, g)
         return float(out[0]) if scalar else out
     if g.is_discrete and q.is_discrete:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
         mg, mq = g.mass(ys), q.mass(ys)
-        if np.any((mq == 0) & (mg > 0)):
-            raise SingularPointError("alternative has an atom off the null support")
         if np.any((mq == 0) & (mg == 0)):
             raise UndefinedPointError("neither law carries mass at the point")
         with np.errstate(divide="ignore"):
@@ -480,11 +484,7 @@ def log_likelihood_ratio(g: Distribution, q: Distribution, y):
         )
     lg = np.asarray(g.log_density(y), dtype=float)
     lq = np.asarray(q.log_density(y), dtype=float)
-    sing = np.isneginf(lq) & ~np.isneginf(lg)
-    if np.any(sing):
-        raise SingularPointError("reference density vanishes where g is positive")
-    undef = np.isneginf(lq) & np.isneginf(lg)
-    if np.any(undef):
+    if np.any(np.isneginf(lq) & np.isneginf(lg)):
         raise UndefinedPointError("both densities vanish at the point")
     out = lg - lq
     return float(out) if scalar else out

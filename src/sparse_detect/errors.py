@@ -24,7 +24,7 @@ class InvalidDistanceError(InvalidParameterError):
 
 
 class SingularPointError(SparseDetectError):
-    """Density ratio requested where the reference law has no mass."""
+    """Density ratio requested of an atomic law against an atomless one, which has none."""
 
 
 class UndefinedPointError(SparseDetectError):

@@ -292,38 +292,32 @@ def max_rejects(samples: np.ndarray, u: float = 1.0) -> np.ndarray:
     return np.maximum(samples.max(axis=-1), -samples.min(axis=-1)) > threshold
 
 
-def lr_log_ratios(sample, alt: Distribution, null: Distribution) -> np.ndarray | None:
+def lr_log_ratios(sample, alt: Distribution, null: Distribution) -> np.ndarray:
     """The log-likelihood ratios l(Y_i) = log dG/dQ (Y_i) of a sample.
 
-    None when a sample point carries alternative mass off the null
-    support, which makes log LR = +inf whatever the mixture weight.
-    ``sample`` may also be a matrix of samples, one a row; each row holds
-    its own ratios, and a row with such a point holds +inf throughout.
+    Each is an extended real from :func:`~sparse_detect.dists.log_likelihood_ratio`:
+    +inf at a point carrying alternative mass off the null support, which
+    makes log LR = +inf whatever the mixture weight.  An atomic law
+    against an atomless one has no density ratio, and every point reads
+    +inf.  ``sample`` may also be a matrix of samples, one a row; each
+    row holds its own ratios.
     """
     try:
         return np.asarray(log_likelihood_ratio(alt, null, sample), dtype=float)
-    except SingularPointError:
-        if np.ndim(sample) < 2:
-            return None
-    out = np.full(np.shape(sample), np.inf)  # a singular row keeps +inf
-    for row, y in zip(out, sample):
-        ell = lr_log_ratios(y, alt, null)
-        if ell is not None:
-            row[...] = ell
-    return out
+    except SingularPointError:  # the mixed-kind pair
+        return np.full(np.shape(sample), np.inf)
 
 
-def lr_statistic(ell: np.ndarray | None, eps):
+def lr_statistic(ell: np.ndarray, eps):
     """log LR of the mixture (1 - eps) Q + eps G from ``lr_log_ratios``.
 
     sum_i log(1 + eps (exp(l(Y_i)) - 1)), evaluated in log space as
-    logaddexp(log(1 - eps), log eps + l) for stability.  A singular
-    sample (``ell`` None) gives +inf, even at eps = 0, where every other
-    sample gives 0.  At eps = 0 any row holding a +inf log ratio counts
-    as singular and gives +inf, the value the statistic takes at every
-    eps > 0: a singular row of a matrix holds +inf throughout, and so
-    does a finite ratio that overflows (a Gaussian pair of unequal sd
-    far out in the tail).
+    logaddexp(log(1 - eps), log eps + l) for stability.  A sample holding
+    a +inf log ratio gives +inf at every eps, whatever its other ratios:
+    at eps = 0, where every other sample gives 0, such a point counts as
+    singular, and so does a finite ratio that overflows (a Gaussian pair
+    of unequal sd far out in the tail); at eps = 1 it beats a -inf ratio
+    in the same sample, whose sum would be NaN.
 
     ``ell`` may also be a (m, n) matrix of one sample's log ratios a row,
     with ``eps`` one weight per row; the result is then the m statistics,
@@ -331,8 +325,6 @@ def lr_statistic(ell: np.ndarray | None, eps):
     run along the contiguous last axis, and each row's constants come
     from ``math.log1p`` and ``math.log`` as in the one-row case.
     """
-    if ell is None:
-        return math.inf
     if np.ndim(ell) < 2:
         return float(lr_statistic(np.reshape(ell, (1, -1)), [checks.between(eps, "eps", 0, 1)])[0])
     eps = np.asarray(eps, dtype=float)
@@ -342,7 +334,9 @@ def lr_statistic(ell: np.ndarray | None, eps):
         out[zero] = np.where(np.isposinf(ell[zero]).any(axis=-1), math.inf, 0.0)
     whole = eps == 1.0
     if whole.any():
-        out[whole] = ell[whole].sum(axis=-1)
+        rows = ell[whole]
+        with np.errstate(invalid="ignore"):  # the NaN of inf - inf is replaced by +inf
+            out[whole] = np.where(np.isposinf(rows).any(axis=-1), math.inf, rows.sum(axis=-1))
     part = ~zero & ~whole
     if part.any():
         w = eps[part]
@@ -353,7 +347,7 @@ def lr_statistic(ell: np.ndarray | None, eps):
     return out
 
 
-def lr_rejects(ell: np.ndarray | None, eps):
+def lr_rejects(ell: np.ndarray, eps):
     """``lr_statistic(ell, eps) >= 0``, decided by a certified screen.
 
     Takes the arguments of :func:`lr_statistic` and returns its sign test,
@@ -398,8 +392,6 @@ def lr_rejects(ell: np.ndarray | None, eps):
     and a discrete null puts such entries in every row.  A +inf or NaN
     entry makes M or S~ non-finite, which sends its row to the exact path.
     """
-    if ell is None:
-        return True
     if np.ndim(ell) < 2:
         return bool(lr_rejects(np.reshape(ell, (1, -1)), [checks.between(eps, "eps", 0, 1)])[0])
     eps = np.asarray(eps, dtype=float)
@@ -441,13 +433,15 @@ def lr_test(sample, mix: Mixture) -> tuple[float, str]:
     the rule declares the alternative iff log LR >= 0.  A sample point
     carrying alternative mass off the null support forces log LR = +inf
     and an immediate alternative decision.  A sample holding NaN raises
-    InvalidParameterError, an infinite point of a Gaussian pair UndefinedPointError.
+    InvalidParameterError.  A point where neither law has mass raises
+    UndefinedPointError at every eps, an infinite point of a Gaussian
+    pair too.
     """
     ys = checks.vector(sample, "sample", nan=False)
-    with np.errstate(invalid="ignore"):  # the NaN of inf - inf is reported below
-        log_lr = lr_statistic(lr_log_ratios(ys, mix.second, mix.first), mix.weight)
-    if math.isnan(log_lr):  # inf - inf in a closed-form log ratio at an infinite point
+    ell = lr_log_ratios(ys, mix.second, mix.first)
+    if np.isnan(ell).any():  # inf - inf in a closed-form log ratio at an infinite point
         raise UndefinedPointError("both densities vanish at an infinite sample point")
+    log_lr = lr_statistic(ell, mix.weight)
     return log_lr, "alternative" if log_lr >= 0.0 else "null"
 
 

@@ -131,10 +131,17 @@ class TestLogLikelihoodRatio:
     def test_singular_and_undefined_points(self):
         q = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))
         g = FiniteDiscrete(((2.0, 1.0),))
-        with pytest.raises(SingularPointError):
-            log_likelihood_ratio(g, q, 2.0)
+        # an atom off the null support: log 1 - log 0 = +inf
+        assert log_likelihood_ratio(g, q, 2.0) == math.inf
+        assert log_likelihood_ratio(g, q, [0.0, 2.0]).tolist() == [-math.inf, math.inf]
         with pytest.raises(UndefinedPointError):
             log_likelihood_ratio(q, q, 3.0)
+        with pytest.raises(UndefinedPointError):  # neither law has mass at 3.0
+            log_likelihood_ratio(g, q, [2.0, 3.0])
+        # an atomic law against an atomless one has no density ratio at all
+        for pair in ((g, Gaussian()), (Gaussian(), q)):
+            with pytest.raises(SingularPointError):
+                log_likelihood_ratio(*pair, 2.0)
 
     def test_discrete_pair_matches_the_pointwise_loop(self):
         a = FiniteDiscrete(tuple((0.5 * k, 1.0 / 20) for k in range(20)))
@@ -149,8 +156,12 @@ class TestLogLikelihoodRatio:
         np.testing.assert_array_equal(log_likelihood_ratio(g, q, ys), want)
         assert g.mass(float(ys[0])) == pytest.approx(0.6 * 0.05 + 0.4 * 0.25)
         assert isinstance(g.mass(float(ys[0])), float)
-        with pytest.raises(SingularPointError):
-            log_likelihood_ratio(Shifted(b, 0.25), Shifted(a, 0.25), ys)
+        # b's atom at -1 is off a's support: +inf there, as the loop reads it
+        sg, sq = Shifted(b, 0.25), Shifted(a, 0.25)
+        with np.errstate(divide="ignore"):
+            want = np.log(loop(sg)) - np.log(loop(sq))
+        assert np.isposinf(want).sum() == 1 and np.isneginf(want).any()
+        np.testing.assert_array_equal(log_likelihood_ratio(sg, sq, ys), want)
         with pytest.raises(UndefinedPointError):
             log_likelihood_ratio(g, q, np.append(ys, 0.3))
 

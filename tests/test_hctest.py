@@ -419,15 +419,16 @@ class TestLRStatisticRows:
         assert got.tolist() == want
 
     def test_singular_rows(self):
-        # a singular row holds +inf log ratios, every other row its own, and
-        # each row of the matrix reduces as it does alone
+        # a singular point reads +inf among its row's other ratios, and each
+        # row of the matrix reduces as it does alone
         q = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))
         g = FiniteDiscrete(((2.0, 1.0),))
         ys = np.array([[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
         ell = lr_log_ratios(ys, g, q)
-        assert ell.tolist() == [[-math.inf] * 3, [math.inf] * 3]
-        assert lr_log_ratios(ys[1], g, q) is None
+        assert ell.tolist() == [[-math.inf] * 3, [-math.inf, math.inf, -math.inf]]
+        assert lr_log_ratios(ys[1], g, q).tolist() == ell[1].tolist()
         assert lr_statistic(ell, [0.0, 0.0]).tolist() == [0.0, math.inf]
+        assert lr_statistic(ell, [1.0, 1.0]).tolist() == [-math.inf, math.inf]
         for eps in (0.0, 0.5, 1.0):
             want = [lr_statistic(lr_log_ratios(row, g, q), eps) for row in ys]
             assert lr_statistic(ell, [eps, eps]).tolist() == want
@@ -437,7 +438,8 @@ class TestLRStatisticRows:
         # point; eps = 0 then gives +inf, as every eps > 0 does
         null, alt = Gaussian(), Gaussian(0.0, 2.0)
         ys = np.array([1.5e154, 0.0])
-        with np.errstate(over="ignore"):  # the square of the sd-1 term overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the square of the sd-1 term overflows quietly
             ell = lr_log_ratios(ys, alt, null)
             tests = [lr_test(ys, Mixture(null, alt, eps)) for eps in (0.0, 0.3, 1.0)]
         assert math.isinf(ell[0]) and ell[0] > 0 and math.isfinite(ell[1])
@@ -513,7 +515,10 @@ class TestLRRejects:
             want = lr_statistic(ell, eps) >= 0.0
             assert lr_rejects(ell, eps).tolist() == want.tolist() == [True, False, False]
             assert lr_rejects(np.array([np.nan]), 0.2) is False
-        assert lr_rejects(None, 0.0) is True
+        # a singular point (+inf) rejects at every eps, beside a -inf ratio too
+        singular = np.array([-np.inf, np.inf])
+        assert [lr_rejects(singular, eps) for eps in (0.0, 0.2, 1.0)] == [True] * 3
+        assert lr_rejects(np.array([singular] * 3), [0.0, 0.2, 1.0]).tolist() == [True] * 3
         assert lr_rejects(np.array([1.0, np.inf]), 0.2) is True
         assert lr_rejects(np.zeros((2, 0)), [0.3, 1.0]).tolist() == [True, True]
 
@@ -534,6 +539,39 @@ class TestLRRejects:
             assert got == [t[1] == "alternative" for t in tests], eps
             decided.update(got)
         assert decided == {False, True}
+
+    @pytest.mark.parametrize("n", [3, 64])
+    @pytest.mark.parametrize(
+        "null, alt",
+        [
+            (FiniteDiscrete(((0.0, 0.5), (1.0, 0.5))), FiniteDiscrete(((2.0, 1.0),))),
+            (Gaussian(), FiniteDiscrete(((2.0, 1.0),))),
+        ],
+        ids=["singular", "mixed-kind"],
+    )
+    def test_extended_real_ratios_move_no_value(self, null, alt, n):
+        # the reference fills a row holding +inf with +inf; the statistic and
+        # the decision read the row's own ratios the same, bit for bit
+        ys = np.stack([Mixture(null, alt, w).sample(n, rng.stream(73, n, k))
+                       for k, w in enumerate((0.0, 0.3, 0.0, 0.6, 0.05))])
+        ell = lr_log_ratios(ys, alt, null)
+        old = np.where(np.isposinf(ell).any(-1, keepdims=True), np.inf, ell)
+        singular = np.isposinf(ell).any(-1)
+        if null.is_discrete:  # rows without +inf, and rows holding +inf beside -inf
+            assert (singular & np.isneginf(ell).any(-1)).any() and not singular.all()
+        else:  # an atomic law against an atomless one: +inf throughout
+            assert np.isposinf(ell).all()
+        rows = [lr_log_ratios(y, alt, null) for y in ys]
+        assert all(np.array_equal(a, b) for a, b in zip(ell, rows))
+        hexes = lambda values: [float(v).hex() for v in values]
+        for eps in (0.0, 1e-3, 0.3, 1.0):
+            w = [eps] * len(ys)
+            want = hexes(lr_statistic(old, w))
+            decided = lr_rejects(old, w).tolist()
+            assert hexes(lr_statistic(ell, w)) == want, eps
+            assert lr_rejects(ell, w).tolist() == decided, eps
+            assert hexes(lr_statistic(row, eps) for row in rows) == want, eps
+            assert [lr_rejects(row, eps) for row in rows] == decided, eps
 
     def test_rows_near_zero_fall_back(self, monkeypatch):
         # l == 0 gives a statistic of rounding size, and a bisected eps one
@@ -660,8 +698,9 @@ class TestLRTest:
     def test_singular_point_beats_the_epsilon_zero_convention(self):
         q = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))
         g = FiniteDiscrete(((2.0, 1.0),))
-        assert lr_log_ratios([0.0, 2.0], g, q) is None
-        assert lr_statistic(None, 0.0) == math.inf
+        ell = lr_log_ratios([0.0, 2.0], g, q)
+        assert ell.tolist() == [-math.inf, math.inf]
+        assert lr_statistic(ell, 0.0) == math.inf
         assert lr_test([0.0, 2.0], Mixture(q, g, 0.0)) == (math.inf, "alternative")
 
     def test_nan_sample_rejected(self):
@@ -675,6 +714,27 @@ class TestLRTest:
             warnings.simplefilter("error")
             with pytest.raises(UndefinedPointError):
                 lr_test([0.0, math.inf, 1.0], mix)
+            # the closed form's inf - inf is a quiet NaN
+            ell = lr_log_ratios(np.array([np.inf, 0.0]), Gaussian(1.0, 1.0), Gaussian())
+        assert math.isnan(ell[0]) and ell[1] == -0.5
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize(
+        "null, alt",
+        [
+            (Gaussian(), Gaussian(1.0, 1.0)),
+            (Gaussian(), Gaussian(0.0, 2.0)),
+            (GenGaussian(1.5), Shifted(GenGaussian(1.5), 1.0)),
+        ],
+        ids=["gaussian", "hetero", "subbotin"],
+    )
+    def test_infinite_point_raises_at_every_eps(self, null, alt, eps):
+        # eps = 0 reads no ratio, yet an undefined one still raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y in (np.inf, -np.inf):
+                with pytest.raises(UndefinedPointError):
+                    lr_test(np.array([y, 0.0]), Mixture(null, alt, eps))
 
     def test_undefined_point_propagates(self):
         q = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5)))

@@ -237,8 +237,10 @@ NO_NUMBERS = {
 }
 # callables whose numbers are deliberately not checked
 UNCHECKED = {
-    "log_likelihood_ratio": "elementwise at evaluation points: NaN in, NaN out, like log_density",
-    "lr_log_ratios": "elementwise log ratios of a sweep row; lr_test checks the sample",
+    "log_likelihood_ratio": "extended reals at evaluation points, +inf at a singular point; "
+    "NaN in, NaN out, like log_density",
+    "lr_log_ratios": "extended-real log ratios of a sweep row; lr_test checks the sample and "
+    "raises on a NaN ratio",
     # their other parameter, eps, has cases above
     "lr_statistic ell": "log ratios may be +-inf; a NaN row is decided by lr_rejects",
     "lr_rejects ell": "log ratios may be +-inf; a NaN screen sends its row to lr_statistic",

@@ -15,12 +15,18 @@ row per (beta, r)) of idj, gglocation and the singular custom pair of
 ``GOLDEN_SWEEPS``, at n = 64 and 5000: ``hc_statistics`` (values and
 thresholds), ``max_rejects``, ``lr_rejects`` and ``lr_statistic`` of each
 row under each mixture, and ``hc_threshold`` over a grid of (n, delta).
-Floats are recorded as ``float.hex``, and a failure as the class and
-message of its error.  It prints the records as one JSON object.
+At the seams where a log ratio is not finite it records
+``log_likelihood_ratio`` and ``lr_log_ratios`` of the singular custom
+pair on one sample and on a matrix, and ``lr_test`` and ``lr_log_ratios``
+at an infinite point and at an overflowing square of Gaussian pairs,
+each with whether it raised a warning.  Floats are recorded as
+``float.hex``, and a failure as the class and message of its error.  It
+prints the records as one JSON object.
 """
 
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +37,7 @@ from test_sim import GOLDEN_SWEEPS
 from workloads import SWEEPS, derive_seed
 
 from sparse_detect import cli, hctest, rng, sim
-from sparse_detect.dists import FiniteDiscrete, Gaussian, Mixture, to_spec
+from sparse_detect.dists import FiniteDiscrete, Gaussian, Mixture, log_likelihood_ratio, to_spec
 
 
 def attempt(compute):
@@ -43,6 +49,24 @@ def attempt(compute):
 
 def hexes(values):
     return [float(v).hex() for v in np.ravel(values)]
+
+
+def warned(compute):
+    """``compute``'s record and whether it raised a warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = attempt(compute)
+    return [value, bool(caught)]
+
+
+def ratios(values):
+    """Log ratios as their shape and hexes; None (no ratios) stays None."""
+    return None if values is None else [list(np.shape(values)), hexes(values)]
+
+
+def lr_result(result):
+    log_lr, decision = result
+    return [float(log_lr).hex(), decision]
 
 
 def rule_records(family, params, n):
@@ -92,6 +116,21 @@ for family, params in (("idj", {}), ("gglocation", {"tau": 1.5}),
 for n in (16, 100, 1000, 10**5, 10**9):
     for delta in (0.1, 0.5, 2.0):
         records[f"rules hc_threshold n={n} delta={delta}"] = hexes(hctest.hc_threshold(n, delta))
+null, singular = FiniteDiscrete(((0.0, 0.5), (1.0, 0.5))), FiniteDiscrete(((2.0, 1.0),))
+ys = np.array([[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
+for shape, sample in (("1-D", ys[1]), ("matrix", ys)):
+    records[f"ratios singular {shape} log_likelihood_ratio"] = attempt(
+        lambda: ratios(log_likelihood_ratio(singular, null, sample)))
+    records[f"ratios singular {shape} lr_log_ratios"] = attempt(
+        lambda: ratios(hctest.lr_log_ratios(sample, singular, null)))
+for name, sample, alt in (("infinite", [np.inf, 0.0], Gaussian(1.0, 1.0)),
+                          ("overflow", [1.5e154, 0.0], Gaussian(0.0, 2.0))):
+    sample = np.array(sample)
+    records[f"ratios {name} lr_log_ratios"] = warned(
+        lambda: ratios(hctest.lr_log_ratios(sample, alt, Gaussian())))
+    for eps in (0.0, 0.3, 1.0):
+        records[f"ratios {name} lr_test eps={eps}"] = warned(
+            lambda: lr_result(hctest.lr_test(sample, Mixture(Gaussian(), alt, eps))))
 for name, cfg in configs.items():
     for workers in (1, 2, 3, 7):
         records[f"{name} workers={workers}"] = attempt(lambda: sweep(cfg, workers))
