@@ -257,12 +257,12 @@ def _rowwise(kernel):
 
 
 def _idj(params):
-    r = checks.positive(params.get("r"), "r")
+    r = checks.nonnegative(params.get("r"), "r")
     return _closed(lambda u: 2.0 * u * math.sqrt(r) - r, math.sqrt(r) + 1.0)
 
 
 def _symmetric_idj(params):
-    r = checks.positive(params.get("r"), "r")
+    r = checks.nonnegative(params.get("r"), "r")
     return _closed(lambda u: 2.0 * np.abs(u) * math.sqrt(r) - r, math.sqrt(r) + 1.0)
 
 
@@ -392,7 +392,7 @@ def _gen_gaussian_conv(params):
 
 
 def _gen_gaussian_location(params):
-    r = checks.positive(params.get("r"), "r")
+    r = checks.nonnegative(params.get("r"), "r")
     tau = checks.positive(params.get("tau"), "tau")
     return _closed(
         lambda s: s - np.abs(np.maximum(s, 0.0) ** (1.0 / tau) - r ** (1.0 / tau)) ** tau,

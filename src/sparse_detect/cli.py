@@ -8,8 +8,8 @@ evaluation), ``check-alpha`` (admissibility), ``hc``/``lr``/``maxtest``
 
 Exit codes: 0 success, 2 usage error, 3 domain error (invalid
 parameter), 4 I/O error.  All numeric output uses 12 significant
-digits; --format {text,csv,json} selects the encoding of boundary,
-exponent, check-alpha and estimate-gamma.
+digits; --format selects the encoding of boundary (text, csv or json)
+and of exponent, check-alpha and estimate-gamma (text or json).
 The environment variable SPARSE_DETECT_LOG in {error,warn,info,debug}
 sets the log level.
 """
@@ -157,25 +157,28 @@ def _family(args) -> families.Family:
     return family
 
 
-def _need(args, name: str) -> float:
-    val = getattr(args, name, None)
-    if val is None:
-        raise _Usage(f"family {args.family!r} requires --{name.replace('_', '-')}")
-    return val
+_FAMILY_FLAGS = ("r", "sigma2", "tau", "linf", "beta")  # in the order --help lists them
 
 
-def _params(args, *names: str) -> dict:
-    return {name: _need(args, name) for name in names}
+def _family_flags(args, *names: str) -> tuple:
+    """The --family row's numeric shape flags as a dict, then the values of flags ``names``;
+    a flag read but not given, then a family flag given but not read, is a usage error."""
+    family = families.FAMILIES.get(args.family)
+    shape = [name for name in family.shape if name in _FAMILY_FLAGS] if family else []
+    read = (*shape, *names)
+    missing = [name for name in read if getattr(args, name) is None]
+    if missing:
+        raise _Usage(f"{args.command} --family {args.family} requires --{missing[0]}")
+    stray = [n for n in _FAMILY_FLAGS if getattr(args, n) is not None and n not in read]
+    if stray:
+        reads = " ".join(f"--{name}" for name in read) or "no family flag"
+        raise _Usage(f"{args.command} does not read --{stray[0]} here; it reads {reads}")
+    return {name: getattr(args, name) for name in shape}, *(getattr(args, n) for n in names)
 
 
 def _shape_params(args) -> dict:
     """The numeric shape flags given on the command line, as family_params."""
     return {k: v for k, v in vars(args).items() if k in ("sigma2", "tau") and v is not None}
-
-
-def _alpha_for(args) -> bnd.ExponentFunction:
-    family = _family(args)
-    return family.alpha(_need(args, family.swept), _params(args, *family.shape))
 
 
 def _emit(args, text: str) -> None:
@@ -198,7 +201,7 @@ def _cmd_boundary(args) -> int:
         if args.format == "json" or mode == "r-of-beta":
             flag = "--format json" if args.format == "json" else "--mode r-of-beta"
             raise _Usage(f"--r-grid prints a beta-of-r CSV table; it does not take {flag}")
-        shape = _params(args, *family.shape)
+        shape = _family_flags(args)[0]
         rows = ["family,params,beta_star,maximizer,method"]
         for value in args.r_grid:
             params = {family.swept: value, **shape}
@@ -216,7 +219,8 @@ def _cmd_boundary(args) -> int:
         return 0
 
     swept = "beta" if mode == "r-of-beta" else family.swept
-    params = _params(args, *family.shape, swept)
+    shape, value = _family_flags(args, swept)
+    params = {**shape, swept: value}
     value = bnd.boundary_closed_form(args.family, mode=mode, **params)
     record = {"family": args.family, "mode": mode, **params, "value": value}
     if args.format == "json":
@@ -230,10 +234,9 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_exponent(args) -> int:
-    if args.beta is None:
-        raise _Usage("exponent requires --beta")
-    alpha = _alpha_for(args)
-    value = bnd.hellinger_exponent(alpha, args.beta)
+    family = _family(args)
+    shape, value, beta = _family_flags(args, family.swept, "beta")
+    value = bnd.hellinger_exponent(family.alpha(value, shape), beta)
     if args.format == "json":
         _emit(args, json.dumps({"family": args.family, "beta": args.beta, "exponent": value}))
     else:
@@ -242,12 +245,15 @@ def _cmd_exponent(args) -> int:
 
 
 def _cmd_check_alpha(args) -> int:
+    if bool(args.input) == bool(args.family):
+        raise _Usage("check-alpha takes either --family or --input")
     if args.input:
+        _family_flags(args)
         alpha = bnd.exponent_from_csv(args.input)
-    elif args.family:
-        alpha = _alpha_for(args)
     else:
-        raise _Usage("check-alpha requires --family or --input")
+        family = _family(args)
+        shape, value = _family_flags(args, family.swept)
+        alpha = family.alpha(value, shape)
     report = bnd.check_admissible(alpha)
     if args.format == "json":
         _emit(args, json.dumps(asdict(report)))
@@ -268,18 +274,14 @@ def _cmd_hc(args) -> int:
 
 def _cmd_lr(args) -> int:
     sample = _read_sample(args.input)
-    if args.null and args.alt:
-        if args.epsilon is None:
-            raise _Usage("lr with --null/--alt requires --epsilon")
+    if args.family and args.null is args.alt is args.epsilon is None:
+        shape, r, beta = _family_flags(args, "r", "beta")
+        mix = sim.family_mixture(args.family, shape, r, beta, sample.size)
+    elif not args.family and None not in (args.null, args.alt, args.epsilon):
+        _family_flags(args)
         mix = Mixture(_parse_distribution(args.null), _parse_distribution(args.alt), args.epsilon)
-    elif args.family:
-        if args.beta is None or args.r is None:
-            raise _Usage("lr with --family requires --r and --beta")
-        mix = sim.family_mixture(
-            args.family, _shape_params(args), args.r, args.beta, sample.size
-        )
     else:
-        raise _Usage("lr requires either --family --r --beta or --null --alt --epsilon")
+        raise _Usage("lr takes either --family --r --beta or --null --alt --epsilon")
     log_lr, decision = lr_test(sample, mix)
     _emit(args, json.dumps({"log_lr": log_lr, "decision": decision, "n": int(sample.size)}))
     return 0
@@ -345,17 +347,17 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate_gamma(args) -> int:
     if args.n_list is None or args.s_grid is None:
         raise _Usage("estimate-gamma requires --n-list and --s-grid")
-    if args.null and args.alt:
+    if args.family and args.null is args.alt is None:
+        shape, r = _family_flags(args, "r")
+        null, alt = families.build(args.family, shape)
+        diag = sim.estimate_gamma(null, lambda n: alt(r, n), args.n_list, args.s_grid)
+    elif not args.family and args.null and args.alt:
+        _family_flags(args)
         diag = sim.estimate_gamma(
             _parse_distribution(args.null), _parse_distribution(args.alt), args.n_list, args.s_grid
         )
-    elif args.family:
-        if args.r is None:
-            raise _Usage("estimate-gamma with --family requires --r")
-        null, alt = families.build(args.family, _shape_params(args))
-        diag = sim.estimate_gamma(null, lambda n: alt(args.r, n), args.n_list, args.s_grid)
     else:
-        raise _Usage("estimate-gamma requires --family or --null/--alt")
+        raise _Usage("estimate-gamma takes either --family --r or --null --alt")
     for n_from, n_to, s, delta in diag.flags:
         log.warning(
             "non-convergence: n=%d -> n=%d moved by %.4f at s=%s", n_from, n_to, delta, _fmt(s)
@@ -383,22 +385,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, family=False, sample=False, formats=False):
+    def add_common(p, *, family=False, sample=False, formats=()):
         if family:
             p.add_argument("--family", choices=list(families.FAMILIES))
-            p.add_argument("--r", type=float)
-            p.add_argument("--sigma2", type=float)
-            p.add_argument("--tau", type=float)
-            p.add_argument("--linf", type=float)
-            p.add_argument("--beta", type=float)
+            for name in _FAMILY_FLAGS:
+                p.add_argument(f"--{name}", type=float)
         if sample:
             p.add_argument("--input", required=True, help="single-column CSV or newline-delimited sample")
         if formats:
-            p.add_argument("--format", choices=["text", "csv", "json"], default="text")
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", help="write to this file instead of stdout")
 
     p = sub.add_parser("boundary", help="evaluate a detection boundary")
-    add_common(p, family=True, formats=True)
+    add_common(p, family=True, formats=("text", "csv", "json"))
     p.add_argument("--mode", choices=["beta-of-r", "r-of-beta"])
     p.add_argument(
         "--r-grid", type=_parse_grid, help="sweep the family parameter: lo:hi:step or comma list"
@@ -406,11 +405,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_boundary)
 
     p = sub.add_parser("exponent", help="Hellinger-distance exponent at a sparsity level")
-    add_common(p, family=True, formats=True)
+    add_common(p, family=True, formats=("text", "json"))
     p.set_defaults(func=_cmd_exponent)
 
     p = sub.add_parser("check-alpha", help="admissibility check of an exponent function")
-    add_common(p, family=True, formats=True)
+    add_common(p, family=True, formats=("text", "json"))
     p.add_argument("--input", help="two-column CSV grid with a 'u,value' header")
     p.set_defaults(func=_cmd_check_alpha)
 
@@ -454,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate-gamma", help="finite-n exponent-function diagnostic")
-    add_common(p, family=True, formats=True)
+    add_common(p, family=True, formats=("text", "json"))
     p.add_argument("--null")
     p.add_argument("--alt")
     p.add_argument("--n-list", type=_parse_int_list)

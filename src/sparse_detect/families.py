@@ -33,17 +33,32 @@ class Family:
 
     def alpha(self, value: float, params: dict) -> boundary.ExponentFunction:
         """Exponent function at signal value ``value``."""
-        return boundary.alpha_family(self.exponent, **self._params(value, params))
+        return boundary.alpha_family(self.exponent, **{self.swept: value, **self.checked(params)})
 
     def beta_star(self, value: float, params: dict) -> float:
         """Closed-form boundary at signal value ``value`` >= 0; nan without one."""
+        params = self.checked(params)
         if self.exponent is None:
             return math.nan
         value = checks.nonnegative(value, self.swept)
-        return boundary.boundary_closed_form(self.name, **self._params(value, params))
+        return boundary.boundary_closed_form(self.name, **{self.swept: value, **params})
 
-    def _params(self, value: float, params: dict) -> dict:
-        return {self.swept: value, **{name: params[name] for name in self.shape}}
+    def checked(self, params: dict) -> dict:
+        """``params`` if it is a dict of every shape parameter and no other key; else
+        InvalidParameterError naming a missing, then an undeclared, parameter."""
+        if not isinstance(params, dict):
+            raise InvalidParameterError(f"family parameters must be a dict, got {params!r}")
+        missing = [name for name in self.shape if params.get(name) is None]
+        if missing:
+            raise InvalidParameterError(
+                f"family {self.name!r} requires parameter {', '.join(missing)}"
+            )
+        extra = [str(key) for key in params if key not in self.shape]
+        if extra:
+            raise InvalidParameterError(
+                f"family {self.name!r} does not take parameter {', '.join(extra)}"
+            )
+        return params
 
 
 def _idj(params):
@@ -91,16 +106,12 @@ def build(name: str, params: dict) -> tuple[Distribution, Callable]:
     """The family's null law and its (r, n) -> alternative function.
 
     Raises InvalidParameterError when the family cannot be simulated or
-    a required shape parameter is missing or out of range.
+    ``params`` is not its shape parameters (see :meth:`Family.checked`),
+    or one of them is out of range.
     """
     family = FAMILIES.get(name) if isinstance(name, str) else None
     if family is None or family.builder is None:
         raise InvalidParameterError(
             f"family {name!r} is not simulatable; choose from {SIMULATABLE}"
         )
-    missing = [p for p in family.shape if params.get(p) is None]
-    if missing:
-        raise InvalidParameterError(
-            f"family {name!r} requires parameter {', '.join(missing)}"
-        )
-    return family.builder(params)
+    return family.builder(family.checked(params))

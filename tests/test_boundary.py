@@ -210,7 +210,7 @@ class TestClosedForms:
     def test_non_finite_parameters_rejected(self, value):
         with pytest.raises(InvalidParameterError, match="r must be >= 0 and finite"):
             boundary_closed_form("idj", r=value)
-        with pytest.raises(InvalidParameterError, match="r must be > 0 and finite"):
+        with pytest.raises(InvalidParameterError, match="r must be >= 0 and finite"):
             alpha_family("idj", r=value)
         with pytest.raises(InvalidParameterError, match="linf must be >= 0 and finite"):
             boundary_closed_form("dilate", linf=value)
@@ -412,6 +412,11 @@ class TestAdmissibility:
         assert not report.admissible
         assert any("exceeds u^2" in v for v in report.violations)
 
+    def test_report_is_true_exactly_when_admissible(self):
+        good = check_admissible(alpha_family("idj", r=0.25))
+        bad = check_admissible(ExponentFunction.from_grid(U_GRID, U_GRID**2 + 0.1))
+        assert (bool(good), bool(bad)) == (True, False)
+
     def test_concave_with_convolutional_flag(self):
         alpha = ExponentFunction.from_grid(U_GRID, -np.abs(U_GRID), convolutional=True)
         report = check_admissible(alpha)
@@ -549,6 +554,14 @@ class TestBetaStarGeneral:
             want = boundary_closed_form("gglocation", tau=tau, r=r)
             assert beta_star_general(gamma).beta == pytest.approx(want, abs=1e-6)
 
+    def test_gamma_above_s_is_refused(self):
+        s = np.linspace(0.0, 2.0, 201)
+        values = s.copy()
+        values[100] += 0.3
+        gamma = ExponentFunction.from_grid(s, values, axis="s")
+        with pytest.raises(AdmissibilityError, match=r"^gamma\(s\) exceeds s at s=1 by 0\.3$"):
+            beta_star_general(gamma)
+
     def test_constant_negative_gamma(self):
         s = np.linspace(0.0, 5.0, 1001)
         gamma = ExponentFunction.from_grid(s, np.full_like(s, -1.0), axis="s")
@@ -621,6 +634,32 @@ class TestTailExponent:
     def test_non_finite_u_rejected(self, u):
         with pytest.raises(InvalidParameterError, match="u must be >= 0 and finite"):
             tail_exponent(alpha_family("idj", r=0.25), u)
+
+
+class TestNoSignal:
+    """At r = 0 the exponent is 0 everywhere: both boundary routes read 1/2."""
+
+    @pytest.mark.parametrize(
+        "family, closed, shape",
+        [("idj", "idj", {}), ("symmetric_idj", "idj", {}),
+         ("gen_gaussian_location", "gglocation", {"tau": 0.7}),
+         ("gen_gaussian_location", "gglocation", {"tau": 1.5})],
+    )
+    def test_numeric_route_is_the_closed_form(self, family, closed, shape):
+        alpha = alpha_family(family, r=0.0, **shape)
+        route = beta_star_general if alpha.axis == "s" else beta_sharp
+        assert route(alpha).beta == boundary_closed_form(closed, r=0.0, **shape) == 0.5
+
+    @pytest.mark.parametrize("family", ["idj", "symmetric_idj"])
+    def test_hc_boundary_is_undefined(self, family):
+        with pytest.raises(HCBoundaryUndefinedError, match="nowhere positive"):
+            hc_achievable_boundary(alpha_family(family, r=0.0))
+
+    def test_ggconv_still_requires_positive_r(self):
+        with pytest.raises(InvalidParameterError, match="r must be > 0 and finite, got 0.0"):
+            alpha_family("gen_gaussian_conv", r=0.0, tau=1.5)
+        with pytest.raises(InvalidParameterError, match="r must be > 0 and finite, got 0.0"):
+            boundary_closed_form("ggconv", r=0.0, tau=1.5)
 
 
 class TestHCAchievableBoundary:

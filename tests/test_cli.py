@@ -139,6 +139,18 @@ class TestBoundaryCommand:
         rows = out.strip().split("\n")[1:]
         assert float(rows[0].split(",")[2]) == pytest.approx(0.75, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "family, shape", [("idj", []), ("gglocation", ["--tau", "0.7"]),
+                          ("gglocation", ["--tau", "1.5"])],
+    )
+    def test_sweep_from_r_zero_reads_the_closed_form(self, capsys, family, shape):
+        argv = ["boundary", "--family", family, *shape]
+        code, out, err = run(capsys, *argv, "--r-grid", "0:0.1:0.05")
+        assert code == 0, err
+        first = out.strip().split("\n")[1].split(",")
+        _, closed, _ = run(capsys, *argv, "--r", "0")
+        assert first[2] == closed.strip() == "0.5"
+
 
 class TestExponentCommand:
     def test_value(self, capsys):
@@ -344,6 +356,21 @@ class TestFormatOption:
         assert (code, out) == (2, "")
         assert "--format" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["exponent", "--family", "idj", "--r", "0.25", "--beta", "0.6"],
+            ["check-alpha", "--family", "idj", "--r", "0.25"],
+            ["estimate-gamma", "--family", "idj", "--r", "0.25", "--n-list", "1000",
+             "--s-grid", "0.5"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_commands_without_csv_reject_it(self, capsys, command):
+        code, out, err = run(capsys, *command, "--format", "csv")
+        assert (code, out) == (2, "")
+        assert "argument --format: invalid choice: 'csv'" in err
+
     def test_simulate_rejects_format(self, capsys):
         code, out, _ = run(
             capsys, "simulate", "--family", "idj", "--beta-grid", "0.6", "--r-grid", "0.5",
@@ -351,6 +378,123 @@ class TestFormatOption:
             "--format", "csv",
         )
         assert (code, out) == (2, "")
+
+
+FAMILY_FLAGS = ("r", "sigma2", "tau", "linf", "beta")
+FLAG_VALUES = {"r": "0.5", "sigma2": "0.5", "tau": "1.5", "linf": "0.5", "beta": "0.75"}
+
+
+def _family_calls():
+    """(label, argv, flags it reads) of each family command on each family with a boundary."""
+    for name, family in FAMILIES.items():
+        if family.exponent is None:
+            continue
+        shape = list(family.shape)
+        yield "boundary", ["boundary", "--family", name], [*shape, family.swept]
+        yield "r-of-beta", ["boundary", "--family", name, "--mode", "r-of-beta"], [*shape, "beta"]
+        yield "r-grid", ["boundary", "--family", name, "--r-grid", "0.5,1"], shape
+        yield "exponent", ["exponent", "--family", name], [*shape, family.swept, "beta"]
+        yield "check-alpha", ["check-alpha", "--family", name], [*shape, family.swept]
+        yield "lr", ["lr", "--input", "{sample}", "--family", name], [*shape, "r", "beta"]
+        yield "estimate-gamma", [
+            "estimate-gamma", "--family", name, "--n-list", "1000", "--s-grid", "0.5"
+        ], [*shape, "r"]
+
+
+STRAY_FLAGS = [
+    pytest.param(
+        [*argv, *(a for name in read for a in (f"--{name}", FLAG_VALUES[name]))], flag,
+        id=f"{label} {argv[argv.index('--family') + 1]} --{flag}",
+    )
+    for label, argv, read in _family_calls()
+    for flag in FAMILY_FLAGS if flag not in read
+]
+
+
+class TestFamilyFlags:
+    """A family command reads its row's shape flags and its own; it refuses other family flags."""
+
+    def test_every_unread_flag_is_probed(self):
+        # 5 families, 7 calls each, times the flags a call does not read
+        assert len(STRAY_FLAGS) == 114
+
+    @pytest.mark.parametrize("argv, flag", STRAY_FLAGS)
+    def test_unread_flag_exit_2(self, capsys, sample_file, argv, flag):
+        path = sample_file(Gaussian().sample(50, rng.stream(3, 5)))
+        argv = [path if a == "{sample}" else a for a in argv]
+        code, out, err = run(capsys, *argv, f"--{flag}", FLAG_VALUES[flag])
+        assert (code, out) == (2, "")
+        assert f"{argv[0]} does not read --{flag} here; it reads " in err
+
+    def test_missing_flag_is_named_before_a_stray_one(self, capsys):
+        code, out, err = run(capsys, "boundary", "--family", "hetero", "--r", "0.3", "--tau", "2")
+        assert (code, out) == (2, "")
+        assert "boundary --family hetero requires --sigma2" in err
+
+    @pytest.mark.parametrize(
+        "argv, reads",
+        [
+            (["check-alpha", "--input", "{sample}", "--r", "0.3"], "no family flag"),
+            (["lr", "--input", "{sample}", "--null", "gaussian", "--alt", "gaussian",
+              "--epsilon", "0.1", "--beta", "0.6"], "no family flag"),
+            (["estimate-gamma", "--null", "gaussian", "--alt", '{"kind":"gaussian","mean":1}',
+              "--n-list", "1000", "--s-grid", "0.5", "--tau", "2"], "no family flag"),
+            (["boundary", "--family", "hetero", "--sigma2", "2", "--r-grid", "0.1",
+              "--r", "0.3"], "--sigma2"),
+        ],
+        ids=["check-alpha-input", "lr-explicit", "estimate-gamma-explicit", "boundary-sweep"],
+    )
+    def test_routes_without_the_flag_name_what_they_read(self, capsys, sample_file, argv, reads):
+        path = sample_file([0.5, 1.0])
+        code, out, err = run(capsys, *[path if a == "{sample}" else a for a in argv])
+        assert (code, out) == (2, "")
+        assert f"here; it reads {reads}\n" in err
+
+    def test_simulate_refuses_an_undeclared_shape_flag_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--family", "idj", "--tau", "2", "--beta-grid", "0.6",
+            "--r-grid", "0.5", "--n-list", "64", "--replicates", "2", "--tests", "lr",
+            "--seed", "1",
+        )
+        assert (code, out) == (3, "")
+        assert "family 'idj' does not take parameter tau" in err
+
+
+class TestCompetingInputs:
+    """A command given two sources of the same input refuses both (exit 2)."""
+
+    def test_check_alpha_input_and_family(self, capsys, tmp_path):
+        path = tmp_path / "alpha.csv"
+        path.write_text("u,value\n0.0,0.0\n1.0,0.5\n")
+        code, out, err = run(
+            capsys, "check-alpha", "--input", str(path), "--family", "idj", "--r", "0.25"
+        )
+        assert (code, out) == (2, "")
+        assert "check-alpha takes either --family or --input" in err
+
+    @pytest.mark.parametrize(
+        "extra", [["--null", "gaussian"], ["--alt", "gaussian"], ["--epsilon", "0.1"]],
+        ids=lambda extra: extra[0],
+    )
+    def test_lr_family_and_explicit_mixture(self, capsys, sample_file, extra):
+        path = sample_file(Gaussian().sample(50, rng.stream(3, 6)))
+        code, out, err = run(
+            capsys, "lr", "--input", path, "--family", "idj", "--r", "0.5", "--beta", "0.6",
+            *extra,
+        )
+        assert (code, out) == (2, "")
+        assert "lr takes either --family --r --beta or --null --alt --epsilon" in err
+
+    @pytest.mark.parametrize(
+        "extra", [["--null", "gaussian"], ["--alt", "gaussian"]], ids=lambda extra: extra[0]
+    )
+    def test_estimate_gamma_family_and_explicit_pair(self, capsys, extra):
+        code, out, err = run(
+            capsys, "estimate-gamma", "--family", "idj", "--r", "0.25", "--n-list", "1000",
+            "--s-grid", "0.5", *extra,
+        )
+        assert (code, out) == (2, "")
+        assert "estimate-gamma takes either --family --r or --null --alt" in err
 
 
 class TestNonFiniteParameters:

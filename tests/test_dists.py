@@ -8,7 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import binom, chisquare, kstest
+from scipy.optimize import brentq
+from scipy.stats import binom, chisquare, kstest, norm
 
 from sparse_detect import dists, rng
 from sparse_detect.dists import (
@@ -271,6 +272,49 @@ class TestQuantile:
         ys = np.linspace(-3, 3, 25)
         np.testing.assert_allclose(gg.cdf(ys), ref.cdf(ys), atol=1e-13)
         np.testing.assert_allclose(gg.log_density(ys), ref.log_density(ys), atol=1e-13)
+
+
+class _NarrowBounds(Mixture):
+    """A mixture whose support bounds hold neither its 1% nor its 99% quantile."""
+
+    def support_bounds(self, log_floor=-700.0):
+        return -0.25, 0.25
+
+
+class TestQuantileBracket:
+    def test_bracket_widens_on_both_sides(self):
+        law = _NarrowBounds(Gaussian(), Gaussian(1.0, 1.0), 0.5)
+        for p in (0.01, 0.99):
+            want = brentq(lambda y: 0.5 * norm.cdf(y) + 0.5 * norm.cdf(y - 1.0) - p,
+                          -10.0, 10.0, xtol=1e-15)
+            assert law.quantile(p) == pytest.approx(want, abs=1e-12)
+
+    def test_tiny_probability_widens_below_the_support_bounds(self):
+        law = Mixture(Gaussian(), Gaussian(), 0.5)
+        lo, _ = law.support_bounds()
+        assert law.cdf(lo) > 1e-310  # so the bracket must widen
+        assert law.quantile(1e-310) == pytest.approx(Gaussian().quantile(1e-310), rel=1e-12)
+
+
+class TestAffineKinds:
+    def test_dilated_mass_reads_the_base_atom(self):
+        law = Dilated(FiniteDiscrete(((1.0, 0.25), (2.0, 0.75))), 3.0)
+        assert (law.mass(3.0), law.mass(6.0), law.mass(4.0)) == (0.25, 0.75, 0.0)
+
+    def test_support_bounds_follow_the_base(self):
+        half = math.sqrt(1400.0)  # the standard Gaussian's bounds at log floor -700
+        assert Gaussian().support_bounds() == (-half, half)
+        assert Dilated(Gaussian(), 2.0).support_bounds() == (-2.0 * half, 2.0 * half)
+        assert Shifted(Gaussian(), 1.5).support_bounds() == (-half + 1.5, half + 1.5)
+
+
+class TestMixtureLogDensity:
+    @pytest.mark.parametrize("weight, component", [(0.0, 0), (1.0, 1)])
+    def test_end_weight_is_one_component(self, weight, component):
+        laws = (Gaussian(), Gaussian(2.0, 0.5))
+        ys = np.array([-3.0, 0.0, 1.7, 40.0])
+        got = Mixture(*laws, weight).log_density(ys)  # log(0) of the other weight never formed
+        np.testing.assert_array_equal(got, laws[component].log_density(ys))
 
 
 class TestGenGaussianTails:

@@ -8,8 +8,8 @@ import pytest
 from sparse_detect.boundary import beta_sharp, beta_star_general, boundary_closed_form
 from sparse_detect.cli import _build_parser
 from sparse_detect.dists import FiniteDiscrete, to_spec
-from sparse_detect.errors import InvalidParameterError
-from sparse_detect.families import FAMILIES, SIMULATABLE
+from sparse_detect.errors import ConfigError, InvalidParameterError
+from sparse_detect.families import FAMILIES, SIMULATABLE, build
 from sparse_detect.sim import ExperimentConfig, phase_sweep
 
 RS = [round(0.05 * k, 2) for k in range(1, 21)]  # criterion 2's r grid
@@ -76,6 +76,44 @@ def test_overlay_is_the_closed_form(name):
 def test_overlay_rejects_a_signal_value_outside_zero_to_inf(value):
     with pytest.raises(InvalidParameterError, match="r must be >= 0 and finite"):
         FAMILIES["idj"].beta_star(value, {})
+
+
+# Each route from a family's parameters to a result, at signal value 0.3.
+ROUTES = {
+    "alpha": lambda name, params: FAMILIES[name].alpha(0.3, params),
+    "beta_star": lambda name, params: FAMILIES[name].beta_star(0.3, params),
+    "build": build,
+}
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_a_missing_shape_parameter_is_named(route):
+    with pytest.raises(InvalidParameterError, match="^family 'hetero' requires parameter sigma2$"):
+        ROUTES[route]("hetero", {})
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+@pytest.mark.parametrize(
+    "name, params", [("idj", {"tau": 2.0}), ("hetero", {"sigma2": 0.5, "tau": 2.0})]
+)
+def test_an_undeclared_parameter_is_refused(route, name, params):
+    words = f"^family {name!r} does not take parameter tau$"
+    with pytest.raises(InvalidParameterError, match=words):
+        ROUTES[route](name, params)
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_parameters_must_be_a_dict(route):
+    with pytest.raises(InvalidParameterError, match="^family parameters must be a dict, got 3$"):
+        ROUTES[route]("idj", 3)
+
+
+def test_config_refuses_an_undeclared_parameter():
+    with pytest.raises(ConfigError, match="^family 'idj' does not take parameter tau$"):
+        ExperimentConfig(
+            family="idj", beta_grid=(0.6,), r_grid=(0.3,), n_list=(32,), replicates=1,
+            tests=("lr",), seed=0, family_params={"tau": 2.0},
+        )
 
 
 def test_cli_family_choices_are_the_table():

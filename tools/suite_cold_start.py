@@ -24,6 +24,7 @@ SIMULATE = [
 ]
 COMMANDS = [
     ["boundary", "--family", "idj", "--r", "0.25"],
+    ["boundary", "--family", "idj", "--r", "0.25", "--tau", "2"],
     ["boundary", "--family", "idj", "--r-grid", "0.05:1.0:0.05"],
     ["boundary", "--family", "dilate", "--r-grid", "0.1:1:0.1", "--format", "csv"],
     ["exponent", "--family", "ggconv", "--r", "0.3", "--tau", "1.5", "--beta", "0.6"],

@@ -19,9 +19,12 @@ At the seams where a log ratio is not finite it records
 ``log_likelihood_ratio`` and ``lr_log_ratios`` of the singular custom
 pair on one sample and on a matrix, and ``lr_test`` and ``lr_log_ratios``
 at an infinite point and at an overflowing square of Gaussian pairs,
-each with whether it raised a warning.  Floats are recorded as
-``float.hex``, and a failure as the class and message of its error.  It
-prints the records as one JSON object.
+each with whether it raised a warning.  At the seam where a family's
+parameters are read it records ``ExperimentConfig`` and ``families.build``
+given idj with an undeclared ``tau``, and ``Family.alpha`` and
+``Family.beta_star`` of hetero without its ``sigma2``.  Floats are
+recorded as ``float.hex``, and a failure as the class and message of its
+error.  It prints the records as one JSON object.
 """
 
 import json
@@ -36,7 +39,7 @@ sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
 from test_sim import GOLDEN_SWEEPS
 from workloads import SWEEPS, derive_seed
 
-from sparse_detect import cli, hctest, rng, sim
+from sparse_detect import cli, families, hctest, rng, sim
 from sparse_detect.dists import FiniteDiscrete, Gaussian, Mixture, log_likelihood_ratio, to_spec
 
 
@@ -131,6 +134,15 @@ for name, sample, alt in (("infinite", [np.inf, 0.0], Gaussian(1.0, 1.0)),
     for eps in (0.0, 0.3, 1.0):
         records[f"ratios {name} lr_test eps={eps}"] = warned(
             lambda: lr_result(hctest.lr_test(sample, Mixture(Gaussian(), alt, eps))))
+hetero = families.FAMILIES["hetero"]
+records["params idj tau ExperimentConfig"] = attempt(lambda: sim.ExperimentConfig(
+    family="idj", beta_grid=(0.6,), r_grid=(0.3,), n_list=(64,), replicates=2, tests=("lr",),
+    seed=5, family_params={"tau": 2.0}).config_hash())
+records["params idj tau build"] = attempt(
+    lambda: to_spec(families.build("idj", {"tau": 2.0})[1](0.3, 64)))
+records["params hetero no sigma2 alpha"] = attempt(
+    lambda: hexes(hetero.alpha(0.3, {}).evaluate([0.0, 1.0])))
+records["params hetero no sigma2 beta_star"] = attempt(lambda: hetero.beta_star(0.3, {}).hex())
 for name, cfg in configs.items():
     for workers in (1, 2, 3, 7):
         records[f"{name} workers={workers}"] = attempt(lambda: sweep(cfg, workers))
